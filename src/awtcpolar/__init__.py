@@ -8,104 +8,40 @@ and a reproducible Monte Carlo experiment harness.
 
 __version__ = "0.1.0"
 
-from .adversary import (
-    AdversaryAction,
-    Strategy,
-    apply_read,
-    apply_write,
-    read_equivalent_mask,
-    sample_action,
-    write_equivalent_mask,
-)
-from .codec import (
-    ChainCodec,
-    ChainState,
-    DecodeResult,
-    InternalInconsistency,
-    Role,
-    Trit,
-    bit_reversal_permutation,
-    polar_transform,
-    trits_from_str,
-    trits_to_str,
-)
+from .adversary import Strategy, apply_read, apply_write, sample_action
+from .codec import ChainCodec
 from .construction import (
     CodeConfig,
-    IndexPartition,
     InfeasibleConstruction,
-    RateReport,
     build_partition,
-    partition_from_csv,
     partition_to_csv,
-    polarized_sets,
     rate_report,
 )
 from .experiments import (
-    AggregateRow,
-    SweepResult,
     SweepSpec,
-    TrialResult,
-    ber_bound_trial,
-    bounds_trial,
-    derive_trial_seed,
-    end_to_end_trial,
-    leak_bound_trial,
+    read_aggregates_csv,
     run_sweep,
+    write_aggregates_csv,
+    write_trials_csv,
 )
-from .polar_core import (
-    LogProb,
-    PolarizationProfile,
-    RealizationMask,
-    bec_profile,
-    bec_profile_stages,
-    delta_threshold,
-    kernel,
-    realize_profile,
-)
+from .polar_core import bec_profile, realize_profile
 
 __all__ = [
-    "AdversaryAction",
-    "AggregateRow",
     "ChainCodec",
-    "ChainState",
     "CodeConfig",
-    "DecodeResult",
-    "IndexPartition",
     "InfeasibleConstruction",
-    "InternalInconsistency",
-    "LogProb",
-    "PolarizationProfile",
-    "RateReport",
-    "RealizationMask",
-    "Role",
     "Strategy",
-    "SweepResult",
     "SweepSpec",
-    "TrialResult",
-    "Trit",
     "apply_read",
     "apply_write",
     "bec_profile",
-    "bec_profile_stages",
-    "ber_bound_trial",
-    "bit_reversal_permutation",
-    "bounds_trial",
     "build_partition",
-    "delta_threshold",
-    "derive_trial_seed",
-    "end_to_end_trial",
-    "kernel",
-    "leak_bound_trial",
-    "partition_from_csv",
     "partition_to_csv",
-    "polar_transform",
-    "polarized_sets",
     "rate_report",
-    "read_equivalent_mask",
+    "read_aggregates_csv",
     "realize_profile",
     "run_sweep",
     "sample_action",
-    "trits_from_str",
-    "trits_to_str",
-    "write_equivalent_mask",
+    "write_aggregates_csv",
+    "write_trials_csv",
 ]

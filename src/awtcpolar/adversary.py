@@ -1,8 +1,11 @@
 """Adversarial read/write set sampling and its effect on transmissions.
 
 The adversary erases the bits it writes (Bob sees '?') and captures the bits
-it reads (Eve sees everything else as '?').  Set sizes are floor(rho * N);
-the two sets are drawn independently and may overlap.
+it reads (Eve sees everything else as '?').  The uniform and prefix
+samplers draw exactly floor(rho * N) positions.  The bernoulli sampler keeps
+each position independently with probability rho, so its set size is
+Binomial(N, rho) and can exceed the floor(rho * N) budget.  The two sets are
+drawn independently and may overlap.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .codec import Trit
-from .polar_core import RealizationMask
 
 
 class Strategy(Enum):
@@ -93,15 +95,15 @@ def apply_read(x, read_set) -> np.ndarray:
     return z
 
 
-def write_equivalent_mask(action: AdversaryAction) -> RealizationMask:
-    """Bob's equivalent channel block: full noise exactly on S_w."""
+def write_equivalent_mask(action: AdversaryAction) -> np.ndarray:
+    """Bob's equivalent channel block: bits[i] is True (full noise) iff i+1 is in S_w."""
     bits = np.zeros(action.N, dtype=bool)
     bits[action.write_set - 1] = True
-    return RealizationMask(bits)
+    return bits
 
 
-def read_equivalent_mask(action: AdversaryAction) -> RealizationMask:
-    """Eve's equivalent channel block: full noise exactly off S_r."""
+def read_equivalent_mask(action: AdversaryAction) -> np.ndarray:
+    """Eve's equivalent channel block: bits[i] is True (full noise) iff i+1 is not in S_r."""
     bits = np.ones(action.N, dtype=bool)
     bits[action.read_set - 1] = False
-    return RealizationMask(bits)
+    return bits

@@ -215,19 +215,19 @@ def _sweep_spec(args, kind: str):
             trials=int(resolved["trials"]),
             base_seed=int(resolved["seed"]),
         )
-        # run CodeConfig validation once up front for a clean exit-1 path
-        CodeConfig(n=spec.n_list[0], beta=spec.beta_list[0],
-                   rho_w=spec.rho_w, rho_r=spec.rho_r, blocks=spec.blocks)
+        parallelism = int(resolved["parallelism"])
     except ValueError as exc:
         raise ValidationError(str(exc))
-    return spec, resolved
+    if parallelism < 1:
+        raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
+    return spec, parallelism, resolved
 
 
 def _chart_series(aggregates, metric: str):
     by_beta = {}
     for row in aggregates:
         if row.metric == metric:
-            by_beta.setdefault(row.beta, []).append((float(row.n), row.mean))
+            by_beta.setdefault(row.cell.beta, []).append((float(row.cell.n), row.mean))
     return [
         (f"beta={beta}", sorted(points)) for beta, points in sorted(by_beta.items())
     ]
@@ -256,8 +256,8 @@ def write_charts(aggregates, out: Path) -> list:
 
 
 def _run_sweep_cmd(args, kind: str) -> int:
-    spec, resolved = _sweep_spec(args, kind)
-    result = run_sweep(spec, parallelism=int(resolved["parallelism"]))
+    spec, parallelism, resolved = _sweep_spec(args, kind)
+    result = run_sweep(spec, parallelism=parallelism)
     if not result.results:
         print("every grid cell is infeasible:", file=sys.stderr)
         for cell in result.infeasible:
@@ -276,7 +276,7 @@ def _run_sweep_cmd(args, kind: str) -> int:
     for cell in result.infeasible:
         print(f"skipped infeasible cell n={cell['n']} beta={cell['beta']}")
     print(f"{len(result.results)} trials over "
-          f"{len(set((r.n, r.beta) for r in result.results))} cells")
+          f"{len(set((r.cell.n, r.cell.beta) for r in result.results))} cells")
     print(f"wrote {out / 'trials.csv'}, {out / 'aggregates.csv'}"
           + (f" and {len(charts)} chart(s)" if charts else ""))
     return EXIT_OK

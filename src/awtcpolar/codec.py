@@ -17,6 +17,7 @@ from enum import IntEnum
 import numpy as np
 
 from .construction import IndexPartition
+from .polar_core import check_block_length
 
 
 class Trit(IntEnum):
@@ -57,12 +58,6 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
     return perm
 
 
-def _check_block_length(length: int) -> int:
-    if length == 0 or (length & (length - 1)) != 0:
-        raise ValueError(f"block length must be a power of two, got {length}")
-    return length.bit_length() - 1
-
-
 def _butterfly(bits: np.ndarray) -> np.ndarray:
     """In-place GF(2) multiply by F^(x n); its own inverse."""
     out = bits.copy()
@@ -77,7 +72,7 @@ def _butterfly(bits: np.ndarray) -> np.ndarray:
 def polar_transform(u) -> np.ndarray:
     """Encode u into the codeword x = u R F^(x n) over GF(2)."""
     u = np.asarray(u, dtype=np.uint8)
-    n = _check_block_length(len(u))
+    n = check_block_length(len(u))
     return _butterfly(u[bit_reversal_permutation(n)])
 
 
@@ -113,7 +108,7 @@ class ChainCodec:
     def __init__(self, partition: IndexPartition):
         self.partition = partition
         self.N = partition.N
-        self.n = _check_block_length(self.N)
+        self.n = check_block_length(self.N)
         self._perm = bit_reversal_permutation(self.n)
         self._info0 = partition.info - 1
         self._e0 = partition.chain_source - 1
@@ -175,7 +170,6 @@ class ChainCodec:
         chain: ChainState | None,
         guess_bits: np.ndarray | None = None,
         strict: bool = False,
-        _shortcuts: bool = True,
     ) -> DecodeResult:
         """Successive-cancellation decode of one block of trit observations.
 
@@ -245,7 +239,7 @@ class ChainCodec:
                         )
                 u_hat[base] = u
                 return np.array([u], dtype=np.uint8)
-            if _shortcuts and not strict:
+            if not strict:
                 if k.all():
                     return _butterfly(settle(base, width, _butterfly(v)))
                 if not k.any():

@@ -9,6 +9,7 @@ chain sink B) that drives the encoder and decoder.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,6 +94,19 @@ class IndexPartition:
             "frozen": len(self.frozen),
             "chain_b": len(self.chain_sink),
         }
+
+    @functools.cached_property
+    def bound_positions(self) -> tuple:
+        """0-based positions the bound sums count: (I union R, E, I union F).
+
+        I is the full information set, chain source E included.
+        """
+        i_full = np.concatenate([self.info, self.chain_source])
+        return (
+            np.sort(np.concatenate([i_full, self.random])) - 1,
+            self.chain_source - 1,
+            np.sort(np.concatenate([i_full, self.frozen])) - 1,
+        )
 
     def classes(self) -> np.ndarray:
         """Class label of every index, position i-1 holding index i's label."""
@@ -196,23 +210,3 @@ def partition_to_csv(partition: IndexPartition, file) -> None:
     writer.writerow(["index", "class"])
     for i, label in enumerate(partition.classes(), start=1):
         writer.writerow([i, label])
-
-
-def partition_from_csv(file) -> IndexPartition:
-    reader = csv.reader(file)
-    header = next(reader)
-    if header != ["index", "class"]:
-        raise ValueError(f"unexpected partition CSV header: {header}")
-    buckets = {label: [] for label in CLASS_LABELS}
-    count = 0
-    for row in reader:
-        buckets[row[1]].append(int(row[0]))
-        count += 1
-    return IndexPartition(
-        N=count,
-        info=np.array(buckets["INFO"], dtype=np.int64),
-        chain_source=np.array(buckets["CHAIN_E"], dtype=np.int64),
-        random=np.array(buckets["RANDOM"], dtype=np.int64),
-        frozen=np.array(buckets["FROZEN"], dtype=np.int64),
-        chain_sink=np.array(buckets["CHAIN_B"], dtype=np.int64),
-    )

@@ -13,8 +13,9 @@ so serial and parallel sweeps produce bit-identical results.
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,46 +31,14 @@ from .codec import ChainCodec, ChainState
 from .construction import CodeConfig, IndexPartition, InfeasibleConstruction, build_partition
 from .polar_core import realize_profile
 
-TRIAL_COLUMNS = [
-    "kind",
-    "N",
-    "n",
-    "beta",
-    "rho_w",
-    "rho_r",
-    "T",
-    "strategy",
-    "trial",
-    "seed",
-    "ber_bound",
-    "leak_bound",
-    "bob_bit_errors",
-    "eve_bit_errors",
-    "message_bits",
-    "erased_decisions",
-]
-
-AGGREGATE_COLUMNS = [
-    "kind",
-    "N",
-    "n",
-    "beta",
-    "rho_w",
-    "rho_r",
-    "T",
-    "strategy",
-    "metric",
-    "mean",
-    "stderr",
-    "trials",
-]
+CELL_COLUMNS = ["kind", "N", "n", "beta", "rho_w", "rho_r", "T", "strategy"]
 
 KINDS = ("bounds", "end_to_end")
 
 
 @dataclass(frozen=True)
-class TrialResult:
-    """One trial's bound values, error counts and audit trail."""
+class Cell:
+    """The identity of one sweep cell, shared by its trials and its aggregates."""
 
     kind: str
     n: int
@@ -78,6 +47,22 @@ class TrialResult:
     rho_r: float
     T: int
     strategy: str
+
+    @classmethod
+    def of(cls, kind: str, config: CodeConfig, strategy: Strategy) -> "Cell":
+        return cls(kind, config.n, config.beta, config.rho_w, config.rho_r,
+                   config.blocks, strategy.value)
+
+    @property
+    def N(self) -> int:
+        return 1 << self.n
+
+
+@dataclass(frozen=True)
+class TrialResult:
+    """One trial's bound values and error counts."""
+
+    cell: Cell
     trial: int
     seed: int
     ber_bound: float
@@ -86,12 +71,6 @@ class TrialResult:
     eve_bit_errors: int | None = None
     message_bits: int | None = None
     erased_decisions: int | None = None
-    write_sizes: tuple = ()
-    read_sizes: tuple = ()
-
-    @property
-    def N(self) -> int:
-        return 1 << self.n
 
 
 def derive_trial_seed(
@@ -120,36 +99,20 @@ def derive_trial_seed(
     return int(np.random.SeedSequence(key).generate_state(1, dtype=np.uint64)[0])
 
 
-def _bound_index_sets(partition: IndexPartition):
-    """0-based positions for the two bound sums: (I union R, E, I union F)."""
-    i_full = np.concatenate([partition.info, partition.chain_source])
-    ir = np.sort(np.concatenate([i_full, partition.random])) - 1
-    e = partition.chain_source - 1
-    i_f = np.sort(np.concatenate([i_full, partition.frozen])) - 1
-    return ir, e, i_f
+def block_bound_counts(partition: IndexPartition, action) -> tuple[int, int, int]:
+    """Per-block terms of both bound values for one adversary action.
 
-
-def ber_bound_trial(config: CodeConfig, partition: IndexPartition, action) -> float:
-    """T-block decoding-error bound value for one realization (an integer).
-
-    With the exact boolean noise indicators Z of the writing realization this
-    is T * sum(Z over I union R) + (T-1) * sum(Z over E), I meaning the full
-    set including E.
+    With the exact boolean noise indicators Z of the writing realization and
+    the exact noiseless indicators of the reading realization, returns
+    (sum of Z over I union R, sum of Z over E, noiseless count over I union F),
+    I meaning the full set including E.  Over T blocks the decoding-error
+    bound adds the first term every block and the second in all blocks but
+    the last; the leakage bound adds the third every block.
     """
-    ir, e, _ = _bound_index_sets(partition)
-    z = realize_profile(write_equivalent_mask(action))
-    return float(config.blocks * int(z[ir].sum()) + (config.blocks - 1) * int(z[e].sum()))
-
-
-def leak_bound_trial(config: CodeConfig, partition: IndexPartition, action) -> float:
-    """T-block leakage bound value for one realization (an integer).
-
-    Counts the channels inside I union F that the realized reading set leaves
-    noiseless for the eavesdropper, scaled by the block count.
-    """
-    _, _, i_f = _bound_index_sets(partition)
-    z = realize_profile(read_equivalent_mask(action))
-    return float(config.blocks * int((~z[i_f]).sum()))
+    ir, e, i_f = partition.bound_positions
+    zw = realize_profile(write_equivalent_mask(action))
+    zr = realize_profile(read_equivalent_mask(action))
+    return int(zw[ir].sum()), int(zw[e].sum()), int((~zr[i_f]).sum())
 
 
 def bounds_trial(
@@ -159,23 +122,17 @@ def bounds_trial(
     seed: int,
     trial: int = 0,
 ) -> TrialResult:
-    """Sample one adversary action and evaluate both bound values on it."""
+    """Sample one adversary action and evaluate both T-block bound values on it."""
     rng = np.random.default_rng(seed)
     action = sample_action(config.N, config.rho_w, config.rho_r, strategy, rng)
+    ir, e, leak = block_bound_counts(partition, action)
+    T = config.blocks
     return TrialResult(
-        kind="bounds",
-        n=config.n,
-        beta=config.beta,
-        rho_w=config.rho_w,
-        rho_r=config.rho_r,
-        T=config.blocks,
-        strategy=strategy.value,
+        cell=Cell.of("bounds", config, strategy),
         trial=trial,
         seed=seed,
-        ber_bound=ber_bound_trial(config, partition, action),
-        leak_bound=leak_bound_trial(config, partition, action),
-        write_sizes=(len(action.write_set),),
-        read_sizes=(len(action.read_set),),
+        ber_bound=float(T * ir + (T - 1) * e),
+        leak_bound=float(T * leak),
     )
 
 
@@ -207,7 +164,6 @@ def end_to_end_trial(
     bob_chain = preshared
     eve_chain: ChainState | None = None
 
-    ir, e_set, i_f = _bound_index_sets(partition)
     k = codec.message_size
     T = config.blocks
 
@@ -216,23 +172,15 @@ def end_to_end_trial(
     erased = 0
     ber_acc = 0
     leak_acc = 0
-    write_sizes = []
-    read_sizes = []
 
     for t in range(1, T + 1):
         msg = msg_rng.integers(0, 2, size=k, dtype=np.uint8)
         x, alice_chain = codec.encode_block(msg, alice_chain, enc_rng)
 
         action = sample_action(config.N, config.rho_w, config.rho_r, strategy, adv_rng)
-        write_sizes.append(len(action.write_set))
-        read_sizes.append(len(action.read_set))
-
-        zw = realize_profile(write_equivalent_mask(action))
-        ber_acc += int(zw[ir].sum())
-        if t < T:
-            ber_acc += int(zw[e_set].sum())
-        zr = realize_profile(read_equivalent_mask(action))
-        leak_acc += int((~zr[i_f]).sum())
+        ir, e, leak = block_bound_counts(partition, action)
+        ber_acc += ir + (e if t < T else 0)
+        leak_acc += leak
 
         bob_res = codec.sc_decode_block(apply_write(x, action.write_set), bob_chain)
         bob_chain = codec.extract_chain(bob_res.u)
@@ -247,13 +195,7 @@ def end_to_end_trial(
         eve_errors += int((codec.extract_message(eve_res.u) != msg).sum())
 
     return TrialResult(
-        kind="end_to_end",
-        n=config.n,
-        beta=config.beta,
-        rho_w=config.rho_w,
-        rho_r=config.rho_r,
-        T=T,
-        strategy=strategy.value,
+        cell=Cell.of("end_to_end", config, strategy),
         trial=trial,
         seed=seed,
         ber_bound=float(ber_acc),
@@ -262,8 +204,6 @@ def end_to_end_trial(
         eve_bit_errors=eve_errors,
         message_bits=k * T,
         erased_decisions=erased,
-        write_sizes=tuple(write_sizes),
-        read_sizes=tuple(read_sizes),
     )
 
 
@@ -290,30 +230,23 @@ class SweepSpec:
             raise ValueError("n and beta grids must be non-empty")
         object.__setattr__(self, "n_list", tuple(int(v) for v in self.n_list))
         object.__setattr__(self, "beta_list", tuple(float(v) for v in self.beta_list))
+        tuple(self.configs())  # every cell must be a valid CodeConfig
 
-    def cells(self):
+    def configs(self):
+        """The CodeConfig of every (n, beta) cell, n-major."""
         for n in self.n_list:
             for beta in self.beta_list:
-                yield n, beta
+                yield CodeConfig(n=n, beta=beta, rho_w=self.rho_w, rho_r=self.rho_r,
+                                 blocks=self.blocks)
 
 
 @dataclass(frozen=True)
 class AggregateRow:
-    kind: str
-    n: int
-    beta: float
-    rho_w: float
-    rho_r: float
-    T: int
-    strategy: str
+    cell: Cell
     metric: str
     mean: float
     stderr: float
     trials: int
-
-    @property
-    def N(self) -> int:
-        return 1 << self.n
 
 
 @dataclass(frozen=True)
@@ -326,10 +259,7 @@ class SweepResult:
 
 def _run_chunk(args) -> list:
     """Worker entry: run a batch of trials for one cell (picklable payload)."""
-    kind, n, beta, rho_w, rho_r, blocks, strategy_value, trial_seeds = args
-    config = CodeConfig(n=n, beta=beta, rho_w=rho_w, rho_r=rho_r, blocks=blocks)
-    partition = build_partition(config)
-    strategy = Strategy(strategy_value)
+    kind, config, partition, strategy, trial_seeds = args
     runner = bounds_trial if kind == "bounds" else end_to_end_trial
     return [
         runner(config, partition, strategy, seed, trial)
@@ -339,7 +269,7 @@ def _run_chunk(args) -> list:
 
 def _trial_metrics(r: TrialResult) -> dict:
     metrics = {"ber_bound": r.ber_bound, "leak_bound": r.leak_bound}
-    if r.kind == "end_to_end":
+    if r.cell.kind == "end_to_end":
         bits = r.message_bits or 0
         metrics["bob_ber"] = r.bob_bit_errors / bits if bits else 0.0
         metrics["eve_ber"] = r.eve_bit_errors / bits if bits else 0.0
@@ -351,24 +281,16 @@ def aggregate(results) -> tuple:
     """Order-independent per-cell mean and standard error of each metric."""
     cells = {}
     for r in results:
-        cells.setdefault((r.n, r.beta), []).append(r)
+        cells.setdefault((r.cell.n, r.cell.beta), []).append(r)
     rows = []
-    for (n, beta) in sorted(cells):
-        group = sorted(cells[(n, beta)], key=lambda r: r.trial)
-        names = list(_trial_metrics(group[0]))
-        for metric in names:
+    for key in sorted(cells):
+        group = sorted(cells[key], key=lambda r: r.trial)
+        for metric in _trial_metrics(group[0]):
             vals = np.array([_trial_metrics(r)[metric] for r in group], dtype=float)
             stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
-            first = group[0]
             rows.append(
                 AggregateRow(
-                    kind=first.kind,
-                    n=n,
-                    beta=beta,
-                    rho_w=first.rho_w,
-                    rho_r=first.rho_r,
-                    T=first.T,
-                    strategy=first.strategy,
+                    cell=group[0].cell,
                     metric=metric,
                     mean=float(vals.mean()),
                     stderr=stderr,
@@ -381,52 +303,52 @@ def aggregate(results) -> tuple:
 def run_sweep(spec: SweepSpec, parallelism: int = 1) -> SweepResult:
     """Run every feasible cell of the grid; infeasible cells are recorded, not fatal.
 
-    Results come back sorted by (n, beta, trial) no matter how the work was
+    Each cell's partition is built once and shipped to the workers.  At most
+    min(parallelism, CPU count, task count) worker processes run.  Results
+    come back sorted by (n, beta, trial) no matter how the work was
     scheduled, so reruns at any parallelism level emit identical CSVs.
     """
     if parallelism < 1:
         raise ValueError(f"parallelism must be >= 1, got {parallelism}")
+    workers = min(parallelism, os.cpu_count() or 1)
 
     tasks = []
     infeasible = []
-    for n, beta in spec.cells():
-        config = CodeConfig(
-            n=n, beta=beta, rho_w=spec.rho_w, rho_r=spec.rho_r, blocks=spec.blocks
-        )
+    for config in spec.configs():
         try:
-            build_partition(config)
+            partition = build_partition(config)
         except InfeasibleConstruction as exc:
             infeasible.append(
-                {"n": n, "beta": beta, "i_size": exc.i_size, "b_size": exc.b_size}
+                {"n": config.n, "beta": config.beta, "i_size": exc.i_size,
+                 "b_size": exc.b_size}
             )
             continue
         trial_seeds = [
             (
                 t,
                 derive_trial_seed(
-                    spec.base_seed, spec.kind, n, beta, spec.rho_w, spec.rho_r,
-                    spec.blocks, spec.strategy, t,
+                    spec.base_seed, spec.kind, config.n, config.beta, spec.rho_w,
+                    spec.rho_r, spec.blocks, spec.strategy, t,
                 ),
             )
             for t in range(spec.trials)
         ]
-        chunk = max(1, -(-len(trial_seeds) // max(parallelism, 1)))
-        for lo in range(0, len(trial_seeds), chunk):
+        chunk = -(-spec.trials // workers)
+        for lo in range(0, spec.trials, chunk):
             tasks.append(
-                (
-                    spec.kind, n, beta, spec.rho_w, spec.rho_r, spec.blocks,
-                    spec.strategy.value, trial_seeds[lo: lo + chunk],
-                )
+                (spec.kind, config, partition, spec.strategy, trial_seeds[lo: lo + chunk])
             )
 
-    if parallelism == 1:
+    workers = min(workers, len(tasks))
+    if workers <= 1:
         batches = [_run_chunk(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_chunk, tasks))
 
     results = sorted(
-        (r for batch in batches for r in batch), key=lambda r: (r.n, r.beta, r.trial)
+        (r for batch in batches for r in batch),
+        key=lambda r: (r.cell.n, r.cell.beta, r.trial),
     )
     return SweepResult(
         spec=spec,
@@ -444,75 +366,37 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_trials_csv(results, file) -> None:
+def _columns(record_type) -> list:
+    """CSV header: the cell columns, then the record's own fields in order."""
+    return CELL_COLUMNS + [f.name for f in fields(record_type) if f.name != "cell"]
+
+
+def _write_records(record_type, records, file) -> None:
+    columns = _columns(record_type)
     writer = csv.writer(file)
-    writer.writerow(TRIAL_COLUMNS)
-    for r in results:
+    writer.writerow(columns)
+    for r in records:
         writer.writerow(
-            [
-                r.kind, r.N, r.n, _fmt(r.beta), _fmt(r.rho_w), _fmt(r.rho_r),
-                r.T, r.strategy, r.trial, r.seed, _fmt(r.ber_bound),
-                _fmt(r.leak_bound), _fmt(r.bob_bit_errors), _fmt(r.eve_bit_errors),
-                _fmt(r.message_bits), _fmt(r.erased_decisions),
-            ]
+            [_fmt(getattr(r.cell, c)) for c in CELL_COLUMNS]
+            + [_fmt(getattr(r, c)) for c in columns[len(CELL_COLUMNS):]]
         )
 
 
-def read_trials_csv(file) -> list:
-    """Parse a trials CSV back into TrialResult rows (audit fields empty)."""
-    reader = csv.reader(file)
-    header = next(reader)
-    if header != TRIAL_COLUMNS:
-        raise ValueError(f"unexpected trials CSV header: {header}")
-    out = []
-    for row in reader:
-        rec = dict(zip(TRIAL_COLUMNS, row))
-        out.append(
-            TrialResult(
-                kind=rec["kind"],
-                n=int(rec["n"]),
-                beta=float(rec["beta"]),
-                rho_w=float(rec["rho_w"]),
-                rho_r=float(rec["rho_r"]),
-                T=int(rec["T"]),
-                strategy=rec["strategy"],
-                trial=int(rec["trial"]),
-                seed=int(rec["seed"]),
-                ber_bound=float(rec["ber_bound"]),
-                leak_bound=float(rec["leak_bound"]),
-                bob_bit_errors=int(rec["bob_bit_errors"]) if rec["bob_bit_errors"] else None,
-                eve_bit_errors=int(rec["eve_bit_errors"]) if rec["eve_bit_errors"] else None,
-                message_bits=int(rec["message_bits"]) if rec["message_bits"] else None,
-                erased_decisions=(
-                    int(rec["erased_decisions"]) if rec["erased_decisions"] else None
-                ),
-            )
-        )
-    return out
+def write_trials_csv(results, file) -> None:
+    _write_records(TrialResult, results, file)
 
 
 def write_aggregates_csv(rows, file) -> None:
-    writer = csv.writer(file)
-    writer.writerow(AGGREGATE_COLUMNS)
-    for r in rows:
-        writer.writerow(
-            [
-                r.kind, r.N, r.n, _fmt(r.beta), _fmt(r.rho_w), _fmt(r.rho_r),
-                r.T, r.strategy, r.metric, _fmt(r.mean), _fmt(r.stderr), r.trials,
-            ]
-        )
+    _write_records(AggregateRow, rows, file)
 
 
 def read_aggregates_csv(file) -> list:
-    reader = csv.reader(file)
-    header = next(reader)
-    if header != AGGREGATE_COLUMNS:
-        raise ValueError(f"unexpected aggregate CSV header: {header}")
-    out = []
-    for row in reader:
-        rec = dict(zip(AGGREGATE_COLUMNS, row))
-        out.append(
-            AggregateRow(
+    reader = csv.DictReader(file)
+    if reader.fieldnames != _columns(AggregateRow):
+        raise ValueError(f"unexpected aggregate CSV header: {reader.fieldnames}")
+    return [
+        AggregateRow(
+            cell=Cell(
                 kind=rec["kind"],
                 n=int(rec["n"]),
                 beta=float(rec["beta"]),
@@ -520,10 +404,11 @@ def read_aggregates_csv(file) -> list:
                 rho_r=float(rec["rho_r"]),
                 T=int(rec["T"]),
                 strategy=rec["strategy"],
-                metric=rec["metric"],
-                mean=float(rec["mean"]),
-                stderr=float(rec["stderr"]),
-                trials=int(rec["trials"]),
-            )
+            ),
+            metric=rec["metric"],
+            mean=float(rec["mean"]),
+            stderr=float(rec["stderr"]),
+            trials=int(rec["trials"]),
         )
-    return out
+        for rec in reader
+    ]

@@ -8,7 +8,6 @@ OR/AND logic instead of floats.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -16,19 +15,6 @@ import numpy as np
 
 NEG_INF = float("-inf")
 _LN2 = math.log(2.0)
-
-
-def log1m_from_log(x: float) -> float:
-    """Return log(1 - exp(x)) for x <= 0, exact at the 0 / -inf extremes."""
-    if x == NEG_INF:
-        return 0.0
-    if x >= 0.0:
-        if x == 0.0:
-            return NEG_INF
-        raise ValueError(f"log-probability must be <= 0, got {x}")
-    if x > -_LN2:
-        return math.log(-math.expm1(x))
-    return math.log1p(-math.exp(x))
 
 
 def _log1m_from_log_arr(x: np.ndarray) -> np.ndarray:
@@ -78,19 +64,6 @@ class LogProb:
         return math.exp(self.log_one_minus_eps)
 
 
-def kernel(e1: LogProb, e2: LogProb) -> tuple[LogProb, LogProb]:
-    """One polarization step on two erasure probabilities.
-
-    Returns (minus, plus) with minus = e1 + e2 - e1*e2 and plus = e1*e2,
-    evaluated entirely in the log domain.
-    """
-    plus_log_eps = e1.log_eps + e2.log_eps
-    minus_log_1m = e1.log_one_minus_eps + e2.log_one_minus_eps
-    minus = LogProb(log1m_from_log(minus_log_1m), minus_log_1m)
-    plus = LogProb(plus_log_eps, log1m_from_log(plus_log_eps))
-    return minus, plus
-
-
 @dataclass(frozen=True, eq=False)
 class PolarizationProfile:
     """Per-index erasure/full-noise probabilities of a polarized length-N block.
@@ -113,16 +86,6 @@ class PolarizationProfile:
             raise ValueError(
                 f"profile mean {mean} drifted from rho={self.rho}; kernel bug?"
             )
-
-    def __len__(self) -> int:
-        return 1 << self.n
-
-    def __getitem__(self, i: int) -> LogProb:
-        return LogProb(float(self.log_eps[i]), float(self.log_one_minus_eps[i]))
-
-    @property
-    def values(self) -> list[LogProb]:
-        return [self[i] for i in range(len(self))]
 
     def linear(self) -> np.ndarray:
         """Profile as plain linear-domain probabilities (may underflow to 0)."""
@@ -183,25 +146,11 @@ def bec_profile(rho: float, n: int) -> PolarizationProfile:
     return profile
 
 
-@dataclass(frozen=True, eq=False)
-class RealizationMask:
-    """One adversary outcome: bits[i] is True iff channel i+1 is full noise."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.asarray(self.bits, dtype=bool)
-        object.__setattr__(self, "bits", bits)
-        N = len(bits)
-        if N == 0 or (N & (N - 1)) != 0:
-            raise ValueError(f"mask length must be a power of two, got {N}")
-
-    def __len__(self) -> int:
-        return len(self.bits)
-
-    @property
-    def popcount(self) -> int:
-        return int(self.bits.sum())
+def check_block_length(length: int) -> int:
+    """Return n for a block length 2^n; raise ValueError for any other length."""
+    if length <= 0 or (length & (length - 1)) != 0:
+        raise ValueError(f"block length must be a power of two, got {length}")
+    return length.bit_length() - 1
 
 
 def realize_profile(mask) -> np.ndarray:
@@ -212,13 +161,8 @@ def realize_profile(mask) -> np.ndarray:
     position i is the i-th decoder decision's channel.  Returns a boolean
     vector the same length as the mask.
     """
-    bits = mask.bits if isinstance(mask, RealizationMask) else np.asarray(mask, dtype=bool)
-    N = len(bits)
-    if N == 0 or (N & (N - 1)) != 0:
-        raise ValueError(f"mask length must be a power of two, got {N}")
-    z = bits.copy()
-    n = N.bit_length() - 1
-    for q in range(n):
+    z = np.array(mask, dtype=bool)
+    for q in range(check_block_length(len(z))):
         Q = 1 << q
         blk = z.reshape(-1, 2 * Q)
         a = blk[:, :Q]
@@ -232,33 +176,8 @@ def realize_profile(mask) -> np.ndarray:
 
 def delta_threshold(N: int, beta: float) -> LogProb:
     """Polarization threshold 2^(-N^beta) as a LogProb, never materialized linearly."""
-    if N <= 0 or (N & (N - 1)) != 0:
-        raise ValueError(f"block length must be a power of two, got {N}")
+    n = check_block_length(N)
     if not 0.0 < beta < 0.5:
         raise ValueError(f"beta must lie in (0, 0.5), got {beta}")
-    n = N.bit_length() - 1
     log_eps = -math.pow(2.0, n * beta) * _LN2
-    return LogProb(log_eps, log1m_from_log(log_eps))
-
-
-def profile_to_csv(profile: PolarizationProfile, file) -> None:
-    """Write `index,log2_eps,log2_one_minus_eps` rows (index 1-based)."""
-    writer = csv.writer(file)
-    writer.writerow(["index", "log2_eps", "log2_one_minus_eps"])
-    le = profile.log_eps / _LN2
-    l1m = profile.log_one_minus_eps / _LN2
-    for i in range(len(profile)):
-        writer.writerow([i + 1, repr(float(le[i])), repr(float(l1m[i]))])
-
-
-def profile_from_csv(file) -> tuple[np.ndarray, np.ndarray]:
-    """Read a profile CSV back into (log_eps, log_one_minus_eps) natural-log arrays."""
-    reader = csv.reader(file)
-    header = next(reader)
-    if header != ["index", "log2_eps", "log2_one_minus_eps"]:
-        raise ValueError(f"unexpected profile CSV header: {header}")
-    le, l1m = [], []
-    for row in reader:
-        le.append(float(row[1]) * _LN2)
-        l1m.append(float(row[2]) * _LN2)
-    return np.array(le), np.array(l1m)
+    return LogProb(log_eps, float(_log1m_from_log_arr(np.array(log_eps))))

@@ -181,13 +181,13 @@ def test_criterion_06_secrecy_rate_trend():
 
 def _significant_inversions(rows):
     """Increases along N that exceed twice the combined standard error."""
-    rows = sorted(rows, key=lambda r: r.n)
+    rows = sorted(rows, key=lambda r: r.cell.n)
     bumps = []
     for lo, hi in zip(rows, rows[1:]):
         if hi.mean > lo.mean:
             limit = 2.0 * (lo.stderr ** 2 + hi.stderr ** 2) ** 0.5
             if hi.mean - lo.mean > limit:
-                bumps.append((lo.n, hi.n, hi.mean - lo.mean, limit))
+                bumps.append((lo.cell.n, hi.cell.n, hi.mean - lo.mean, limit))
     return bumps
 
 
@@ -204,7 +204,7 @@ def test_criterion_07_bound_trends():
     for metric in ("ber_bound", "leak_bound"):
         for beta in spec.beta_list:
             rows = [a for a in result.aggregates
-                    if a.metric == metric and a.beta == beta]
+                    if a.metric == metric and a.cell.beta == beta]
             bumps = _significant_inversions(rows)
             # a drift counts as an inversion only when it clears the noise
             # floor (two combined standard errors); at most one is tolerated
@@ -227,7 +227,7 @@ def end_to_end_sweep():
 
 def test_criterion_08a_bob_ber_drop(end_to_end_sweep):
     result, elapsed = end_to_end_sweep
-    bob = {a.n: a.mean for a in result.aggregates if a.metric == "bob_ber"}
+    bob = {a.cell.n: a.mean for a in result.aggregates if a.metric == "bob_ber"}
     ratio = bob[8] / bob[12] if bob[12] > 0 else float("inf")
     check("8a", "legitimate BER drops 10x from N=2^8 to N=2^12",
           ratio >= 10.0 and elapsed < 600.0,
@@ -237,7 +237,7 @@ def test_criterion_08a_bob_ber_drop(end_to_end_sweep):
 
 def test_criterion_08b_eve_ber_band(end_to_end_sweep):
     result, elapsed = end_to_end_sweep
-    eve = {a.n: a.mean for a in result.aggregates if a.metric == "eve_ber"}
+    eve = {a.cell.n: a.mean for a in result.aggregates if a.metric == "eve_ber"}
     ok = all(0.45 <= eve[n] <= 0.55 for n in (8, 10, 12)) and elapsed < 600.0
     check("8b", "eavesdropper BER pinned near one half", ok,
           "eve BER " + ", ".join(f"n{n}:{eve[n]:.4f}" for n in (8, 10, 12)))

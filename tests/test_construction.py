@@ -1,5 +1,6 @@
 """Partition construction, set algebra and rate accounting tests."""
 
+import csv
 import hashlib
 import io
 
@@ -11,7 +12,6 @@ from awtcpolar.construction import (
     IndexPartition,
     InfeasibleConstruction,
     build_partition,
-    partition_from_csv,
     partition_to_csv,
     polarized_sets,
     rate_report,
@@ -207,10 +207,11 @@ def test_partition_csv_round_trip():
     buf = io.StringIO()
     partition_to_csv(part, buf)
     buf.seek(0)
-    back = partition_from_csv(buf)
-    for name in ("info", "chain_source", "random", "frozen", "chain_sink"):
-        np.testing.assert_array_equal(getattr(part, name), getattr(back, name))
-    # re-emission is byte identical
-    buf2 = io.StringIO()
-    partition_to_csv(back, buf2)
-    assert buf.getvalue() == buf2.getvalue()
+    rows = list(csv.DictReader(buf))
+    assert [int(r["index"]) for r in rows] == list(range(1, 257))
+    labels = np.array([r["class"] for r in rows])
+    for name, label in (("info", "INFO"), ("chain_source", "CHAIN_E"),
+                        ("random", "RANDOM"), ("frozen", "FROZEN"),
+                        ("chain_sink", "CHAIN_B")):
+        np.testing.assert_array_equal(np.flatnonzero(labels == label) + 1,
+                                      getattr(part, name))

@@ -1,23 +1,23 @@
 """Bound trials, end-to-end trials and sweep determinism tests."""
 
+import csv
 import io
 
 import numpy as np
 import pytest
 
+from awtcpolar import experiments
 from awtcpolar.adversary import AdversaryAction, Strategy, apply_read, sample_action
 from awtcpolar.codec import ChainCodec
 from awtcpolar.construction import CodeConfig, IndexPartition, build_partition
 from awtcpolar.experiments import (
     SweepSpec,
     aggregate,
-    ber_bound_trial,
+    block_bound_counts,
     bounds_trial,
     derive_trial_seed,
     end_to_end_trial,
-    leak_bound_trial,
     read_aggregates_csv,
-    read_trials_csv,
     run_sweep,
     write_aggregates_csv,
     write_trials_csv,
@@ -49,21 +49,19 @@ class TestBerBound:
     def test_no_writes_is_zero(self):
         cfg = CodeConfig(n=3, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=5)
         part = build_partition(cfg)
-        assert ber_bound_trial(cfg, part, action_of(8)) == 0.0
+        assert block_bound_counts(part, action_of(8))[:2] == (0, 0)
 
     def test_full_write_counts_everything(self):
         cfg = CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3, blocks=4)
         part = build_partition(cfg)
         action = action_of(256, write=range(1, 257))
         ir = len(part.info) + len(part.chain_source) + len(part.random)
-        expected = 4 * ir + 3 * len(part.chain_source)
-        assert ber_bound_trial(cfg, part, action) == float(expected)
+        assert block_bound_counts(part, action) == (ir, len(part.chain_source), 0)
 
     def test_crafted_single_erasure_misses_info(self):
         # one write only breaks the all-minus channel 1; info sits at 8
-        cfg = CodeConfig(n=3, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=2)
         part = single_info_partition(8, 8)
-        assert ber_bound_trial(cfg, part, action_of(8, write=[1])) == 0.0
+        assert block_bound_counts(part, action_of(8, write=[1]))[:2] == (0, 0)
         np.testing.assert_array_equal(
             realize_profile([1, 0, 0, 0, 0, 0, 0, 0]),
             [True] + [False] * 7,
@@ -75,25 +73,26 @@ class TestBerBound:
         part = build_partition(cfg)
         for _ in range(20):
             action = sample_action(64, 0.2, 0.4, Strategy.UNIFORM, rng)
-            val = ber_bound_trial(cfg, part, action)
-            assert val == int(val) >= 0
+            ir, e, leak = block_bound_counts(part, action)
+            assert all(type(v) is int for v in (ir, e, leak))
+            assert 0 <= e <= ir and leak >= 0
 
 
 class TestLeakBound:
     def test_reading_nothing_leaks_nothing(self):
         cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
         part = build_partition(cfg)
-        assert leak_bound_trial(cfg, part, action_of(64)) == 0.0
+        assert block_bound_counts(part, action_of(64))[2] == 0
 
     def test_reading_everything_leaks_i_and_f(self):
         cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
         part = build_partition(cfg)
         action = action_of(64, read=range(1, 65))
         i_f = len(part.info) + len(part.chain_source) + len(part.frozen)
-        assert leak_bound_trial(cfg, part, action) == float(3 * i_f)
+        assert block_bound_counts(part, action)[2] == i_f
 
     def test_matches_eavesdropper_decoding_oracle(self):
-        # leak/T must equal the number of decision leaves inside I union F
+        # the leak count must equal the number of decision leaves inside I union F
         # that an SC pass over Eve's observation resolves without guessing
         cfg = CodeConfig(n=3, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=1)
         part = build_partition(cfg)
@@ -118,7 +117,7 @@ class TestLeakBound:
             res = probe.sc_decode_block(z, ChainState(np.array([], dtype=np.uint8)))
             known = np.setdiff1d(np.arange(1, 9), res.guessed)
             expected = len(np.intersect1d(known, i_f))
-            assert leak_bound_trial(cfg, part, action) == float(expected)
+            assert block_bound_counts(part, action)[2] == expected
 
 
 class TestTrials:
@@ -126,9 +125,11 @@ class TestTrials:
         cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
         part = build_partition(cfg)
         row = bounds_trial(cfg, part, Strategy.UNIFORM, seed=123, trial=9)
-        assert row.kind == "bounds" and row.trial == 9 and row.seed == 123
-        assert row.write_sizes == (12,) and row.read_sizes == (25,)
+        assert row.cell.kind == "bounds" and row.trial == 9 and row.seed == 123
         assert row.bob_bit_errors is None
+        action = sample_action(64, 0.2, 0.4, Strategy.UNIFORM, np.random.default_rng(123))
+        ir, e, leak = block_bound_counts(part, action)
+        assert row.ber_bound == 3 * ir + 2 * e and row.leak_bound == 3 * leak
 
     def test_bernoulli_mean_matches_profile_expectation(self):
         cfg = CodeConfig(n=3, beta=0.3, rho_w=0.25, rho_r=0.4, blocks=4)
@@ -141,7 +142,8 @@ class TestTrials:
         rng = np.random.default_rng(77)
         for _ in range(800):
             action = sample_action(8, cfg.rho_w, cfg.rho_r, Strategy.BERNOULLI, rng)
-            vals.append(ber_bound_trial(cfg, part, action))
+            ir, e, _ = block_bound_counts(part, action)
+            vals.append(cfg.blocks * ir + (cfg.blocks - 1) * e)
         vals = np.array(vals)
         stderr = vals.std(ddof=1) / np.sqrt(len(vals))
         assert abs(vals.mean() - analytic) <= 3 * stderr + 1e-12
@@ -188,7 +190,6 @@ class TestTrials:
         a = end_to_end_trial(cfg, part, Strategy.PREFIX, seed=4, trial=0)
         b = end_to_end_trial(cfg, part, Strategy.PREFIX, seed=4, trial=0)
         assert a == b
-        assert a.write_sizes == (16, 16)
 
 
 class TestSeeds:
@@ -239,16 +240,56 @@ class TestSweep:
     def test_end_to_end_kind(self):
         spec = self._spec(kind="end_to_end", n_list=(5,), trials=3)
         result = run_sweep(spec)
-        assert all(r.kind == "end_to_end" for r in result.results)
+        assert all(r.cell.kind == "end_to_end" for r in result.results)
         metrics = {a.metric for a in result.aggregates}
         assert {"bob_ber", "eve_ber", "ber_bound", "leak_bound"} <= metrics
+
+    def test_partition_built_once_per_cell(self, monkeypatch):
+        built = []
+
+        def counting_build(config):
+            built.append((config.n, config.beta))
+            return build_partition(config)
+
+        monkeypatch.setattr(experiments, "build_partition", counting_build)
+        run_sweep(self._spec(kind="end_to_end", trials=2))
+        assert built == [(5, 0.3), (6, 0.3)]
+
+    @pytest.mark.parametrize("parallelism,cpus,trials,expected", [
+        (5000, 4, 3, 3),  # capped by the task count
+        (3, 2, 8, 2),  # capped by the CPU count
+        (2, 4, 8, 2),  # the requested count
+        (4, 1, 8, None),  # one worker runs serially, no pool
+    ])
+    def test_worker_count_clamped(self, monkeypatch, parallelism, cpus, trials, expected):
+        pools = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+        spec = self._spec(n_list=(5,), trials=trials)
+        result = run_sweep(spec, parallelism=parallelism)
+        assert pools == ([] if expected is None else [expected])
+        assert result == run_sweep(spec, parallelism=1)
 
     def test_infeasible_cell_recorded_not_fatal(self):
         spec = self._spec(n_list=(5,), beta_list=(0.3, 0.4))
         result = run_sweep(spec)
         assert len(result.infeasible) == 1
         assert result.infeasible[0]["beta"] == 0.4
-        assert {r.beta for r in result.results} == {0.3}
+        assert {r.cell.beta for r in result.results} == {0.3}
 
     def test_aggregate_statistics(self):
         spec = self._spec(n_list=(5,), trials=8)
@@ -267,6 +308,11 @@ class TestSweep:
             self._spec(kind="nonsense")
         with pytest.raises(ValueError):
             self._spec(n_list=())
+        # every cell is checked, not only the first
+        with pytest.raises(ValueError, match="n must be"):
+            self._spec(n_list=(6, -1))
+        with pytest.raises(ValueError, match="beta must"):
+            self._spec(beta_list=(0.2, 0.7))
 
 
 class TestComplementaryReadWrite:
@@ -282,13 +328,11 @@ class TestComplementaryReadWrite:
             write = np.sort(rng.permutation(64)[:12]) + 1
             read = np.setdiff1d(np.arange(1, 65), write)
             action = action_of(64, write=write, read=read)
-            ber = ber_bound_trial(cfg, part, action)
-            leak = leak_bound_trial(cfg, part, action)
+            ir, e, leak = block_bound_counts(part, action)
             # with S_r = S_w^c both sides see the same realization, so the
             # two bounds count complementary channel sets
-            assert 0 <= ber <= cfg.blocks * decisions
-            assert 0 <= leak <= cfg.blocks * i_f
-            assert ber == int(ber) and leak == int(leak)
+            assert 0 <= e <= ir <= decisions
+            assert 0 <= leak <= i_f
 
 
 class TestGoldenTrialCsv:
@@ -309,6 +353,45 @@ class TestGoldenTrialCsv:
             "20.0,0.0,,,,\r\n"
         )
 
+    def test_end_to_end_trial_bytes_frozen(self):
+        # pins the end-to-end stream split, both decoders and the error counts
+        spec = SweepSpec(kind="end_to_end", n_list=(6,), beta_list=(0.3,), rho_w=0.3,
+                         rho_r=0.3, blocks=3, strategy=Strategy.UNIFORM, trials=1,
+                         base_seed=3)
+        result = run_sweep(spec)
+        buf = io.StringIO()
+        write_trials_csv(result.results, buf)
+        assert buf.getvalue() == (
+            "kind,N,n,beta,rho_w,rho_r,T,strategy,trial,seed,ber_bound,"
+            "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,"
+            "erased_decisions\r\n"
+            "end_to_end,64,6,0.3,0.3,0.3,3,uniform,0,17727436766698190686,"
+            "1.0,0.0,3,10,24,1\r\n"
+        )
+
+    def test_aggregates_bytes_frozen(self):
+        spec = SweepSpec(kind="end_to_end", n_list=(5, 6), beta_list=(0.3,), rho_w=0.3,
+                         rho_r=0.3, blocks=2, strategy=Strategy.UNIFORM, trials=3,
+                         base_seed=7)
+        result = run_sweep(spec)
+        buf = io.StringIO()
+        write_aggregates_csv(result.aggregates, buf)
+        prefix5 = "end_to_end,32,5,0.3,0.3,0.3,2,uniform,"
+        prefix6 = "end_to_end,64,6,0.3,0.3,0.3,2,uniform,"
+        assert buf.getvalue() == "\r\n".join([
+            "kind,N,n,beta,rho_w,rho_r,T,strategy,metric,mean,stderr,trials",
+            prefix5 + "ber_bound,0.6666666666666666,0.33333333333333337,3",
+            prefix5 + "leak_bound,0.0,0.0,3",
+            prefix5 + "bob_ber,0.125,0.07216878364870323,3",
+            prefix5 + "eve_ber,0.5,0.07216878364870323,3",
+            prefix5 + "erased_decisions,0.6666666666666666,0.33333333333333337,3",
+            prefix6 + "ber_bound,1.0,0.5773502691896258,3",
+            prefix6 + "leak_bound,0.3333333333333333,0.33333333333333337,3",
+            prefix6 + "bob_ber,0.08333333333333333,0.055119818980512304,3",
+            prefix6 + "eve_ber,0.5833333333333334,0.04166666666666667,3",
+            prefix6 + "erased_decisions,1.0,0.5773502691896258,3",
+        ]) + "\r\n"
+
 
 class TestCsvRoundTrip:
     def test_trials(self):
@@ -319,10 +402,17 @@ class TestCsvRoundTrip:
         buf = io.StringIO()
         write_trials_csv(result.results, buf)
         buf.seek(0)
-        back = read_trials_csv(buf)
-        buf2 = io.StringIO()
-        write_trials_csv(back, buf2)
-        assert buf.getvalue() == buf2.getvalue()
+        rows = list(csv.DictReader(buf))
+        assert len(rows) == len(result.results)
+        for row, r in zip(rows, result.results):
+            assert int(row["N"]) == r.cell.N and row["kind"] == r.cell.kind
+            assert int(row["trial"]) == r.trial and int(row["seed"]) == r.seed
+            assert float(row["ber_bound"]) == r.ber_bound
+            assert float(row["leak_bound"]) == r.leak_bound
+            assert int(row["bob_bit_errors"]) == r.bob_bit_errors
+            assert int(row["eve_bit_errors"]) == r.eve_bit_errors
+            assert int(row["message_bits"]) == r.message_bits
+            assert int(row["erased_decisions"]) == r.erased_decisions
 
     def test_aggregates(self):
         spec = SweepSpec(kind="bounds", n_list=(5,), beta_list=(0.3,), rho_w=0.2,

@@ -1,24 +1,21 @@
 """Exact-value and property tests for the polarization arithmetic."""
 
-import io
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from awtcpolar.adversary import AdversaryAction, write_equivalent_mask
 from awtcpolar.polar_core import (
     NEG_INF,
     LogProb,
     PolarizationProfile,
-    RealizationMask,
+    _log1m_from_log_arr,
+    _next_level,
     bec_profile,
     bec_profile_stages,
     delta_threshold,
-    kernel,
-    log1m_from_log,
-    profile_from_csv,
-    profile_to_csv,
     realize_profile,
 )
 
@@ -42,39 +39,46 @@ def exact_entry(rho: Fraction, n: int, index: int) -> Fraction:
     return z
 
 
+def kernel_pairs(*eps):
+    """One polarization step on each eps: [(minus, plus), ...] as LogProbs."""
+    start = [LogProb.from_linear(e) for e in eps]
+    le, l1m = _next_level(np.array([p.log_eps for p in start]),
+                          np.array([p.log_one_minus_eps for p in start]))
+    legs = [LogProb(float(a), float(b)) for a, b in zip(le, l1m)]
+    return list(zip(legs[0::2], legs[1::2]))
+
+
 class TestKernel:
     def test_half_half(self):
-        minus, plus = kernel(LogProb.from_linear(0.5), LogProb.from_linear(0.5))
+        [(minus, plus)] = kernel_pairs(0.5)
         assert minus.eps == pytest.approx(0.75, abs=1e-15)
         assert plus.eps == pytest.approx(0.25, abs=1e-15)
 
     def test_absorbing_identity(self):
-        minus, plus = kernel(LogProb.from_linear(1.0), LogProb.from_linear(0.0))
-        assert minus.log_eps == 0.0 and minus.log_one_minus_eps == NEG_INF
-        assert plus.log_eps == NEG_INF and plus.log_one_minus_eps == 0.0
+        (minus1, plus1), (minus0, plus0) = kernel_pairs(1.0, 0.0)
+        for leg in (minus1, plus1):
+            assert leg.log_eps == 0.0 and leg.log_one_minus_eps == NEG_INF
+        for leg in (minus0, plus0):
+            assert leg.log_eps == NEG_INF and leg.log_one_minus_eps == 0.0
 
     def test_direct_formula(self):
-        minus, plus = kernel(LogProb.from_linear(0.2), LogProb.from_linear(0.4))
-        assert minus.eps == pytest.approx(0.52, abs=1e-15)
-        assert plus.eps == pytest.approx(0.08, abs=1e-15)
+        (minus2, plus2), (minus4, plus4) = kernel_pairs(0.2, 0.4)
+        assert minus2.eps == pytest.approx(0.36, abs=1e-15)
+        assert plus2.eps == pytest.approx(0.04, abs=1e-15)
+        assert minus4.eps == pytest.approx(0.64, abs=1e-15)
+        assert plus4.eps == pytest.approx(0.16, abs=1e-15)
 
     def test_extremes_stay_symbolic(self):
-        one = LogProb.from_linear(1.0)
-        zero = LogProb.from_linear(0.0)
-        for a, b in [(one, one), (zero, zero), (zero, one), (one, zero)]:
-            minus, plus = kernel(a, b)
+        for minus, plus in kernel_pairs(1.0, 0.0, 0.0, 1.0):
             for leg in (minus, plus):
                 assert leg.log_eps in (0.0, NEG_INF)
                 assert leg.log_one_minus_eps in (0.0, NEG_INF)
 
     def test_dominance(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            e1, e2 = rng.random(2)
-            minus, plus = kernel(LogProb.from_linear(e1), LogProb.from_linear(e2))
-            lo, hi = min(e1, e2), max(e1, e2)
-            assert plus.eps <= lo + 1e-12
-            assert minus.eps >= hi - 1e-12
+        eps = np.random.default_rng(7).random(200)
+        for e, (minus, plus) in zip(eps, kernel_pairs(*eps)):
+            assert plus.eps <= e + 1e-12
+            assert minus.eps >= e - 1e-12
 
 
 class TestLogProb:
@@ -98,11 +102,11 @@ class TestLogProb:
                 assert lp.eps + lp.one_minus_eps == pytest.approx(1.0, abs=1e-9)
 
     def test_log1m_from_log(self):
-        assert log1m_from_log(NEG_INF) == 0.0
-        assert log1m_from_log(0.0) == NEG_INF
-        assert log1m_from_log(math.log(0.25)) == pytest.approx(math.log(0.75), abs=1e-15)
-        with pytest.raises(ValueError):
-            log1m_from_log(0.5)
+        out = _log1m_from_log_arr(np.array([NEG_INF, 0.0, math.log(0.25), math.log(0.75)]))
+        assert out[0] == 0.0
+        assert out[1] == NEG_INF
+        assert out[2] == pytest.approx(math.log(0.75), abs=1e-15)
+        assert out[3] == pytest.approx(math.log(0.25), abs=1e-15)
 
 
 class TestBecProfile:
@@ -190,15 +194,15 @@ class TestRealizeProfile:
             assert realize_profile(mask).sum() == 1
 
     def test_accepts_mask_type(self):
-        mask = RealizationMask(np.array([True, False, False, False]))
-        assert mask.popcount == 1
+        action = AdversaryAction(N=4, write_set=np.array([1]), read_set=np.array([2]))
+        mask = write_equivalent_mask(action)
         np.testing.assert_array_equal(realize_profile(mask), [True, False, False, False])
+        assert mask.tolist() == [True, False, False, False]  # input left untouched
 
     def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            realize_profile([1, 0, 1])
-        with pytest.raises(ValueError):
-            RealizationMask(np.array([True, False, True]))
+        for bad in ([1, 0, 1], []):
+            with pytest.raises(ValueError):
+                realize_profile(bad)
 
 
 class TestDeltaThreshold:
@@ -221,20 +225,3 @@ class TestDeltaThreshold:
                 delta_threshold(256, beta)
         with pytest.raises(ValueError):
             delta_threshold(255, 0.25)
-
-
-def test_profile_csv_round_trip():
-    prof = bec_profile(0.3, 5)
-    buf = io.StringIO()
-    profile_to_csv(prof, buf)
-    buf.seek(0)
-    le, l1m = profile_from_csv(buf)
-    np.testing.assert_allclose(le, prof.log_eps, rtol=1e-15)
-    np.testing.assert_allclose(l1m, prof.log_one_minus_eps, rtol=1e-15)
-    # extremes survive the text round trip
-    prof0 = bec_profile(0.0, 2)
-    buf = io.StringIO()
-    profile_to_csv(prof0, buf)
-    buf.seek(0)
-    le, _ = profile_from_csv(buf)
-    assert np.all(le == NEG_INF)
