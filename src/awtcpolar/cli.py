@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args, keys) -> dict:
-    """Merge flag > config-file > default, and reject missing required keys."""
+    """Merge flag > config-file > default; a key with none of them resolves to None."""
     file_cfg = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -126,6 +126,9 @@ def _resolve(args, keys) -> dict:
         unknown = set(file_cfg) - set(keys)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        nulls = sorted(key for key, value in file_cfg.items() if value is None)
+        if nulls:
+            raise ValidationError(f"config keys must not be null: {nulls}")
     resolved = {}
     for key in keys:
         flag = getattr(args, key, None)
@@ -133,23 +136,9 @@ def _resolve(args, keys) -> dict:
             resolved[key] = flag
         elif key in file_cfg:
             resolved[key] = file_cfg[key]
-        elif key in _DEFAULTS:
-            resolved[key] = _DEFAULTS[key]
         else:
-            resolved[key] = None
+            resolved[key] = _DEFAULTS.get(key)
     return resolved
-
-
-def _require(resolved, *keys):
-    for key in keys:
-        if resolved.get(key) is None:
-            raise ValidationError(f"--{key.replace('_', '-')} is required")
-
-
-def _out_dir(resolved) -> Path:
-    out = Path(resolved["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _write_manifest(out: Path, command: str, resolved: dict, extra: dict | None = None):
@@ -162,20 +151,22 @@ def _write_manifest(out: Path, command: str, resolved: dict, extra: dict | None 
 def cmd_construct(args) -> int:
     keys = ["n", "beta", "rho_w", "rho_r", "blocks", "out_dir"]
     resolved = _resolve(args, keys)
-    _require(resolved, "n")
+    if resolved["n"] is None:
+        raise ValidationError("--n is required")
     try:
         config = CodeConfig(
             n=int(resolved["n"]), beta=float(resolved["beta"]),
             rho_w=float(resolved["rho_w"]), rho_r=float(resolved["rho_r"]),
             blocks=int(resolved["blocks"]),
         )
-    except ValueError as exc:
+        out = Path(resolved["out_dir"])
+    except (TypeError, ValueError) as exc:
         raise ValidationError(str(exc))
 
     partition = build_partition(config)  # InfeasibleConstruction propagates to main
     report = rate_report(partition, config)
 
-    out = _out_dir(resolved)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "partition.csv", "w", newline="") as fh:
         partition_to_csv(partition, fh)
     rep = report.as_dict()
@@ -216,11 +207,12 @@ def _sweep_spec(args, kind: str):
             base_seed=int(resolved["seed"]),
         )
         parallelism = int(resolved["parallelism"])
-    except ValueError as exc:
+        out = Path(resolved["out_dir"])
+    except (TypeError, ValueError) as exc:
         raise ValidationError(str(exc))
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
-    return spec, parallelism, resolved
+    return spec, parallelism, out, resolved
 
 
 def _chart_series(aggregates, metric: str):
@@ -256,7 +248,7 @@ def write_charts(aggregates, out: Path) -> list:
 
 
 def _run_sweep_cmd(args, kind: str) -> int:
-    spec, parallelism, resolved = _sweep_spec(args, kind)
+    spec, parallelism, out, resolved = _sweep_spec(args, kind)
     result = run_sweep(spec, parallelism=parallelism)
     if not result.results:
         print("every grid cell is infeasible:", file=sys.stderr)
@@ -265,7 +257,7 @@ def _run_sweep_cmd(args, kind: str) -> int:
                   f"|I|={cell['i_size']} < |B|={cell['b_size']}", file=sys.stderr)
         return EXIT_INFEASIBLE
 
-    out = _out_dir(resolved)
+    out.mkdir(parents=True, exist_ok=True)
     with open(out / "trials.csv", "w", newline="") as fh:
         write_trials_csv(result.results, fh)
     with open(out / "aggregates.csv", "w", newline="") as fh:
@@ -289,7 +281,8 @@ def cmd_plot(args) -> int:
             aggregates = read_aggregates_csv(fh)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read aggregates: {exc}")
-    out = _out_dir(resolved)
+    out = Path(resolved["out_dir"])
+    out.mkdir(parents=True, exist_ok=True)
     charts = write_charts(aggregates, out)
     if not charts:
         raise ValidationError("no plottable metrics found in the aggregate CSV")

@@ -4,8 +4,11 @@ Encoding computes x = u R F^(x n) (bit-reversal then butterfly).  Decoding
 runs successive cancellation over the alphabet {0, 1, erased}: a check node
 knows its bit only if both inputs are known, a variable node prefers the
 direct look and otherwise corrects the crossed look with the partial sum.
-Chain bits carried between blocks occupy the sink set B and are decoded by
-substitution, never from the channel.
+A subtree whose inputs are all known or all erased is committed in one step
+(the Rate-1 and Rate-0 nodes of fast SC decoders); every other subtree
+splits.  Chain bits carried between blocks are plain uint8 arrays: they
+occupy the sink set B and are decoded by substitution, never from the
+channel.
 """
 
 from __future__ import annotations
@@ -24,12 +27,6 @@ class Trit(IntEnum):
     ZERO = 0
     ONE = 1
     ERASED = 2
-
-
-class Role(IntEnum):
-    DECIDE = 0  # info, chain source and random positions: decided from the channel
-    FROZEN = 1
-    CHAIN = 2
 
 
 class InternalInconsistency(RuntimeError):
@@ -77,25 +74,6 @@ def polar_transform(u) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ChainState:
-    """Bits destined for the sink set B of the next block.
-
-    For block 1 these are the pre-shared random bits; afterwards they are the
-    e_bits of the chain source E from the previous block, rank-paired (i-th
-    smallest E index feeds the i-th smallest B index).
-    """
-
-    e_bits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "e_bits", np.asarray(self.e_bits, dtype=np.uint8))
-
-    @classmethod
-    def preshared(cls, size: int, rng: np.random.Generator) -> "ChainState":
-        return cls(rng.integers(0, 2, size=size, dtype=np.uint8))
-
-
-@dataclass(frozen=True, eq=False)
 class DecodeResult:
     u: np.ndarray
     erased_decisions: int
@@ -113,13 +91,13 @@ class ChainCodec:
         self._info0 = partition.info - 1
         self._e0 = partition.chain_source - 1
         self._r0 = partition.random - 1
-        self._f0 = partition.frozen - 1
         self._b0 = partition.chain_sink - 1
-        roles = np.full(self.N, Role.DECIDE, dtype=np.int8)
-        roles[self._f0] = Role.FROZEN
-        roles[self._b0] = Role.CHAIN
-        roles.flags.writeable = False
-        self._roles = roles
+        # info, chain source and random positions are decided from the channel
+        decide = np.ones(self.N, dtype=bool)
+        decide[partition.frozen - 1] = False
+        decide[self._b0] = False
+        decide.flags.writeable = False
+        self._decide = decide
 
     @property
     def message_size(self) -> int:
@@ -129,31 +107,35 @@ class ChainCodec:
     def chain_size(self) -> int:
         return len(self._b0)
 
-    def preshared_state(self, rng: np.random.Generator) -> ChainState:
-        return ChainState.preshared(self.chain_size, rng)
+    def preshared_state(self, rng: np.random.Generator) -> np.ndarray:
+        """The pre-shared uniform bits for block 1's chain sink B."""
+        return rng.integers(0, 2, size=self.chain_size, dtype=np.uint8)
 
     # -- encoding --------------------------------------------------------
 
-    def encode_block(self, msg, chain: ChainState, rng: np.random.Generator):
-        """Encode one message block; returns (codeword, chain state for block t+1).
+    def encode_block(self, msg, chain, rng: np.random.Generator):
+        """Encode one message block; returns (codeword, chain bits for block t+1).
 
-        E and R positions take fresh uniform bits (one draw of |E|+|R| bits,
-        E filled first, both in ascending index order); F is all-zero frozen.
+        chain holds the bits for the sink set B: the pre-shared bits in block
+        1, afterwards the previous block's u[E], rank-paired (the i-th
+        smallest E index feeds the i-th smallest B index).  E and R positions
+        take fresh uniform bits (one draw of |E|+|R| bits, E filled first,
+        both in ascending index order); F is all-zero frozen.
         """
         msg = np.asarray(msg, dtype=np.uint8)
         if len(msg) != self.message_size:
             raise ValueError(f"message must have {self.message_size} bits, got {len(msg)}")
-        if len(chain.e_bits) != self.chain_size:
-            raise ValueError(f"chain must carry {self.chain_size} bits, got {len(chain.e_bits)}")
+        if len(chain) != self.chain_size:
+            raise ValueError(f"chain must carry {self.chain_size} bits, got {len(chain)}")
         u = np.zeros(self.N, dtype=np.uint8)
         u[self._info0] = msg
         fresh = rng.integers(0, 2, size=len(self._e0) + len(self._r0), dtype=np.uint8)
         u[self._e0] = fresh[: len(self._e0)]
         u[self._r0] = fresh[len(self._e0):]
-        u[self._b0] = chain.e_bits
-        return _butterfly(u[self._perm]), ChainState(u[self._e0])
+        u[self._b0] = chain
+        return _butterfly(u[self._perm]), u[self._e0]
 
-    def encode_session(self, messages, preshared: ChainState, rng: np.random.Generator):
+    def encode_session(self, messages, preshared, rng: np.random.Generator):
         """Encode T blocks with chaining; returns the list of codewords."""
         chain = preshared
         codewords = []
@@ -167,7 +149,7 @@ class ChainCodec:
     def sc_decode_block(
         self,
         y,
-        chain: ChainState | None,
+        chain: np.ndarray | None,
         guess_bits: np.ndarray | None = None,
         strict: bool = False,
     ) -> DecodeResult:
@@ -178,10 +160,14 @@ class ChainCodec:
         Erased decisions resolve to guess_bits[position] (default 0) and are
         counted and reported.
 
-        strict=True disables subtree shortcuts and verifies that no two known
-        messages ever disagree.  Under pure erasures with correct side
-        information (chain bits and guesses) a disagreement is impossible, so
-        one firing means broken index conventions; note that a *wrong* forced
+        strict=True verifies that no two known messages ever disagree: at a
+        mixed node, the left child's bits must agree with every input pair
+        whose halves are both known; at an all-known node, no fixed (frozen
+        or chain) bit may contradict the bits the inputs imply.  Inside an
+        all-known subtree a node-by-node recursion's checks reduce to exactly
+        that condition, so the shortcut loses none.  Under pure erasures with
+        correct side information (chain bits and guesses) a disagreement is
+        impossible, so one firing means broken index conventions; a *wrong*
         guess or chain bit corrupts later partial sums and can trip the check
         legitimately, so strict mode belongs in clean-path tests only.
         """
@@ -191,59 +177,39 @@ class ChainCodec:
         if ((y < 0) | (y > 2)).any():
             raise ValueError("observations must be trits: 0, 1 or 2 (erased)")
 
-        fixed = np.zeros(self.N, dtype=np.uint8)
-        roles = self._roles
-        if chain is None:
-            roles = roles.copy()
-            roles[self._b0] = Role.DECIDE
-        else:
-            if len(chain.e_bits) != self.chain_size:
-                raise ValueError("chain size mismatch")
-            fixed[self._b0] = chain.e_bits
-
-        known = (y != Trit.ERASED)[self._perm]
-        value = (y == Trit.ONE).astype(np.uint8)[self._perm]
-        decide = roles == Role.DECIDE
-
+        # u_hat starts as the fixed bits; decisions overwrite their positions
         u_hat = np.zeros(self.N, dtype=np.uint8)
-        guessed: list[int] = []
-
-        def settle(base: int, width: int, implied: np.ndarray | None) -> np.ndarray:
-            """Commit decisions for leaves [base, base+width) in one shot."""
-            sl = slice(base, base + width)
-            dec = decide[sl]
-            if implied is None:
-                u = fixed[sl].copy()
-                if guess_bits is not None:
-                    u[dec] = guess_bits[sl][dec]
-                guessed.extend((base + np.flatnonzero(dec)).tolist())
-            else:
-                u = np.where(dec, implied, fixed[sl]).astype(np.uint8)
-            u_hat[sl] = u
-            return u
+        decide = self._decide
+        if chain is None:
+            decide = decide.copy()
+            decide[self._b0] = True
+        else:
+            if len(chain) != self.chain_size:
+                raise ValueError("chain size mismatch")
+            u_hat[self._b0] = chain
+        unresolved = np.zeros(self.N, dtype=bool)
 
         def descend(k: np.ndarray, v: np.ndarray, base: int) -> np.ndarray:
             width = len(k)
-            if width == 1:
-                if decide[base]:
-                    if k[0]:
-                        u = int(v[0])
-                    else:
-                        u = 0 if guess_bits is None else int(guess_bits[base])
-                        guessed.append(base)
-                else:
-                    u = int(fixed[base])
-                    if strict and k[0] and int(v[0]) != u:
+            known = np.count_nonzero(k)
+            if known == 0 or known == width:
+                # all erased or all known (always so at width 1): commit the
+                # whole subtree at once and return its re-encoded bits
+                sl = slice(base, base + width)
+                u = u_hat[sl]
+                dec = decide[sl]
+                if known:
+                    implied = _butterfly(v)
+                    np.copyto(u, implied, where=dec)
+                    if strict and (u != implied).any():
                         raise InternalInconsistency(
-                            f"channel contradicts fixed bit at position {base + 1}"
+                            f"channel contradicts a fixed bit in u[{base + 1}..{base + width}]"
                         )
-                u_hat[base] = u
-                return np.array([u], dtype=np.uint8)
-            if not strict:
-                if k.all():
-                    return _butterfly(settle(base, width, _butterfly(v)))
-                if not k.any():
-                    return _butterfly(settle(base, width, None))
+                else:
+                    if guess_bits is not None:
+                        np.copyto(u, guess_bits[sl], where=dec)
+                    unresolved[sl] = True
+                return _butterfly(u)
             h = width // 2
             ka, va = k[:h], v[:h]
             kb, vb = k[h:], v[h:]
@@ -256,17 +222,20 @@ class ChainCodec:
             right = descend(ka | kb, gv, base + h)
             return np.concatenate([left ^ right, right])
 
+        known = (y != Trit.ERASED)[self._perm]
+        value = (y == Trit.ONE).astype(np.uint8)[self._perm]
         descend(known, value, 0)
-        guessed_idx = np.sort(np.array(guessed, dtype=np.int64)) + 1
-        return DecodeResult(u=u_hat, erased_decisions=len(guessed), guessed=guessed_idx)
+        guessed = np.flatnonzero(unresolved & decide) + 1
+        return DecodeResult(u=u_hat, erased_decisions=len(guessed), guessed=guessed)
 
     def extract_message(self, u: np.ndarray) -> np.ndarray:
         return u[self._info0]
 
-    def extract_chain(self, u: np.ndarray) -> ChainState:
-        return ChainState(u[self._e0])
+    def extract_chain(self, u: np.ndarray) -> np.ndarray:
+        """The decoded u[E], the chain bits for the next block's B."""
+        return u[self._e0]
 
-    def decode_session(self, observations, preshared: ChainState, strict: bool = False):
+    def decode_session(self, observations, preshared, strict: bool = False):
         """Decode T blocks in order, threading each block's decoded E into the
         next block's B so that chain errors propagate as they would on air.
 

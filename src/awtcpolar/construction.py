@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polar_core import LogProb, PolarizationProfile, bec_profile, delta_threshold
+from .polar_core import PolarizationProfile, bec_profile, delta_threshold
 
 
 class InfeasibleConstruction(Exception):
@@ -111,23 +111,21 @@ class IndexPartition:
     def classes(self) -> np.ndarray:
         """Class label of every index, position i-1 holding index i's label."""
         out = np.empty(self.N, dtype=object)
-        for label, idx in zip(CLASS_LABELS, self._sets()):
+        sets = (self.info, self.chain_source, self.random, self.frozen, self.chain_sink)
+        for label, idx in zip(CLASS_LABELS, sets):
             out[idx - 1] = label
         return out
 
-    def _sets(self):
-        return (self.info, self.chain_source, self.random, self.frozen, self.chain_sink)
 
-
-def polarized_sets(profile: PolarizationProfile, delta: LogProb):
+def polarized_sets(profile: PolarizationProfile, log_delta: float):
     """Split indices into (H, L): near-full-noise and near-noiseless channels.
 
     H = {i : P_i >= 1 - delta} and L = {i : P_i <= delta}, both compared in
-    the log domain so thresholds below 1e-300 still separate cleanly.
-    Returned as sorted 1-based index arrays.
+    the log domain (log_delta = log delta) so thresholds below 1e-300 still
+    separate cleanly.  Returned as sorted 1-based index arrays.
     """
-    high = profile.log_one_minus_eps <= delta.log_eps
-    low = profile.log_eps <= delta.log_eps
+    high = profile.log_one_minus_eps <= log_delta
+    low = profile.log_eps <= log_delta
     return np.flatnonzero(high) + 1, np.flatnonzero(low) + 1
 
 
@@ -140,10 +138,10 @@ def build_partition(config: CodeConfig) -> IndexPartition:
     """
     write_profile = bec_profile(config.rho_w, config.n)
     read_profile = bec_profile(1.0 - config.rho_r, config.n)
-    delta = delta_threshold(config.N, config.beta)
+    log_delta = delta_threshold(config.N, config.beta)
 
-    _, lw_idx = polarized_sets(write_profile, delta)
-    hr_idx, _ = polarized_sets(read_profile, delta)
+    _, lw_idx = polarized_sets(write_profile, log_delta)
+    hr_idx, _ = polarized_sets(read_profile, log_delta)
     lw = np.zeros(config.N, dtype=bool)
     lw[lw_idx - 1] = True
     hr = np.zeros(config.N, dtype=bool)

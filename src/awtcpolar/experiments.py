@@ -27,7 +27,7 @@ from .adversary import (
     sample_action,
     write_equivalent_mask,
 )
-from .codec import ChainCodec, ChainState
+from .codec import ChainCodec
 from .construction import CodeConfig, IndexPartition, InfeasibleConstruction, build_partition
 from .polar_core import realize_profile
 
@@ -162,7 +162,7 @@ def end_to_end_trial(
     preshared = codec.preshared_state(np.random.default_rng(pre_ss))
     alice_chain = preshared
     bob_chain = preshared
-    eve_chain: ChainState | None = None
+    eve_chain = None
 
     k = codec.message_size
     T = config.blocks
@@ -391,11 +391,17 @@ def write_aggregates_csv(rows, file) -> None:
 
 
 def read_aggregates_csv(file) -> list:
+    """Parse an aggregates CSV; ValueError on a wrong header or a malformed row."""
+    columns = _columns(AggregateRow)
     reader = csv.DictReader(file)
-    if reader.fieldnames != _columns(AggregateRow):
+    if reader.fieldnames != columns:
         raise ValueError(f"unexpected aggregate CSV header: {reader.fieldnames}")
-    return [
-        AggregateRow(
+    rows = []
+    for rec in reader:
+        # DictReader pads a short row with None and files a long row's surplus under None
+        if None in rec or None in rec.values():
+            raise ValueError(f"line {reader.line_num}: expected {len(columns)} fields")
+        rows.append(AggregateRow(
             cell=Cell(
                 kind=rec["kind"],
                 n=int(rec["n"]),
@@ -409,6 +415,5 @@ def read_aggregates_csv(file) -> list:
             mean=float(rec["mean"]),
             stderr=float(rec["stderr"]),
             trials=int(rec["trials"]),
-        )
-        for rec in reader
-    ]
+        ))
+    return rows

@@ -1,9 +1,9 @@
 """Exact polarization arithmetic for erasure channel blocks.
 
-Erasure probabilities are kept as (log eps, log(1-eps)) pairs so that
-polarized values far below 1e-300 and thresholds like 2^(-N^beta) stay
-representable.  Boolean adversary realizations are propagated exactly with
-OR/AND logic instead of floats.
+Erasure probabilities are kept as (log eps, log(1-eps)) array pairs and the
+threshold 2^(-N^beta) as its log, so that polarized values far below 1e-300
+stay representable.  Boolean adversary realizations are propagated exactly
+with OR/AND logic instead of floats.
 """
 
 from __future__ import annotations
@@ -23,45 +23,6 @@ def _log1m_from_log_arr(x: np.ndarray) -> np.ndarray:
         out = np.where(x > -_LN2, np.log(-np.expm1(x)), np.log1p(-np.exp(x)))
     # exp(-inf) = 0 -> log1p(0) = 0 exactly; exp(0) = 1 -> log(0) = -inf exactly
     return out
-
-
-@dataclass(frozen=True)
-class LogProb:
-    """An erasure probability eps stored as the pair (log eps, log(1-eps)).
-
-    The extremes are exact: eps=0 has log_eps=-inf, eps=1 has
-    log_one_minus_eps=-inf.  Outside roughly exp(-30) one leg is the
-    authoritative representation and the other only informative.
-    """
-
-    log_eps: float
-    log_one_minus_eps: float
-
-    def __post_init__(self):
-        if math.isnan(self.log_eps) or math.isnan(self.log_one_minus_eps):
-            raise ValueError("LogProb legs must not be NaN")
-        if self.log_eps > 0.0 or self.log_one_minus_eps > 0.0:
-            raise ValueError(
-                f"LogProb legs must be <= 0, got ({self.log_eps}, {self.log_one_minus_eps})"
-            )
-
-    @classmethod
-    def from_linear(cls, eps: float) -> "LogProb":
-        if not 0.0 <= eps <= 1.0:
-            raise ValueError(f"erasure probability must be in [0, 1], got {eps}")
-        if eps == 0.0:
-            return cls(NEG_INF, 0.0)
-        if eps == 1.0:
-            return cls(0.0, NEG_INF)
-        return cls(math.log(eps), math.log1p(-eps))
-
-    @property
-    def eps(self) -> float:
-        return math.exp(self.log_eps)
-
-    @property
-    def one_minus_eps(self) -> float:
-        return math.exp(self.log_one_minus_eps)
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,9 +76,15 @@ def bec_profile_stages(rho: float, n: int):
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     if n < 0:
         raise ValueError(f"stage count must be >= 0, got {n}")
-    start = LogProb.from_linear(rho)
-    log_eps = np.array([start.log_eps])
-    log_1m = np.array([start.log_one_minus_eps])
+    # the extremes are exact, and log(1 - 0) is +0.0 where log1p(-0.0) is -0.0
+    if rho == 0.0:
+        seed = (NEG_INF, 0.0)
+    elif rho == 1.0:
+        seed = (0.0, NEG_INF)
+    else:
+        seed = (math.log(rho), math.log1p(-rho))
+    log_eps = np.array([seed[0]])
+    log_1m = np.array([seed[1]])
     yield PolarizationProfile(0, rho, log_eps, log_1m)
     for q in range(1, n + 1):
         log_eps, log_1m = _next_level(log_eps, log_1m)
@@ -174,10 +141,9 @@ def realize_profile(mask) -> np.ndarray:
     return z
 
 
-def delta_threshold(N: int, beta: float) -> LogProb:
-    """Polarization threshold 2^(-N^beta) as a LogProb, never materialized linearly."""
+def delta_threshold(N: int, beta: float) -> float:
+    """Log of the polarization threshold 2^(-N^beta), never materialized linearly."""
     n = check_block_length(N)
     if not 0.0 < beta < 0.5:
         raise ValueError(f"beta must lie in (0, 0.5), got {beta}")
-    log_eps = -math.pow(2.0, n * beta) * _LN2
-    return LogProb(log_eps, float(_log1m_from_log_arr(np.array(log_eps))))
+    return -math.pow(2.0, n * beta) * _LN2

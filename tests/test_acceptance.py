@@ -15,7 +15,7 @@ import pytest
 import _acceptance_log
 
 from awtcpolar.adversary import Strategy, apply_write, sample_action
-from awtcpolar.codec import ChainCodec, ChainState, polar_transform
+from awtcpolar.codec import ChainCodec, polar_transform
 from awtcpolar.construction import (
     CodeConfig,
     IndexPartition,
@@ -97,7 +97,7 @@ def test_criterion_04_round_trip():
     for n in range(1, 5):
         N = 1 << n
         codec = ChainCodec(all_info_partition(N))
-        chain = ChainState(np.array([], dtype=np.uint8))
+        chain = np.array([], dtype=np.uint8)
         for bits in itertools.product((0, 1), repeat=N):
             u = np.array(bits, dtype=np.uint8)
             res = codec.sc_decode_block(polar_transform(u).astype(np.int8), chain)

@@ -76,6 +76,21 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"n": 6, "bogus": 1}))
         assert run("construct", "--config", cfg, "--out-dir", tmp_path / "out") == 1
 
+    @pytest.mark.parametrize("argv,config", [
+        (["bounds", "--n", 5], {"trials": None}),
+        (["bounds", "--n", 5], {"trials": [3]}),
+        (["bounds", "--n", 5], {"out_dir": None}),
+        (["bounds", "--n", 5], {"out_dir": [3]}),
+        (["bounds"], {"n_list": 5}),
+        (["construct", "--n", 5], {"beta": None}),
+    ])
+    def test_wrong_json_type_exits_one(self, tmp_path, monkeypatch, capsys, argv, config):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run(*argv, "--config", "cfg.json") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepCommands:
     def test_bounds_outputs(self, tmp_path):
@@ -166,6 +181,13 @@ class TestPlotCommand:
         (tmp_path / "empty.csv").write_text("")
         assert run("plot", "--aggregates", tmp_path / "empty.csv",
                    "--out-dir", tmp_path) == 1
+
+    def test_short_row_exits_one(self, tmp_path, capsys):
+        header = "kind,N,n,beta,rho_w,rho_r,T,strategy,metric,mean,stderr,trials"
+        (tmp_path / "short.csv").write_text(header + "\nbounds,32,5,0.3\n")
+        assert run("plot", "--aggregates", tmp_path / "short.csv",
+                   "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read aggregates: ")
 
 
 class TestSvg:

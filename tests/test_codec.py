@@ -7,7 +7,6 @@ import pytest
 
 from awtcpolar.codec import (
     ChainCodec,
-    ChainState,
     InternalInconsistency,
     Trit,
     bit_reversal_permutation,
@@ -46,7 +45,7 @@ def plain_sc_decode(codec, y, chain, guess_bits):
     decide = np.ones(codec.N, dtype=bool)
     decide[np.concatenate([part.frozen, part.chain_sink]) - 1] = False
     fixed = np.zeros(codec.N, dtype=np.uint8)
-    fixed[part.chain_sink - 1] = chain.e_bits
+    fixed[part.chain_sink - 1] = chain
     u_hat = np.zeros(codec.N, dtype=np.uint8)
     guessed = []
 
@@ -130,10 +129,10 @@ class TestEncodeBlock:
     def test_degenerate_partition_is_plain_transform(self):
         codec = ChainCodec(flat_partition(8))
         msg = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-        x, chain = codec.encode_block(msg, ChainState(np.array([], dtype=np.uint8)),
+        x, chain = codec.encode_block(msg, np.array([], dtype=np.uint8),
                                       np.random.default_rng(0))
         np.testing.assert_array_equal(x, polar_transform(msg))
-        assert len(chain.e_bits) == 0
+        assert len(chain) == 0
 
     def test_deterministic_with_seed(self):
         part = build_partition(CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3))
@@ -143,7 +142,7 @@ class TestEncodeBlock:
         x1, c1 = codec.encode_block(msg, chain, np.random.default_rng(7))
         x2, c2 = codec.encode_block(msg, chain, np.random.default_rng(7))
         np.testing.assert_array_equal(x1, x2)
-        np.testing.assert_array_equal(c1.e_bits, c2.e_bits)
+        np.testing.assert_array_equal(c1, c2)
 
     def test_next_block_sink_carries_source_bits(self):
         part = build_partition(CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3))
@@ -165,7 +164,7 @@ class TestEncodeBlock:
         codec = ChainCodec(flat_partition(8))
         with pytest.raises(ValueError):
             codec.encode_block(np.zeros(5, dtype=np.uint8),
-                               ChainState(np.array([], dtype=np.uint8)),
+                               np.array([], dtype=np.uint8),
                                np.random.default_rng(0))
 
 
@@ -190,7 +189,7 @@ class TestScDecodeBlock:
         part = flat_partition(4, info=np.array([], dtype=np.int64), frozen=[1, 2, 3, 4])
         codec = ChainCodec(part)
         res = codec.sc_decode_block(trits_from_str("????"),
-                                    ChainState(np.array([], dtype=np.uint8)))
+                                    np.array([], dtype=np.uint8))
         np.testing.assert_array_equal(res.u, [0, 0, 0, 0])
         assert res.erased_decisions == 0
 
@@ -200,7 +199,7 @@ class TestScDecodeBlock:
         part = flat_partition(4, info=[4], frozen=[1, 2, 3])
         codec = ChainCodec(part)
         res = codec.sc_decode_block(trits_from_str("?000"),
-                                    ChainState(np.array([], dtype=np.uint8)))
+                                    np.array([], dtype=np.uint8))
         np.testing.assert_array_equal(res.u, [0, 0, 0, 0])
         assert res.erased_decisions == 0
 
@@ -272,7 +271,7 @@ class TestScDecodeBlock:
         # bit flips are outside the erasure model; strict mode must notice
         part = flat_partition(2, info=[2], frozen=[1])
         codec = ChainCodec(part)
-        chain = ChainState(np.array([], dtype=np.uint8))
+        chain = np.array([], dtype=np.uint8)
         x = polar_transform([0, 1])  # frozen zero, message one
         bad = x.astype(np.int8).copy()
         bad[0] ^= 1
@@ -288,12 +287,12 @@ class TestScDecodeBlock:
         x, _ = codec.encode_block(msg, chain, rng)
         res = codec.sc_decode_block(x.astype(np.int8), None)
         # noiseless: even without the pre-shared bits everything is implied
-        np.testing.assert_array_equal(res.u[part.chain_sink - 1], chain.e_bits)
+        np.testing.assert_array_equal(res.u[part.chain_sink - 1], chain)
 
     def test_guess_bits_supply_coin_flips(self):
         part = flat_partition(4)
         codec = ChainCodec(part)
-        chain = ChainState(np.array([], dtype=np.uint8))
+        chain = np.array([], dtype=np.uint8)
         res0 = codec.sc_decode_block(trits_from_str("????"), chain)
         np.testing.assert_array_equal(res0.u, [0, 0, 0, 0])
         res1 = codec.sc_decode_block(trits_from_str("????"), chain,
@@ -303,7 +302,7 @@ class TestScDecodeBlock:
 
     def test_rejects_bad_observation(self):
         codec = ChainCodec(flat_partition(4))
-        chain = ChainState(np.array([], dtype=np.uint8))
+        chain = np.array([], dtype=np.uint8)
         with pytest.raises(ValueError):
             codec.sc_decode_block(np.array([0, 1, 3, 0], dtype=np.int8), chain)
         with pytest.raises(ValueError):
@@ -314,7 +313,7 @@ class TestExhaustive:
     @pytest.mark.parametrize("N", [2, 4, 8])
     def test_every_input_round_trips(self, N):
         codec = ChainCodec(flat_partition(N))
-        chain = ChainState(np.array([], dtype=np.uint8))
+        chain = np.array([], dtype=np.uint8)
         for bits in itertools.product((0, 1), repeat=N):
             u = np.array(bits, dtype=np.uint8)
             x = polar_transform(u)
@@ -326,7 +325,7 @@ class TestExhaustive:
 def test_single_position_block_degenerates():
     part = build_partition(CodeConfig(n=0, beta=0.25, rho_w=0.0, rho_r=0.0))
     codec = ChainCodec(part)
-    chain = ChainState(np.array([], dtype=np.uint8))
+    chain = np.array([], dtype=np.uint8)
     x, _ = codec.encode_block(np.array([1], dtype=np.uint8), chain,
                               np.random.default_rng(0))
     np.testing.assert_array_equal(x, [1])
@@ -376,7 +375,7 @@ class TestSessions:
             msgs = rng.integers(0, 2, (2, codec.message_size), dtype=np.uint8)
             alice = preshared
             x1, alice = codec.encode_block(msgs[0], alice, rng)
-            if alice.e_bits[hit_rank] == 1:
+            if alice[hit_rank] == 1:
                 x2, _ = codec.encode_block(msgs[1], alice, rng)
                 break
         else:
@@ -385,13 +384,13 @@ class TestSessions:
         y1 = erase(x1, np.flatnonzero(mask))
         res1 = codec.sc_decode_block(y1, preshared)
         est = codec.extract_chain(res1.u)
-        assert est.e_bits[hit_rank] == 0  # forced guess resolved to zero
-        assert alice.e_bits[hit_rank] == 1
+        assert est[hit_rank] == 0  # forced guess resolved to zero
+        assert alice[hit_rank] == 1
 
         res2 = codec.sc_decode_block(x2.astype(np.int8), est)
         b_pos = part.chain_sink - 1
         # block 2's sink decisions echo the (wrong) estimate, not the truth
-        np.testing.assert_array_equal(res2.u[b_pos], est.e_bits)
-        assert res2.u[b_pos][hit_rank] != alice.e_bits[hit_rank]
+        np.testing.assert_array_equal(res2.u[b_pos], est)
+        assert res2.u[b_pos][hit_rank] != alice[hit_rank]
         # the rest of block 2 is unharmed: its message decodes cleanly
         np.testing.assert_array_equal(codec.extract_message(res2.u), msgs[1])

@@ -22,8 +22,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from awtcpolar.codec import ChainCodec, ChainState, Trit, polar_transform
+from awtcpolar.codec import ChainCodec, Trit, polar_transform
 from awtcpolar.construction import CodeConfig, IndexPartition, build_partition
 
 
@@ -106,7 +108,7 @@ def test_matches_reference_with_random_erasures(n):
         ref_u, ref_guessed, broke_at = reference_sc_decode(
             y, roles, np.zeros(N, dtype=np.uint8), guess
         )
-        res = codec.sc_decode_block(y, ChainState(np.array([], dtype=np.uint8)),
+        res = codec.sc_decode_block(y, np.array([], dtype=np.uint8),
                                     guess_bits=guess)
         assert_agrees_until_break(res, ref_u, ref_guessed, broke_at)
         complete += broke_at is None
@@ -132,7 +134,7 @@ def test_matches_reference_fully_with_truthful_guesses(n):
             y, roles, np.zeros(N, dtype=np.uint8), u
         )
         assert broke_at is None
-        res = codec.sc_decode_block(y, ChainState(np.array([], dtype=np.uint8)),
+        res = codec.sc_decode_block(y, np.array([], dtype=np.uint8),
                                     guess_bits=u)
         np.testing.assert_array_equal(res.u, ref_u)
         np.testing.assert_array_equal(res.u, u)
@@ -158,7 +160,7 @@ def test_matches_reference_on_wrong_guess_corruption():
             y, roles, np.zeros(N, dtype=np.uint8)
         )
         assert broke_at is None
-        res = codec.sc_decode_block(y, ChainState(np.array([], dtype=np.uint8)))
+        res = codec.sc_decode_block(y, np.array([], dtype=np.uint8))
         np.testing.assert_array_equal(res.u, ref_u)
         assert res.guessed.tolist() == [g + 1 for g in ref_guessed]
         wrong_elsewhere = [
@@ -188,3 +190,36 @@ def test_matches_reference_with_real_partition():
         )
         res = codec.sc_decode_block(y, chain)
         assert_agrees_until_break(res, ref_u, ref_guessed, broke_at)
+
+
+@st.composite
+def decode_cases(draw):
+    """Random roles, transmitted u (fixed positions zero), erasures and guesses."""
+    N = draw(st.sampled_from([2, 4, 8]))
+    bits = st.lists(st.booleans(), min_size=N, max_size=N).map(np.array)
+    roles = draw(bits).astype(int)
+    u = draw(bits).astype(np.uint8) * (roles == 0)
+    y = polar_transform(u).astype(np.int8)
+    y[draw(bits)] = Trit.ERASED
+    return roles, u, y, draw(bits).astype(np.uint8)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(decode_cases())
+def test_property_matches_reference_and_strict(case):
+    roles, u, y, guess = case
+    N = len(y)
+    codec = ChainCodec(as_partition(N, roles))
+    no_chain = np.array([], dtype=np.uint8)
+    fixed = np.zeros(N, dtype=np.uint8)
+
+    res = codec.sc_decode_block(y, no_chain, guess_bits=guess)
+    assert_agrees_until_break(res, *reference_sc_decode(y, roles, fixed, guess))
+
+    # truthful guesses keep every known message consistent: strict stays
+    # silent and returns exactly the non-strict result
+    loose = codec.sc_decode_block(y, no_chain, guess_bits=u)
+    strict = codec.sc_decode_block(y, no_chain, guess_bits=u, strict=True)
+    np.testing.assert_array_equal(strict.u, loose.u)
+    np.testing.assert_array_equal(strict.guessed, loose.guessed)
+    assert strict.erased_decisions == loose.erased_decisions

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from awtcpolar.construction import (
     polarized_sets,
     rate_report,
 )
-from awtcpolar.polar_core import LogProb, bec_profile, delta_threshold
+from awtcpolar.polar_core import bec_profile, delta_threshold
 
 
 class TestCodeConfig:
@@ -43,19 +44,19 @@ class TestCodeConfig:
 class TestPolarizedSets:
     def test_all_zero_profile(self):
         prof = bec_profile(0.0, 3)
-        H, L = polarized_sets(prof, LogProb.from_linear(0.01))
+        H, L = polarized_sets(prof, math.log(0.01))
         assert len(H) == 0
         np.testing.assert_array_equal(L, np.arange(1, 9))
 
     def test_all_one_profile(self):
         prof = bec_profile(1.0, 3)
-        H, L = polarized_sets(prof, LogProb.from_linear(0.01))
+        H, L = polarized_sets(prof, math.log(0.01))
         np.testing.assert_array_equal(H, np.arange(1, 9))
         assert len(L) == 0
 
     def test_three_stage_profile(self):
         # from the exact n=3 vector only 0.996... >= 0.99 and 0.0039... <= 0.01
-        H, L = polarized_sets(bec_profile(0.5, 3), LogProb.from_linear(0.01))
+        H, L = polarized_sets(bec_profile(0.5, 3), math.log(0.01))
         np.testing.assert_array_equal(H, [1])
         np.testing.assert_array_equal(L, [8])
 
@@ -63,17 +64,17 @@ class TestPolarizedSets:
         rng = np.random.default_rng(2)
         for _ in range(20):
             prof = bec_profile(float(rng.uniform(0.05, 0.95)), 6)
-            H, L = polarized_sets(prof, LogProb.from_linear(float(rng.uniform(1e-9, 0.49))))
+            H, L = polarized_sets(prof, math.log(rng.uniform(1e-9, 0.49)))
             assert len(np.intersect1d(H, L)) == 0
 
     def test_tiny_delta_compared_in_log_domain(self):
         prof = bec_profile(0.2, 12)
-        delta = delta_threshold(1 << 12, 0.49)  # ~2^-59, unrepresentable linearly? no: tiny but fine
-        H, L = polarized_sets(prof, delta)
+        log_delta = delta_threshold(1 << 12, 0.49)  # delta ~ 2^-59
+        H, L = polarized_sets(prof, log_delta)
         # the extreme corner entries polarize to exactly 0 and 1 only for rho in {0,1};
         # at rho=0.2 membership must still be decided without underflow artifacts
-        assert prof.log_eps[np.asarray(L) - 1].max() <= delta.log_eps
-        assert prof.log_one_minus_eps[np.asarray(H) - 1].max() <= delta.log_eps
+        assert prof.log_eps[np.asarray(L) - 1].max() <= log_delta
+        assert prof.log_one_minus_eps[np.asarray(H) - 1].max() <= log_delta
 
 
 class TestBuildPartition:

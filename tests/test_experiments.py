@@ -108,13 +108,13 @@ class TestLeakBound:
         )
         i_f = np.sort(np.concatenate([part.info, part.chain_source, part.frozen]))
         rng = np.random.default_rng(1)
-        from awtcpolar.codec import ChainState, polar_transform
+        from awtcpolar.codec import polar_transform
 
         for _ in range(100):
             action = sample_action(8, 0.2, 0.4, Strategy.UNIFORM, rng)
             x = polar_transform(rng.integers(0, 2, 8, dtype=np.uint8))
             z = apply_read(x, action.read_set)
-            res = probe.sc_decode_block(z, ChainState(np.array([], dtype=np.uint8)))
+            res = probe.sc_decode_block(z, np.array([], dtype=np.uint8))
             known = np.setdiff1d(np.arange(1, 9), res.guessed)
             expected = len(np.intersect1d(known, i_f))
             assert block_bound_counts(part, action)[2] == expected

@@ -9,7 +9,6 @@ import pytest
 from awtcpolar.adversary import AdversaryAction, write_equivalent_mask
 from awtcpolar.polar_core import (
     NEG_INF,
-    LogProb,
     PolarizationProfile,
     _log1m_from_log_arr,
     _next_level,
@@ -40,66 +39,57 @@ def exact_entry(rho: Fraction, n: int, index: int) -> Fraction:
 
 
 def kernel_pairs(*eps):
-    """One polarization step on each eps: [(minus, plus), ...] as LogProbs."""
-    start = [LogProb.from_linear(e) for e in eps]
-    le, l1m = _next_level(np.array([p.log_eps for p in start]),
-                          np.array([p.log_one_minus_eps for p in start]))
-    legs = [LogProb(float(a), float(b)) for a, b in zip(le, l1m)]
+    """One polarization step on each eps: [(minus, plus), ...], each leg the
+    pair (log eps, log(1-eps))."""
+    seeds = [bec_profile(e, 0) for e in eps]
+    le, l1m = _next_level(np.concatenate([s.log_eps for s in seeds]),
+                          np.concatenate([s.log_one_minus_eps for s in seeds]))
+    legs = list(zip(le.tolist(), l1m.tolist()))
     return list(zip(legs[0::2], legs[1::2]))
 
 
 class TestKernel:
     def test_half_half(self):
         [(minus, plus)] = kernel_pairs(0.5)
-        assert minus.eps == pytest.approx(0.75, abs=1e-15)
-        assert plus.eps == pytest.approx(0.25, abs=1e-15)
+        assert math.exp(minus[0]) == pytest.approx(0.75, abs=1e-15)
+        assert math.exp(plus[0]) == pytest.approx(0.25, abs=1e-15)
 
     def test_absorbing_identity(self):
         (minus1, plus1), (minus0, plus0) = kernel_pairs(1.0, 0.0)
         for leg in (minus1, plus1):
-            assert leg.log_eps == 0.0 and leg.log_one_minus_eps == NEG_INF
+            assert leg == (0.0, NEG_INF)
         for leg in (minus0, plus0):
-            assert leg.log_eps == NEG_INF and leg.log_one_minus_eps == 0.0
+            assert leg == (NEG_INF, 0.0)
 
     def test_direct_formula(self):
         (minus2, plus2), (minus4, plus4) = kernel_pairs(0.2, 0.4)
-        assert minus2.eps == pytest.approx(0.36, abs=1e-15)
-        assert plus2.eps == pytest.approx(0.04, abs=1e-15)
-        assert minus4.eps == pytest.approx(0.64, abs=1e-15)
-        assert plus4.eps == pytest.approx(0.16, abs=1e-15)
+        assert math.exp(minus2[0]) == pytest.approx(0.36, abs=1e-15)
+        assert math.exp(plus2[0]) == pytest.approx(0.04, abs=1e-15)
+        assert math.exp(minus4[0]) == pytest.approx(0.64, abs=1e-15)
+        assert math.exp(plus4[0]) == pytest.approx(0.16, abs=1e-15)
 
     def test_extremes_stay_symbolic(self):
         for minus, plus in kernel_pairs(1.0, 0.0, 0.0, 1.0):
-            for leg in (minus, plus):
-                assert leg.log_eps in (0.0, NEG_INF)
-                assert leg.log_one_minus_eps in (0.0, NEG_INF)
+            for log_eps, log_one_minus_eps in (minus, plus):
+                assert log_eps in (0.0, NEG_INF)
+                assert log_one_minus_eps in (0.0, NEG_INF)
 
     def test_dominance(self):
         eps = np.random.default_rng(7).random(200)
         for e, (minus, plus) in zip(eps, kernel_pairs(*eps)):
-            assert plus.eps <= e + 1e-12
-            assert minus.eps >= e - 1e-12
+            assert math.exp(plus[0]) <= e + 1e-12
+            assert math.exp(minus[0]) >= e - 1e-12
 
 
 class TestLogProb:
+    """The (log eps, log(1-eps)) pair representation of a probability."""
+
     def test_from_linear_extremes(self):
-        assert LogProb.from_linear(0.0).log_eps == NEG_INF
-        assert LogProb.from_linear(1.0).log_one_minus_eps == NEG_INF
-
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            LogProb.from_linear(1.5)
-        with pytest.raises(ValueError):
-            LogProb(0.5, -1.0)
-        with pytest.raises(ValueError):
-            LogProb(float("nan"), -1.0)
-
-    def test_legs_sum_to_one_in_range(self):
-        rng = np.random.default_rng(3)
-        for eps in rng.uniform(1e-12, 1 - 1e-12, size=100):
-            lp = LogProb.from_linear(float(eps))
-            if lp.log_eps > -30 and lp.log_one_minus_eps > -30:
-                assert lp.eps + lp.one_minus_eps == pytest.approx(1.0, abs=1e-9)
+        # stage 0 seeds the recursion with exact legs, +0.0 and not -0.0
+        for rho, legs in ((0.0, (NEG_INF, 0.0)), (1.0, (0.0, NEG_INF))):
+            stage0 = bec_profile(rho, 0)
+            for got, want in zip((stage0.log_eps[0], stage0.log_one_minus_eps[0]), legs):
+                assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want)
 
     def test_log1m_from_log(self):
         out = _log1m_from_log_arr(np.array([NEG_INF, 0.0, math.log(0.25), math.log(0.75)]))
@@ -207,17 +197,16 @@ class TestRealizeProfile:
 
 class TestDeltaThreshold:
     def test_power_of_two_exponent(self):
-        d = delta_threshold(256, 0.25)
-        assert d.eps == pytest.approx(0.0625, abs=1e-15)
+        assert math.exp(delta_threshold(256, 0.25)) == pytest.approx(0.0625, abs=1e-15)
 
     def test_small_block(self):
-        d = delta_threshold(2, 0.25)
-        assert d.eps == pytest.approx(2.0 ** -(2.0 ** 0.25), rel=1e-12)
+        d = math.exp(delta_threshold(2, 0.25))
+        assert d == pytest.approx(2.0 ** -(2.0 ** 0.25), rel=1e-12)
 
     def test_huge_block_stays_in_log_domain(self):
         d = delta_threshold(2 ** 18, 0.32)
-        assert d.log_eps / math.log(2) == pytest.approx(-(2.0 ** (18 * 0.32)), rel=1e-12)
-        assert math.isfinite(d.log_eps)
+        assert d / math.log(2) == pytest.approx(-(2.0 ** (18 * 0.32)), rel=1e-12)
+        assert math.isfinite(d)
 
     def test_rejects_bad_beta(self):
         for beta in (0.0, 0.5, 0.7, -0.1):

@@ -1,0 +1,38 @@
+"""The benchmark tracer (perfbench/layertrace.py) wraps functions by name and
+binds some of their parameters by name; a rename in the package must fail
+here, not only in a traced benchmark run."""
+
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+from awtcpolar import experiments
+from awtcpolar.codec import ChainCodec
+
+LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
+
+
+def load_layertrace(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location("layertrace", LAYERTRACE)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "layertrace", module)  # dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_target_resolves(monkeypatch):
+    targets = load_layertrace(monkeypatch).targets()
+    assert targets
+    for owner, attr, name in targets:
+        assert callable(getattr(owner, attr, None)), f"{name}: {owner.__name__}.{attr} is gone"
+
+
+def test_wrapped_parameters_exist():
+    for fn, names in (
+        (experiments.bounds_trial, {"config", "seed"}),
+        (experiments.end_to_end_trial, {"config", "seed"}),
+        (ChainCodec.sc_decode_block, {"chain", "guess_bits"}),
+    ):
+        assert names <= set(inspect.signature(fn).parameters), fn.__qualname__
