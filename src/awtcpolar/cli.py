@@ -123,6 +123,8 @@ def _resolve(args, keys) -> dict:
             file_cfg = json.loads(Path(config_path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ValidationError(f"cannot read config file {config_path}: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise ValidationError(f"config file {config_path} must hold a JSON object")
         unknown = set(file_cfg) - set(keys)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")

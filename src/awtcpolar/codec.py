@@ -231,23 +231,22 @@ class ChainCodec:
     def extract_message(self, u: np.ndarray) -> np.ndarray:
         return u[self._info0]
 
-    def extract_chain(self, u: np.ndarray) -> np.ndarray:
-        """The decoded u[E], the chain bits for the next block's B."""
-        return u[self._e0]
-
-    def decode_session(self, observations, preshared, strict: bool = False):
-        """Decode T blocks in order, threading each block's decoded E into the
+    def decode_session(self, observations, preshared, strict: bool = False,
+                       rng: np.random.Generator | None = None):
+        """Decode T blocks in order, threading each block's decoded u[E] into the
         next block's B so that chain errors propagate as they would on air.
 
-        Returns (list of message estimates, list of per-block erased-decision
-        counts).
+        preshared=None decodes as a receiver without the pre-shared bits.  With
+        rng, each block's erased decisions resolve to N fresh coin flips from
+        it, else to 0.  Returns (message estimates, erased-decision counts).
         """
         chain = preshared
         messages = []
         counts = []
         for y in observations:
-            res = self.sc_decode_block(y, chain, strict=strict)
+            guess = None if rng is None else rng.integers(0, 2, size=self.N, dtype=np.uint8)
+            res = self.sc_decode_block(y, chain, guess_bits=guess, strict=strict)
             messages.append(self.extract_message(res.u))
             counts.append(res.erased_decisions)
-            chain = self.extract_chain(res.u)
+            chain = res.u[self._e0]
         return messages, counts

@@ -73,27 +73,17 @@ class TrialResult:
     erased_decisions: int | None = None
 
 
-def derive_trial_seed(
-    base_seed: int,
-    kind: str,
-    n: int,
-    beta: float,
-    rho_w: float,
-    rho_r: float,
-    T: int,
-    strategy: Strategy,
-    trial: int,
-) -> int:
-    """Deterministic 64-bit seed from the base seed and the full cell identity."""
+def derive_trial_seed(base_seed: int, cell: Cell, trial: int) -> int:
+    """Deterministic 64-bit seed from the base seed, the cell and the trial index."""
     key = (
         int(base_seed),
-        KINDS.index(kind),
-        int(n),
-        int(round(beta * 1e9)),
-        int(round(rho_w * 1e9)),
-        int(round(rho_r * 1e9)),
-        int(T),
-        list(Strategy).index(strategy),
+        KINDS.index(cell.kind),
+        int(cell.n),
+        int(round(cell.beta * 1e9)),
+        int(round(cell.rho_w * 1e9)),
+        int(round(cell.rho_r * 1e9)),
+        int(cell.T),
+        list(Strategy).index(Strategy(cell.strategy)),
         int(trial),
     )
     return int(np.random.SeedSequence(key).generate_state(1, dtype=np.uint64)[0])
@@ -143,67 +133,46 @@ def end_to_end_trial(
     seed: int,
     trial: int = 0,
 ) -> TrialResult:
-    """Run T chained blocks end to end and decode on both sides.
+    """Encode T messages as one chained session, attack it, decode both sides.
 
-    Bob decodes his written observation with the pre-shared chain state and
-    threads his own decoded E bits forward.  Eve decodes her read observation
-    with the same machinery but no pre-shared bits: her block-1 sink set is an
-    ordinary channel decision and her erased decisions resolve to fair coin
-    flips from her own stream.  The recorded bound values are the
-    per-realization sums over the actual per-block adversary draws.
+    Each block meets a fresh adversary action, of which only the bound terms
+    and the two observations are kept.  Bob decodes his session with the
+    pre-shared bits; Eve decodes hers without them, her erased decisions
+    resolving to fair coin flips from her own stream.  The recorded bound
+    values are the per-realization sums over the actual per-block draws.
     """
     codec = ChainCodec(partition)
-    msg_ss, enc_ss, pre_ss, adv_ss, eve_ss = np.random.SeedSequence(seed).spawn(5)
-    msg_rng = np.random.default_rng(msg_ss)
-    enc_rng = np.random.default_rng(enc_ss)
-    adv_rng = np.random.default_rng(adv_ss)
-    eve_rng = np.random.default_rng(eve_ss)
-
-    preshared = codec.preshared_state(np.random.default_rng(pre_ss))
-    alice_chain = preshared
-    bob_chain = preshared
-    eve_chain = None
-
-    k = codec.message_size
+    msg_rng, enc_rng, pre_rng, adv_rng, eve_rng = map(
+        np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
+    preshared = codec.preshared_state(pre_rng)
     T = config.blocks
+    messages = [msg_rng.integers(0, 2, size=codec.message_size, dtype=np.uint8)
+                for _ in range(T)]
+    codewords = codec.encode_session(messages, preshared, enc_rng)
 
-    bob_errors = 0
-    eve_errors = 0
-    erased = 0
-    ber_acc = 0
-    leak_acc = 0
-
-    for t in range(1, T + 1):
-        msg = msg_rng.integers(0, 2, size=k, dtype=np.uint8)
-        x, alice_chain = codec.encode_block(msg, alice_chain, enc_rng)
-
+    ber_acc = leak_acc = 0
+    bob_obs, eve_obs = [], []
+    for t, x in enumerate(codewords, 1):
         action = sample_action(config.N, config.rho_w, config.rho_r, strategy, adv_rng)
         ir, e, leak = block_bound_counts(partition, action)
         ber_acc += ir + (e if t < T else 0)
         leak_acc += leak
+        bob_obs.append(apply_write(x, action.write_set))
+        eve_obs.append(apply_read(x, action.read_set))
 
-        bob_res = codec.sc_decode_block(apply_write(x, action.write_set), bob_chain)
-        bob_chain = codec.extract_chain(bob_res.u)
-        erased += bob_res.erased_decisions
-        bob_errors += int((codec.extract_message(bob_res.u) != msg).sum())
-
-        guess = eve_rng.integers(0, 2, size=config.N, dtype=np.uint8)
-        eve_res = codec.sc_decode_block(
-            apply_read(x, action.read_set), eve_chain, guess_bits=guess
-        )
-        eve_chain = codec.extract_chain(eve_res.u)
-        eve_errors += int((codec.extract_message(eve_res.u) != msg).sum())
-
+    bob_msgs, erased = codec.decode_session(bob_obs, preshared)
+    eve_msgs, _ = codec.decode_session(eve_obs, None, rng=eve_rng)
+    sent = np.array(messages)
     return TrialResult(
         cell=Cell.of("end_to_end", config, strategy),
         trial=trial,
         seed=seed,
         ber_bound=float(ber_acc),
         leak_bound=float(leak_acc),
-        bob_bit_errors=bob_errors,
-        eve_bit_errors=eve_errors,
-        message_bits=k * T,
-        erased_decisions=erased,
+        bob_bit_errors=int((np.array(bob_msgs) != sent).sum()),
+        eve_bit_errors=int((np.array(eve_msgs) != sent).sum()),
+        message_bits=sent.size,
+        erased_decisions=sum(erased),
     )
 
 
@@ -230,6 +199,9 @@ class SweepSpec:
             raise ValueError("n and beta grids must be non-empty")
         object.__setattr__(self, "n_list", tuple(int(v) for v in self.n_list))
         object.__setattr__(self, "beta_list", tuple(float(v) for v in self.beta_list))
+        for name, grid in (("n", self.n_list), ("beta", self.beta_list)):
+            if len(set(grid)) != len(grid):
+                raise ValueError(f"{name} grid repeats a value: {list(grid)}")
         tuple(self.configs())  # every cell must be a valid CodeConfig
 
     def configs(self):
@@ -323,16 +295,9 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> SweepResult:
                  "b_size": exc.b_size}
             )
             continue
-        trial_seeds = [
-            (
-                t,
-                derive_trial_seed(
-                    spec.base_seed, spec.kind, config.n, config.beta, spec.rho_w,
-                    spec.rho_r, spec.blocks, spec.strategy, t,
-                ),
-            )
-            for t in range(spec.trials)
-        ]
+        cell = Cell.of(spec.kind, config, spec.strategy)
+        trial_seeds = [(t, derive_trial_seed(spec.base_seed, cell, t))
+                       for t in range(spec.trials)]
         chunk = -(-spec.trials // workers)
         for lo in range(0, spec.trials, chunk):
             tasks.append(
@@ -390,6 +355,18 @@ def write_aggregates_csv(rows, file) -> None:
     _write_records(AggregateRow, rows, file)
 
 
+_PARSE = {"int": int, "float": float, "str": str}
+
+
+def _record_from_row(record_type, row: dict):
+    """Build a record from a CSV row, converting each field by its annotation;
+    a nested Cell reads its own columns from the same row."""
+    return record_type(**{
+        f.name: _record_from_row(Cell, row) if f.type == "Cell" else _PARSE[f.type](row[f.name])
+        for f in fields(record_type)
+    })
+
+
 def read_aggregates_csv(file) -> list:
     """Parse an aggregates CSV; ValueError on a wrong header or a malformed row."""
     columns = _columns(AggregateRow)
@@ -401,19 +378,5 @@ def read_aggregates_csv(file) -> list:
         # DictReader pads a short row with None and files a long row's surplus under None
         if None in rec or None in rec.values():
             raise ValueError(f"line {reader.line_num}: expected {len(columns)} fields")
-        rows.append(AggregateRow(
-            cell=Cell(
-                kind=rec["kind"],
-                n=int(rec["n"]),
-                beta=float(rec["beta"]),
-                rho_w=float(rec["rho_w"]),
-                rho_r=float(rec["rho_r"]),
-                T=int(rec["T"]),
-                strategy=rec["strategy"],
-            ),
-            metric=rec["metric"],
-            mean=float(rec["mean"]),
-            stderr=float(rec["stderr"]),
-            trials=int(rec["trials"]),
-        ))
+        rows.append(_record_from_row(AggregateRow, rec))
     return rows

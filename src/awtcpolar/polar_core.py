@@ -48,10 +48,6 @@ class PolarizationProfile:
                 f"profile mean {mean} drifted from rho={self.rho}; kernel bug?"
             )
 
-    def linear(self) -> np.ndarray:
-        """Profile as plain linear-domain probabilities (may underflow to 0)."""
-        return np.exp(self.log_eps)
-
 
 def _next_level(log_eps: np.ndarray, log_1m: np.ndarray):
     """Double a stationary profile level: entry i spawns (minus, plus) at 2i, 2i+1."""

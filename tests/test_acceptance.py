@@ -82,7 +82,7 @@ def test_criterion_03_bernoulli_oracle():
             mask = np.array(bits, dtype=bool)
             weight = rho ** mask.sum() * (1 - rho) ** (8 - mask.sum())
             expect += weight * realize_profile(mask)
-        profile = bec_profile(rho, 3).linear()
+        profile = np.exp(bec_profile(rho, 3).log_eps)
         worst = max(worst, float(np.abs(expect - profile).max()))
     elapsed = time.perf_counter() - t0
     check(3, "exhaustive independent-adversary oracle",

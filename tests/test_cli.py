@@ -83,6 +83,9 @@ class TestConfigFile:
         (["bounds", "--n", 5], {"out_dir": [3]}),
         (["bounds"], {"n_list": 5}),
         (["construct", "--n", 5], {"beta": None}),
+        (["construct", "--n", 5], 5),
+        (["construct", "--n", 5], "n"),
+        (["construct", "--n", 5], ["n"]),
     ])
     def test_wrong_json_type_exits_one(self, tmp_path, monkeypatch, capsys, argv, config):
         monkeypatch.chdir(tmp_path)
@@ -132,6 +135,8 @@ class TestSweepCommands:
         (["--n-list", "6,-1"], "n must be >= 0"),
         (["--n", 6, "--beta-list", "0.2,0.7"], "beta must lie in (0, 0.5)"),
         (["--n", 6, "--parallelism", 0], "parallelism must be >= 1"),
+        (["--n-list", "6,6"], "n grid repeats a value"),
+        (["--n", 6, "--beta-list", "0.3,0.3"], "beta grid repeats a value"),
     ])
     def test_invalid_sweep_exits_one(self, tmp_path, capsys, flags, message):
         assert run("bounds", *flags, "--trials", 2, "--out-dir", tmp_path) == 1

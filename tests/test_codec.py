@@ -350,6 +350,32 @@ class TestSessions:
         assert counts == [0] * T
         np.testing.assert_array_equal(np.array(decoded), msgs)
 
+    def test_session_rng_guesses_like_a_block_loop(self):
+        """decode_session(obs, None, rng=...) is the block loop a receiver
+        without the pre-shared bits runs: chain None first, then its own u[E],
+        with N fresh guess bits per block."""
+        codec = self._codec()
+        N = codec.N
+        rng = np.random.default_rng(7)
+        msgs = rng.integers(0, 2, (3, codec.message_size), dtype=np.uint8)
+        codewords = codec.encode_session(msgs, codec.preshared_state(rng), rng)
+        obs = [erase(x, np.flatnonzero(rng.random(N) < 0.7)) for x in codewords]
+
+        decoded, counts = codec.decode_session(obs, None, rng=np.random.default_rng(5))
+
+        guesses = np.random.default_rng(5)
+        chain = None
+        for y, got, count in zip(obs, decoded, counts):
+            guess = guesses.integers(0, 2, N, dtype=np.uint8)
+            res = codec.sc_decode_block(y, chain, guess_bits=guess)
+            np.testing.assert_array_equal(got, codec.extract_message(res.u))
+            assert count == res.erased_decisions
+            chain = res.u[codec.partition.chain_source - 1]
+        assert sum(counts) > 0  # the guesses were used
+        # the guesses matter: decoding with all-zero guesses differs
+        assert not np.array_equal(np.array(decoded),
+                                  np.array(codec.decode_session(obs, None)[0]))
+
     def test_wrong_chain_estimate_propagates(self):
         """A write pattern that knocks out one E channel of block 1 makes
         block 2 decode its paired B position from the wrong estimate."""
@@ -383,7 +409,7 @@ class TestSessions:
 
         y1 = erase(x1, np.flatnonzero(mask))
         res1 = codec.sc_decode_block(y1, preshared)
-        est = codec.extract_chain(res1.u)
+        est = res1.u[part.chain_source - 1]
         assert est[hit_rank] == 0  # forced guess resolved to zero
         assert alice[hit_rank] == 1
 

@@ -11,6 +11,7 @@ from awtcpolar.adversary import AdversaryAction, Strategy, apply_read, sample_ac
 from awtcpolar.codec import ChainCodec
 from awtcpolar.construction import CodeConfig, IndexPartition, build_partition
 from awtcpolar.experiments import (
+    Cell,
     SweepSpec,
     aggregate,
     block_bound_counts,
@@ -134,7 +135,7 @@ class TestTrials:
     def test_bernoulli_mean_matches_profile_expectation(self):
         cfg = CodeConfig(n=3, beta=0.3, rho_w=0.25, rho_r=0.4, blocks=4)
         part = build_partition(cfg)
-        profile = bec_profile(cfg.rho_w, cfg.n).linear()
+        profile = np.exp(bec_profile(cfg.rho_w, cfg.n).log_eps)
         ir0 = np.sort(np.concatenate([part.info, part.chain_source, part.random])) - 1
         e0 = part.chain_source - 1
         analytic = cfg.blocks * profile[ir0].sum() + (cfg.blocks - 1) * profile[e0].sum()
@@ -194,13 +195,12 @@ class TestTrials:
 
 class TestSeeds:
     def test_deterministic_and_distinct(self):
-        args = dict(base_seed=1, kind="bounds", n=8, beta=0.25, rho_w=0.2,
-                    rho_r=0.4, T=10, strategy=Strategy.UNIFORM)
-        s0 = derive_trial_seed(trial=0, **args)
-        assert s0 == derive_trial_seed(trial=0, **args)
-        seeds = {derive_trial_seed(trial=t, **args) for t in range(100)}
+        cell = Cell("bounds", 8, 0.25, 0.2, 0.4, 10, Strategy.UNIFORM.value)
+        s0 = derive_trial_seed(1, cell, 0)
+        assert s0 == derive_trial_seed(1, cell, 0)
+        seeds = {derive_trial_seed(1, cell, t) for t in range(100)}
         assert len(seeds) == 100
-        other = derive_trial_seed(trial=0, **{**args, "base_seed": 2})
+        other = derive_trial_seed(2, cell, 0)
         assert other != s0
 
 
@@ -220,8 +220,7 @@ class TestSweep:
         cfg = CodeConfig(n=5, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
         expected = bounds_trial(
             cfg, build_partition(cfg), Strategy.UNIFORM,
-            seed=derive_trial_seed(42, "bounds", 5, 0.3, 0.2, 0.4, 3,
-                                   Strategy.UNIFORM, 0),
+            seed=derive_trial_seed(42, Cell.of("bounds", cfg, Strategy.UNIFORM), 0),
             trial=0,
         )
         assert row == expected
@@ -313,6 +312,11 @@ class TestSweep:
             self._spec(n_list=(6, -1))
         with pytest.raises(ValueError, match="beta must"):
             self._spec(beta_list=(0.2, 0.7))
+        # a repeated grid value would run the same seeded trials twice
+        with pytest.raises(ValueError, match="n grid repeats"):
+            self._spec(n_list=(6, 6))
+        with pytest.raises(ValueError, match="beta grid repeats"):
+            self._spec(beta_list=(0.3, 0.3))
 
 
 class TestComplementaryReadWrite:

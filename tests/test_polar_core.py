@@ -102,7 +102,7 @@ class TestLogProb:
 class TestBecProfile:
     def test_single_stage(self):
         prof = bec_profile(0.5, 1)
-        np.testing.assert_allclose(prof.linear(), [0.75, 0.25], atol=1e-15)
+        np.testing.assert_allclose(np.exp(prof.log_eps), [0.75, 0.25], atol=1e-15)
 
     def test_noiseless_fixed_point(self):
         prof = bec_profile(0.0, 10)
@@ -120,19 +120,19 @@ class TestBecProfile:
             0.99609375, 0.87890625, 0.80859375, 0.31640625,
             0.68359375, 0.19140625, 0.12109375, 0.00390625,
         ]
-        np.testing.assert_allclose(bec_profile(0.5, 3).linear(), expected, atol=1e-15)
+        np.testing.assert_allclose(np.exp(bec_profile(0.5, 3).log_eps), expected, atol=1e-15)
 
     @pytest.mark.parametrize("num,den,n", [(1, 4, 5), (3, 4, 4), (1, 10, 6), (2, 3, 5)])
     def test_matches_rational_oracle(self, num, den, n):
         expected = [float(v) for v in exact_profile(Fraction(num, den), n)]
-        got = bec_profile(num / den, n).linear()
+        got = np.exp(bec_profile(num / den, n).log_eps)
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_matches_bitstring_oracle(self):
         rho = Fraction(2, 7)
         prof = bec_profile(float(rho), 6)
         for index in (1, 2, 17, 40, 64):
-            assert prof.linear()[index - 1] == pytest.approx(
+            assert np.exp(prof.log_eps[index - 1]) == pytest.approx(
                 float(exact_entry(rho, 6, index)), rel=1e-12
             )
 

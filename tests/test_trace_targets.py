@@ -5,10 +5,13 @@ here, not only in a traced benchmark run."""
 import importlib.util
 import inspect
 import sys
+from collections import Counter
 from pathlib import Path
 
 from awtcpolar import experiments
+from awtcpolar.adversary import Strategy
 from awtcpolar.codec import ChainCodec
+from awtcpolar.construction import CodeConfig, build_partition
 
 LAYERTRACE = Path(__file__).resolve().parent.parent / "perfbench" / "layertrace.py"
 
@@ -36,3 +39,18 @@ def test_wrapped_parameters_exist():
         (ChainCodec.sc_decode_block, {"chain", "guess_bits"}),
     ):
         assert names <= set(inspect.signature(fn).parameters), fn.__qualname__
+
+
+def test_traced_trial_records_both_decode_sides(monkeypatch):
+    """Decodes are traced through the ChainCodec.sc_decode_block class
+    attribute and told apart by guess_bits: Bob passes none, Eve passes hers."""
+    layertrace = load_layertrace(monkeypatch)
+    cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
+    part = build_partition(cfg)
+    with layertrace.Tracer(layertrace.targets()) as tracer:
+        experiments.end_to_end_trial(cfg, part, Strategy.UNIFORM, seed=1)
+    names = Counter(span.name for span in tracer.spans)
+    assert names["codec.decode_bob"] == cfg.blocks
+    assert names["codec.decode_eve"] == cfg.blocks
+    assert names["experiments.trial"] == 1
+    assert tracer.restored()
