@@ -6,8 +6,10 @@ knows its bit only if both inputs are known, a variable node prefers the
 direct look and otherwise corrects the crossed look with the partial sum.
 A subtree whose inputs are all known or all erased is committed in one step
 (the Rate-1 and Rate-0 nodes of fast SC decoders); every other subtree
-splits.  Chain bits carried between blocks are plain uint8 arrays: they
-occupy the sink set B and are decoded by substitution, never from the
+splits.  The recursion runs on stacked rows of independent blocks at once
+(inter-frame decoding): a node commits the rows that are settled there and
+splits on the mixed ones.  Chain bits carried between blocks are plain uint8 arrays:
+they occupy the sink set B and are decoded by substitution, never from the
 channel.
 """
 
@@ -16,6 +18,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,18 +36,6 @@ class InternalInconsistency(RuntimeError):
     """Two known messages disagreed; impossible unless index conventions broke."""
 
 
-def trits_from_str(s: str) -> np.ndarray:
-    table = {"0": Trit.ZERO, "1": Trit.ONE, "?": Trit.ERASED}
-    try:
-        return np.array([table[c] for c in s], dtype=np.int8)
-    except KeyError as exc:
-        raise ValueError(f"observation strings use only 0, 1 and ?, got {exc}") from exc
-
-
-def trits_to_str(y: np.ndarray) -> str:
-    return "".join("01?"[int(v)] for v in y)
-
-
 @functools.lru_cache(maxsize=None)
 def bit_reversal_permutation(n: int) -> np.ndarray:
     """0-based bit-reversal permutation of length 2^n (an involution)."""
@@ -56,12 +47,12 @@ def bit_reversal_permutation(n: int) -> np.ndarray:
 
 
 def _butterfly(bits: np.ndarray) -> np.ndarray:
-    """In-place GF(2) multiply by F^(x n); its own inverse."""
+    """GF(2) multiply of each row (last axis) by F^(x n); its own inverse."""
     out = bits.copy()
     h = 1
-    while h < len(out):
-        blk = out.reshape(-1, 2 * h)
-        blk[:, :h] ^= blk[:, h:]
+    while h < out.shape[-1]:
+        blk = out.reshape(*out.shape[:-1], -1, 2 * h)
+        blk[..., :h] ^= blk[..., h:]
         h *= 2
     return out
 
@@ -75,9 +66,74 @@ def polar_transform(u) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    u: np.ndarray
-    erased_decisions: int
-    guessed: np.ndarray  # 1-based indices of decisions forced on an erasure
+    u: np.ndarray  # (N,) for one observation, (rows, N) for stacked ones
+    erased_decisions: int  # total over the rows
+    # 1-based indices of decisions forced on an erasure; one array per row
+    # (a tuple) for stacked observations
+    guessed: np.ndarray | tuple
+
+
+class _Decoding(NamedTuple):
+    """The state one decode call shares with every node of its recursion."""
+
+    u: np.ndarray  # (rows, N): fixed bits until decisions overwrite them
+    unresolved: np.ndarray  # (rows, N): inside a subtree committed all-erased
+    decide: np.ndarray  # (N,): positions decided from the channel
+    guess: np.ndarray | None  # (rows, N): values of erased decisions, else 0
+    strict: bool
+
+
+def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> np.ndarray:
+    """Decode the subtree at u-offset base for some rows of d.
+
+    k and v are the rows' known flags and bit values at the subtree's input,
+    shape (len(rows), width); rows is slice(None) for every row of d, else
+    their indices.  Returns the subtree's re-encoded bits.
+    """
+    width = k.shape[1]
+    known = np.count_nonzero(k)
+    if known == 0 or known == k.size:
+        # every row all erased or all known (always so at width 1): commit
+        return _commit(d, rows, v if known else None, base, width)
+    if len(k) > 1:
+        per_row = np.count_nonzero(k, axis=1)
+        settled = (per_row == 0) | (per_row == width)
+        if settled.any():
+            # commit the settled rows, compact the mixed ones and split them
+            out = np.empty_like(v)
+            for sel in (per_row == 0, per_row == width, ~settled):
+                if sel.any():
+                    sub = np.flatnonzero(sel) if isinstance(rows, slice) else rows[sel]
+                    out[sel] = _descend(d, sub, k[sel], v[sel], base)
+            return out
+    h = width // 2
+    ka, va = k[:, :h], v[:, :h]
+    kb, vb = k[:, h:], v[:, h:]
+    left = _descend(d, rows, ka & kb, va ^ vb, base)
+    right = _descend(d, rows, ka | kb, np.where(kb, vb, va ^ left), base + h)
+    return np.concatenate([left ^ right, right], axis=1)
+
+
+def _commit(d: _Decoding, rows, v: np.ndarray | None, base: int, width: int) -> np.ndarray:
+    """Commit a subtree whose rows are all known (v, their input bits) or all
+    erased (v None); returns its re-encoded bits."""
+    sl = slice(base, base + width)
+    u = d.u[rows, sl]  # a view for slice(None), else a copy written back below
+    dec = d.decide[sl]
+    if v is not None:
+        implied = _butterfly(v)
+        np.copyto(u, implied, where=dec)
+        if d.strict and (u != implied).any():
+            raise InternalInconsistency(
+                f"channel contradicts a fixed bit in u[{base + 1}..{base + width}]"
+            )
+    else:
+        if d.guess is not None:
+            np.copyto(u, d.guess[rows, sl], where=dec)
+        d.unresolved[rows, sl] = True
+    if not isinstance(rows, slice):
+        d.u[rows, sl] = u
+    return _butterfly(u)
 
 
 class ChainCodec:
@@ -153,32 +209,40 @@ class ChainCodec:
         guess_bits: np.ndarray | None = None,
         strict: bool = False,
     ) -> DecodeResult:
-        """Successive-cancellation decode of one block of trit observations.
+        """Successive-cancellation decode of trit observations.
 
-        chain supplies the B decisions; passing None demotes B to ordinary
-        channel decisions (an eavesdropper without the pre-shared bits).
-        Erased decisions resolve to guess_bits[position] (default 0) and are
-        counted and reported.
+        y is one block's observation, shape (N,), or independent blocks'
+        observations stacked as (rows, N), all decoded in one recursion with
+        the same chain bits.  chain supplies the B decisions; passing None
+        demotes B to ordinary channel decisions (an eavesdropper without the
+        pre-shared bits).  Erased decisions resolve to guess_bits (same shape
+        as y; default 0) and are counted and reported.
 
-        strict=True verifies that no two known messages ever disagree: at a
-        mixed node, the left child's bits must agree with every input pair
-        whose halves are both known; at an all-known node, no fixed (frozen
-        or chain) bit may contradict the bits the inputs imply.  Inside an
-        all-known subtree a node-by-node recursion's checks reduce to exactly
-        that condition, so the shortcut loses none.  Under pure erasures with
-        correct side information (chain bits and guesses) a disagreement is
-        impossible, so one firing means broken index conventions; a *wrong*
-        guess or chain bit corrupts later partial sums and can trip the check
-        legitimately, so strict mode belongs in clean-path tests only.
+        strict=True verifies, at every all-known node, that no fixed (frozen
+        or chain) bit contradicts the bits the inputs imply.  Every
+        disagreement between known messages that the recursion can produce
+        surfaces there.  Under pure erasures with correct side information
+        (chain bits and guesses) a contradiction is impossible, so one firing
+        means broken index conventions; a *wrong* guess or chain bit corrupts
+        later partial sums and can trip the check legitimately, so strict
+        mode belongs in clean-path tests only.
         """
         y = np.asarray(y, dtype=np.int8)
-        if len(y) != self.N:
-            raise ValueError(f"observation length {len(y)} != N={self.N}")
+        if y.ndim not in (1, 2):
+            raise ValueError(f"observations must be (N,) or (rows, N), got shape {y.shape}")
+        if y.shape[-1] != self.N:
+            raise ValueError(f"observation length {y.shape[-1]} != N={self.N}")
         if ((y < 0) | (y > 2)).any():
             raise ValueError("observations must be trits: 0, 1 or 2 (erased)")
+        if guess_bits is not None:
+            guess_bits = np.asarray(guess_bits, dtype=np.uint8)
+            if guess_bits.shape != y.shape:
+                raise ValueError(f"guess_bits shape {guess_bits.shape} != {y.shape}")
+            guess_bits = guess_bits.reshape(-1, self.N)
+        obs = y.reshape(-1, self.N)
 
-        # u_hat starts as the fixed bits; decisions overwrite their positions
-        u_hat = np.zeros(self.N, dtype=np.uint8)
+        # u starts as the fixed bits; decisions overwrite their positions
+        u_hat = np.zeros(obs.shape, dtype=np.uint8)
         decide = self._decide
         if chain is None:
             decide = decide.copy()
@@ -186,65 +250,43 @@ class ChainCodec:
         else:
             if len(chain) != self.chain_size:
                 raise ValueError("chain size mismatch")
-            u_hat[self._b0] = chain
-        unresolved = np.zeros(self.N, dtype=bool)
+            u_hat[:, self._b0] = chain
+        d = _Decoding(u_hat, np.zeros(obs.shape, dtype=bool), decide, guess_bits, strict)
+        known = (obs != Trit.ERASED)[:, self._perm]
+        value = (obs == Trit.ONE).astype(np.uint8)[:, self._perm]
+        _descend(d, slice(None), known, value, 0)
 
-        def descend(k: np.ndarray, v: np.ndarray, base: int) -> np.ndarray:
-            width = len(k)
-            known = np.count_nonzero(k)
-            if known == 0 or known == width:
-                # all erased or all known (always so at width 1): commit the
-                # whole subtree at once and return its re-encoded bits
-                sl = slice(base, base + width)
-                u = u_hat[sl]
-                dec = decide[sl]
-                if known:
-                    implied = _butterfly(v)
-                    np.copyto(u, implied, where=dec)
-                    if strict and (u != implied).any():
-                        raise InternalInconsistency(
-                            f"channel contradicts a fixed bit in u[{base + 1}..{base + width}]"
-                        )
-                else:
-                    if guess_bits is not None:
-                        np.copyto(u, guess_bits[sl], where=dec)
-                    unresolved[sl] = True
-                return _butterfly(u)
-            h = width // 2
-            ka, va = k[:h], v[:h]
-            kb, vb = k[h:], v[h:]
-            left = descend(ka & kb, va ^ vb, base)
-            if strict and bool((ka & kb & ((va ^ left) != vb)).any()):
-                raise InternalInconsistency(
-                    f"known messages disagree under node at u-base {base + 1}"
-                )
-            gv = np.where(kb, vb, va ^ left).astype(np.uint8)
-            right = descend(ka | kb, gv, base + h)
-            return np.concatenate([left ^ right, right])
-
-        known = (y != Trit.ERASED)[self._perm]
-        value = (y == Trit.ONE).astype(np.uint8)[self._perm]
-        descend(known, value, 0)
-        guessed = np.flatnonzero(unresolved & decide) + 1
-        return DecodeResult(u=u_hat, erased_decisions=len(guessed), guessed=guessed)
+        guessed = [np.flatnonzero(row) + 1 for row in d.unresolved & decide]
+        erased = sum(map(len, guessed))
+        if y.ndim == 1:
+            return DecodeResult(u=u_hat[0], erased_decisions=erased, guessed=guessed[0])
+        return DecodeResult(u=u_hat, erased_decisions=erased, guessed=tuple(guessed))
 
     def extract_message(self, u: np.ndarray) -> np.ndarray:
-        return u[self._info0]
+        """The information bits of a decoded u, or of each row of stacked ones."""
+        return u[..., self._info0]
 
     def decode_session(self, observations, preshared, strict: bool = False,
                        rng: np.random.Generator | None = None):
-        """Decode T blocks in order, threading each block's decoded u[E] into the
-        next block's B so that chain errors propagate as they would on air.
+        """Decode T blocks, threading each block's decoded u[E] into the next
+        block's B so that chain errors propagate as they would on air.
 
         preshared=None decodes as a receiver without the pre-shared bits.  With
         rng, each block's erased decisions resolve to N fresh coin flips from
-        it, else to 0.  Returns (message estimates, erased-decision counts).
+        it, else to 0.  Without a chain (|B| = 0) the blocks are independent
+        and all T are decoded in one stacked sc_decode_block call; otherwise
+        block by block.  Returns (message estimates, erased-decision counts).
         """
+        observations = list(observations)
+        guesses = [None if rng is None else rng.integers(0, 2, size=self.N, dtype=np.uint8)
+                   for _ in observations]
+        if self.chain_size == 0 and observations:
+            res = self.sc_decode_block(np.stack(observations), preshared, strict=strict,
+                                       guess_bits=None if rng is None else np.stack(guesses))
+            return list(self.extract_message(res.u)), [len(g) for g in res.guessed]
         chain = preshared
-        messages = []
-        counts = []
-        for y in observations:
-            guess = None if rng is None else rng.integers(0, 2, size=self.N, dtype=np.uint8)
+        messages, counts = [], []
+        for y, guess in zip(observations, guesses):
             res = self.sc_decode_block(y, chain, guess_bits=guess, strict=strict)
             messages.append(self.extract_message(res.u))
             counts.append(res.erased_decisions)

@@ -73,15 +73,20 @@ class TrialResult:
     erased_decisions: int | None = None
 
 
+def _seed_key(x: float) -> int:
+    """A real cell parameter as it enters the trial seed: rounded to 1e-9."""
+    return int(round(x * 1e9))
+
+
 def derive_trial_seed(base_seed: int, cell: Cell, trial: int) -> int:
     """Deterministic 64-bit seed from the base seed, the cell and the trial index."""
     key = (
         int(base_seed),
         KINDS.index(cell.kind),
         int(cell.n),
-        int(round(cell.beta * 1e9)),
-        int(round(cell.rho_w * 1e9)),
-        int(round(cell.rho_r * 1e9)),
+        _seed_key(cell.beta),
+        _seed_key(cell.rho_w),
+        _seed_key(cell.rho_r),
         int(cell.T),
         list(Strategy).index(Strategy(cell.strategy)),
         int(trial),
@@ -202,6 +207,10 @@ class SweepSpec:
         for name, grid in (("n", self.n_list), ("beta", self.beta_list)):
             if len(set(grid)) != len(grid):
                 raise ValueError(f"{name} grid repeats a value: {list(grid)}")
+        if len({_seed_key(b) for b in self.beta_list}) != len(self.beta_list):
+            raise ValueError(
+                f"beta grid values closer than 1e-9 would share trial seeds: "
+                f"{list(self.beta_list)}")
         tuple(self.configs())  # every cell must be a valid CodeConfig
 
     def configs(self):

@@ -12,7 +12,8 @@ from awtcpolar.adversary import (
     sample_action,
     write_equivalent_mask,
 )
-from awtcpolar.codec import trits_to_str
+
+from _trits import trits_to_str
 
 
 class TestSampling:

@@ -137,6 +137,7 @@ class TestSweepCommands:
         (["--n", 6, "--parallelism", 0], "parallelism must be >= 1"),
         (["--n-list", "6,6"], "n grid repeats a value"),
         (["--n", 6, "--beta-list", "0.3,0.3"], "beta grid repeats a value"),
+        (["--n", 6, "--beta-list", "0.3,0.3000000001"], "would share trial seeds"),
     ])
     def test_invalid_sweep_exits_one(self, tmp_path, capsys, flags, message):
         assert run("bounds", *flags, "--trials", 2, "--out-dir", tmp_path) == 1

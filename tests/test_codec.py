@@ -1,21 +1,25 @@
 """Transform, three-valued SC decoding and chaining behavior tests."""
 
+import gc
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from awtcpolar.adversary import Strategy, apply_read, apply_write, sample_action
 from awtcpolar.codec import (
     ChainCodec,
     InternalInconsistency,
     Trit,
     bit_reversal_permutation,
     polar_transform,
-    trits_from_str,
-    trits_to_str,
 )
 from awtcpolar.construction import CodeConfig, IndexPartition, build_partition
 from awtcpolar.polar_core import realize_profile
+
+from _trits import trits_from_str, trits_to_str
 
 
 def flat_partition(N, **named):
@@ -309,6 +313,106 @@ class TestScDecodeBlock:
             codec.sc_decode_block(np.zeros(5, dtype=np.int8), chain)
 
 
+@st.composite
+def stacked_cases(draw):
+    """A random five-way partition at N <= 64 and 1..4 stacked observations
+    of codewords whose frozen bits are 0 and whose B bits are the chain."""
+    N = 1 << draw(st.integers(0, 6))
+    roles = np.array(draw(st.lists(st.integers(0, 4), min_size=N, max_size=N)))
+    sets = [np.flatnonzero(roles == r) + 1 for r in range(5)]
+    pairs = min(len(sets[1]), len(sets[4]))  # |E| = |B|; the surplus is info
+    info = np.sort(np.concatenate([sets[0], sets[1][pairs:], sets[4][pairs:]]))
+    part = IndexPartition(N=N, info=info, chain_source=sets[1][:pairs], random=sets[2],
+                          frozen=sets[3], chain_sink=sets[4][:pairs])
+    rows = draw(st.integers(1, 4))
+    bits = st.lists(st.booleans(), min_size=rows * N, max_size=rows * N).map(
+        lambda b: np.array(b).reshape(rows, N))
+    truth = draw(bits).astype(np.uint8)
+    truth[:, part.frozen - 1] = 0
+    chain = truth[0, part.chain_sink - 1]
+    truth[:, part.chain_sink - 1] = chain
+    y = np.array([polar_transform(u) for u in truth], dtype=np.int8)
+    y[draw(bits)] = Trit.ERASED
+    known = y != Trit.ERASED
+    y[known & draw(bits) & draw(bits)] ^= 1  # flip about a quarter of the known bits
+    return part, truth, chain, y, draw(bits).astype(np.uint8), draw(st.booleans())
+
+
+class TestStacked:
+    """Stacked observations decode in one recursion exactly as row by row."""
+
+    @staticmethod
+    def assert_rows_equal(codec, y, chain, guess, strict=False):
+        stacked = codec.sc_decode_block(y, chain, guess_bits=guess, strict=strict)
+        assert stacked.u.shape == y.shape
+        assert len(stacked.guessed) == len(y)
+        for r in range(len(y)):
+            one = codec.sc_decode_block(y[r], chain, strict=strict,
+                                        guess_bits=None if guess is None else guess[r])
+            np.testing.assert_array_equal(stacked.u[r], one.u)
+            np.testing.assert_array_equal(stacked.guessed[r], one.guessed)
+        assert type(stacked.erased_decisions) is int
+        assert stacked.erased_decisions == sum(len(g) for g in stacked.guessed)
+        return stacked
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(stacked_cases())
+    def test_property_stacked_equals_row_by_row(self, case):
+        part, truth, chain, y, guess, with_chain = case
+        codec = ChainCodec(part)
+        chain = chain if with_chain else None
+        self.assert_rows_equal(codec, y, chain, guess)
+        self.assert_rows_equal(codec, y, chain, None)
+        # the clean path: the transmitted codewords, erased where y is, and
+        # truthful guesses; strict stays silent and changes nothing
+        clean = np.array([polar_transform(u) for u in truth], dtype=np.int8)
+        clean[y == Trit.ERASED] = Trit.ERASED
+        loose = self.assert_rows_equal(codec, clean, chain, truth)
+        strict = self.assert_rows_equal(codec, clean, chain, truth, strict=True)
+        np.testing.assert_array_equal(strict.u, loose.u)
+        np.testing.assert_array_equal(strict.u, truth)
+
+    def test_one_row_stack_keeps_the_row_shape(self):
+        codec = ChainCodec(flat_partition(4))
+        chain = np.array([], dtype=np.uint8)
+        y = trits_from_str("?01?")
+        one = codec.sc_decode_block(y, chain)
+        stacked = codec.sc_decode_block(y[None], chain)
+        assert one.u.shape == (4,) and stacked.u.shape == (1, 4)
+        assert isinstance(one.guessed, np.ndarray) and isinstance(stacked.guessed, tuple)
+        np.testing.assert_array_equal(stacked.guessed[0], one.guessed)
+
+    def test_rejects_bad_stacks(self):
+        codec = ChainCodec(flat_partition(4))
+        chain = np.array([], dtype=np.uint8)
+        with pytest.raises(ValueError, match="observation length 5 != N=4"):
+            codec.sc_decode_block(np.zeros((2, 5), dtype=np.int8), chain)
+        with pytest.raises(ValueError, match="trits"):
+            codec.sc_decode_block(np.array([[0, 1, 2, 0], [0, 3, 0, 0]]), chain)
+        with pytest.raises(ValueError, match="guess_bits shape"):
+            codec.sc_decode_block(np.zeros((2, 4), dtype=np.int8), chain,
+                                  guess_bits=np.zeros(4, dtype=np.uint8))
+        with pytest.raises(ValueError, match=r"\(N,\) or \(rows, N\)"):
+            codec.sc_decode_block(np.zeros((1, 2, 4), dtype=np.int8), chain)
+
+    def test_decode_leaves_no_cyclic_garbage(self):
+        """A decode's temporaries are freed by reference counting alone."""
+        part = build_partition(CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4))
+        codec = ChainCodec(part)
+        rng = np.random.default_rng(4)
+        y = rng.integers(0, 3, (4, 64)).astype(np.int8)
+        chain = codec.preshared_state(rng)
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(10):
+                codec.sc_decode_block(y[0], chain)
+                codec.sc_decode_block(y, chain)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestExhaustive:
     @pytest.mark.parametrize("N", [2, 4, 8])
     def test_every_input_round_trips(self, N):
@@ -375,6 +479,37 @@ class TestSessions:
         # the guesses matter: decoding with all-zero guesses differs
         assert not np.array_equal(np.array(decoded),
                                   np.array(codec.decode_session(obs, None)[0]))
+
+    @pytest.mark.parametrize("cfg,chain_size", [
+        (CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3), 3),  # block by block
+        (CodeConfig(n=8, beta=0.26, rho_w=0.2, rho_r=0.4), 0),  # one stacked call
+    ])
+    def test_session_equals_block_loop(self, cfg, chain_size):
+        codec = ChainCodec(build_partition(cfg))
+        assert codec.chain_size == chain_size
+        e0 = codec.partition.chain_source - 1
+        rng = np.random.default_rng(11)
+        preshared = codec.preshared_state(rng)
+        msgs = rng.integers(0, 2, (5, codec.message_size), dtype=np.uint8)
+        codewords = codec.encode_session(msgs, preshared, rng)
+        bob, eve = [], []
+        for x in codewords:
+            action = sample_action(cfg.N, cfg.rho_w, cfg.rho_r, Strategy.UNIFORM, rng)
+            bob.append(apply_write(x, action.write_set))
+            eve.append(apply_read(x, action.read_set))
+
+        for obs, chain, seed in ((bob, preshared, None), (eve, None, 3)):
+            guesses = None if seed is None else np.random.default_rng(seed)
+            decoded, counts = codec.decode_session(
+                obs, chain, rng=None if seed is None else np.random.default_rng(seed))
+            assert len(decoded) == len(counts) == len(obs)
+            for y, got, count in zip(obs, decoded, counts):
+                guess = None if guesses is None else guesses.integers(0, 2, cfg.N, dtype=np.uint8)
+                res = codec.sc_decode_block(y, chain, guess_bits=guess)
+                np.testing.assert_array_equal(got, codec.extract_message(res.u))
+                assert type(count) is int and count == res.erased_decisions
+                chain = res.u[e0]
+        assert sum(counts) > 0  # Eve's guesses were used
 
     def test_wrong_chain_estimate_propagates(self):
         """A write pattern that knocks out one E channel of block 1 makes

@@ -317,6 +317,9 @@ class TestSweep:
             self._spec(n_list=(6, 6))
         with pytest.raises(ValueError, match="beta grid repeats"):
             self._spec(beta_list=(0.3, 0.3))
+        # distinct betas that round to the same seed key would share trials
+        with pytest.raises(ValueError, match="would share trial seeds"):
+            self._spec(beta_list=(0.3, 0.3000000001))
 
 
 class TestComplementaryReadWrite:

@@ -41,16 +41,26 @@ def test_wrapped_parameters_exist():
         assert names <= set(inspect.signature(fn).parameters), fn.__qualname__
 
 
-def test_traced_trial_records_both_decode_sides(monkeypatch):
-    """Decodes are traced through the ChainCodec.sc_decode_block class
-    attribute and told apart by guess_bits: Bob passes none, Eve passes hers."""
+def traced_decode_counts(monkeypatch, cfg):
     layertrace = load_layertrace(monkeypatch)
-    cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
     part = build_partition(cfg)
     with layertrace.Tracer(layertrace.targets()) as tracer:
         experiments.end_to_end_trial(cfg, part, Strategy.UNIFORM, seed=1)
-    names = Counter(span.name for span in tracer.spans)
-    assert names["codec.decode_bob"] == cfg.blocks
-    assert names["codec.decode_eve"] == cfg.blocks
-    assert names["experiments.trial"] == 1
     assert tracer.restored()
+    names = Counter(span.name for span in tracer.spans)
+    assert names["experiments.trial"] == 1
+    return names["codec.decode_bob"], names["codec.decode_eve"]
+
+
+def test_traced_trial_records_both_decode_sides(monkeypatch):
+    """Decodes are traced through the ChainCodec.sc_decode_block class
+    attribute and told apart by guess_bits: Bob passes none, Eve passes hers.
+    Without a chain each side's session is one stacked decode."""
+    cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
+    assert traced_decode_counts(monkeypatch, cfg) == (1, 1)
+
+
+def test_traced_live_chain_trial_records_every_block(monkeypatch):
+    """With a live chain (|B| = 3) each side decodes block by block."""
+    cfg = CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3, blocks=3)
+    assert traced_decode_counts(monkeypatch, cfg) == (cfg.blocks, cfg.blocks)
