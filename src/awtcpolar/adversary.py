@@ -95,15 +95,34 @@ def apply_read(x, read_set) -> np.ndarray:
     return z
 
 
-def write_equivalent_mask(action: AdversaryAction) -> np.ndarray:
-    """Bob's equivalent channel block: bits[i] is True (full noise) iff i+1 is in S_w."""
-    bits = np.zeros(action.N, dtype=bool)
-    bits[action.write_set - 1] = True
-    return bits
+def _equivalent_mask(actions, attr: str, listed: bool) -> np.ndarray:
+    """Per-position indicators of membership in each action's `attr` set:
+    True where a position is listed when `listed`, where it is absent
+    otherwise.  One action gives (N,); a sequence of actions of one N gives
+    (rows, N), one row per action in order."""
+    single = isinstance(actions, AdversaryAction)
+    stack = [actions] if single else list(actions)
+    if not stack:
+        raise ValueError("need at least one action")
+    bits = np.full((len(stack), stack[0].N), not listed)
+    for row, action in zip(bits, stack):
+        if action.N != len(row):
+            raise ValueError("stacked actions must share one block length N")
+        row[getattr(action, attr) - 1] = listed
+    return bits[0] if single else bits
 
 
-def read_equivalent_mask(action: AdversaryAction) -> np.ndarray:
-    """Eve's equivalent channel block: bits[i] is True (full noise) iff i+1 is not in S_r."""
-    bits = np.ones(action.N, dtype=bool)
-    bits[action.read_set - 1] = False
-    return bits
+def write_equivalent_mask(actions) -> np.ndarray:
+    """Bob's equivalent channel block: bits[i] is True (full noise) iff i+1 is in S_w.
+
+    One action gives (N,); a sequence of actions gives one row per action.
+    """
+    return _equivalent_mask(actions, "write_set", True)
+
+
+def read_equivalent_mask(actions) -> np.ndarray:
+    """Eve's equivalent channel block: bits[i] is True (full noise) iff i+1 is not in S_r.
+
+    One action gives (N,); a sequence of actions gives one row per action.
+    """
+    return _equivalent_mask(actions, "read_set", False)

@@ -15,7 +15,6 @@ channel.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -23,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .construction import IndexPartition
-from .polar_core import check_block_length
+from .polar_core import bit_reversal_permutation, check_block_length
 
 
 class Trit(IntEnum):
@@ -34,16 +33,6 @@ class Trit(IntEnum):
 
 class InternalInconsistency(RuntimeError):
     """Two known messages disagreed; impossible unless index conventions broke."""
-
-
-@functools.lru_cache(maxsize=None)
-def bit_reversal_permutation(n: int) -> np.ndarray:
-    """0-based bit-reversal permutation of length 2^n (an involution)."""
-    perm = np.zeros(1, dtype=np.int64)
-    for _ in range(n):
-        perm = np.concatenate([2 * perm, 2 * perm + 1])
-    perm.flags.writeable = False
-    return perm
 
 
 def _butterfly(bits: np.ndarray) -> np.ndarray:

@@ -30,6 +30,13 @@ class InfeasibleConstruction(Exception):
         )
 
 
+# Largest stage count a CodeConfig accepts.  Memory grows as 2^n: at n = 20
+# each profile level and each decoded block holds N = 2^20 entries, while an
+# unchecked n (say 64) would have the profile recursion double its arrays
+# until memory runs out.
+MAX_N = 20
+
+
 @dataclass(frozen=True)
 class CodeConfig:
     """Code parameters: block size 2^n, threshold exponent, fractions, chain length."""
@@ -43,6 +50,8 @@ class CodeConfig:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
+        if self.n > MAX_N:
+            raise ValueError(f"n must be <= {MAX_N} (N = 2^{MAX_N}), got {self.n}")
         if not 0.0 < self.beta < 0.5:
             raise ValueError(f"beta must lie in (0, 0.5), got {self.beta}")
         if self.rho_w < 0.0 or self.rho_r < 0.0:
@@ -96,17 +105,20 @@ class IndexPartition:
         }
 
     @functools.cached_property
-    def bound_positions(self) -> tuple:
-        """0-based positions the bound sums count: (I union R, E, I union F).
+    def bound_masks(self) -> tuple:
+        """Read-only boolean masks over the N positions of the sets the bound
+        sums count: (I union R, E, I union F).
 
         I is the full information set, chain source E included.
         """
-        i_full = np.concatenate([self.info, self.chain_source])
-        return (
-            np.sort(np.concatenate([i_full, self.random])) - 1,
-            self.chain_source - 1,
-            np.sort(np.concatenate([i_full, self.frozen])) - 1,
-        )
+        i_full = (self.info, self.chain_source)
+        masks = np.zeros((3, self.N), dtype=bool)
+        for mask, sets in zip(masks, (i_full + (self.random,), (self.chain_source,),
+                                      i_full + (self.frozen,))):
+            for idx in sets:
+                mask[idx - 1] = True
+        masks.flags.writeable = False
+        return tuple(masks)
 
     def classes(self) -> np.ndarray:
         """Class label of every index, position i-1 holding index i's label."""

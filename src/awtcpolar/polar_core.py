@@ -8,6 +8,7 @@ with OR/AND logic instead of floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -116,25 +117,78 @@ def check_block_length(length: int) -> int:
     return length.bit_length() - 1
 
 
-def realize_profile(mask) -> np.ndarray:
-    """Exact per-index noise indicators of the generated channels for one mask.
+@functools.lru_cache(maxsize=None)
+def bit_reversal_permutation(n: int) -> np.ndarray:
+    """0-based bit-reversal permutation of length 2^n (an involution)."""
+    perm = np.zeros(1, dtype=np.int64)
+    for _ in range(n):
+        perm = np.concatenate([2 * perm, 2 * perm + 1])
+    perm.flags.writeable = False
+    return perm
 
-    Applies the non-stationary pairing in place: at stage q (Q = 2^q) the
-    block entries (i, i+Q) map to (i OR i+Q, i AND i+Q) interleaved, so output
-    position i is the i-th decoder decision's channel.  Returns a boolean
-    vector the same length as the mask.
+
+_WORD = 64
+# the low half of every 2h-bit block of a little-endian 64-bit word
+_LOW_HALF = {
+    1: np.uint64(0x5555555555555555),
+    2: np.uint64(0x3333333333333333),
+    4: np.uint64(0x0F0F0F0F0F0F0F0F),
+    8: np.uint64(0x00FF00FF00FF00FF),
+    16: np.uint64(0x0000FFFF0000FFFF),
+    32: np.uint64(0x00000000FFFFFFFF),
+}
+
+
+def realize_profile(mask) -> np.ndarray:
+    """Exact per-index noise indicators of the generated channels.
+
+    mask is one block's full-noise indicators, shape (N,), or independent
+    blocks' masks stacked as (rows, N); the boolean result has the same
+    shape, output position i holding the i-th decoder decision's channel.
+
+    The non-stationary pairing (at stage q the block entries (i, i+2^q) map
+    to (i OR i+2^q, i AND i+2^q) interleaved) equals a bit reversal followed
+    by an in-place OR/AND butterfly: for h = N/2, N/4, ..., 1, within every
+    block of 2h, (z[i], z[i+h]) -> (z[i] | z[i+h], z[i] & z[i+h]).  The
+    butterfly runs on the rows packed little-endian into 64-bit words:
+    stages with h >= 64 pair whole words, the others pair the bits inside
+    each word by masked shifts.
     """
-    z = np.array(mask, dtype=bool)
-    for q in range(check_block_length(len(z))):
-        Q = 1 << q
-        blk = z.reshape(-1, 2 * Q)
-        a = blk[:, :Q]
-        b = blk[:, Q:]
-        out = np.empty_like(blk)
-        out[:, 0::2] = a | b
-        out[:, 1::2] = a & b
-        z = out.reshape(-1)
-    return z
+    z = np.asarray(mask, dtype=bool)
+    if z.ndim not in (1, 2):
+        raise ValueError(f"mask must be (N,) or stacked (rows, N), got shape {z.shape}")
+    N = z.shape[-1]
+    n = check_block_length(N)
+    bits = np.take(z.reshape(-1, N), bit_reversal_permutation(n), axis=1)
+    if N < _WORD:  # one zero-padded word per row; stages never reach the padding
+        bits = np.pad(bits, ((0, 0), (0, _WORD - N)))
+    rows, width = bits.shape
+    words = np.packbits(bits, bitorder="little").view("<u8").reshape(rows, width // _WORD)
+
+    h = N // 2
+    spare = np.empty(words.size // 2, dtype=words.dtype)
+    while h >= _WORD:
+        pairs = words.reshape(rows, N // (2 * h), 2, h // _WORD)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        both = spare.reshape(low.shape)
+        np.bitwise_and(low, high, out=both)
+        np.bitwise_or(low, high, out=low)
+        high[...] = both
+        h //= 2
+    low, high = np.empty_like(words), np.empty_like(words)
+    while h:
+        keep, shift = _LOW_HALF[h], np.uint64(h)
+        np.bitwise_and(words, keep, out=low)
+        np.right_shift(words, shift, out=high)
+        np.bitwise_and(high, keep, out=high)
+        np.bitwise_or(low, high, out=words)  # OR into the low halves
+        np.bitwise_and(low, high, out=low)
+        np.left_shift(low, shift, out=low)
+        np.bitwise_or(words, low, out=words)  # AND into the high halves
+        h //= 2
+
+    out = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
+    return out.reshape(rows, width)[:, :N].reshape(z.shape)
 
 
 def delta_threshold(N: int, beta: float) -> float:

@@ -138,6 +138,25 @@ class TestEquivalentMasks:
         assert write_equivalent_mask(action).sum() == len(action.write_set)
         assert read_equivalent_mask(action).sum() == 64 - len(action.read_set)
 
+    def test_stacked_masks_are_one_row_per_action(self):
+        rng = np.random.default_rng(3)
+        actions = [sample_action(16, 0.25, 0.25, s, rng)
+                   for s in (Strategy.UNIFORM, Strategy.BERNOULLI, Strategy.PREFIX)]
+        for helper in (write_equivalent_mask, read_equivalent_mask):
+            stacked = helper(actions)
+            assert stacked.shape == (3, 16) and stacked.dtype == bool
+            for action, row in zip(actions, stacked):
+                np.testing.assert_array_equal(row, helper(action))
+
+    def test_stacked_masks_reject_empty_and_mixed_lengths(self):
+        small = AdversaryAction(N=4, write_set=np.array([1]), read_set=np.array([2]))
+        large = AdversaryAction(N=8, write_set=np.array([1]), read_set=np.array([2]))
+        for helper in (write_equivalent_mask, read_equivalent_mask):
+            with pytest.raises(ValueError, match="at least one action"):
+                helper([])
+            with pytest.raises(ValueError, match="one block length"):
+                helper([small, large])
+
     def test_action_validates_range(self):
         with pytest.raises(ValueError):
             AdversaryAction(N=4, write_set=np.array([5]), read_set=np.array([1]))

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from awtcpolar import cli, experiments
 from awtcpolar.cli import main
+from awtcpolar.construction import MAX_N
 from awtcpolar.experiments import read_aggregates_csv
 from awtcpolar.svgplot import render_line_chart
 
@@ -58,6 +60,23 @@ class TestConstruct:
 
     def test_unknown_flag_exits_one(self, capsys):
         assert run("construct", "--frobnicate") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["construct", "--n", 64],
+    ["bounds", "--n-list", "8,40", "--trials", 2],
+    ["simulate", "--n", MAX_N + 1, "--trials", 2],
+])
+def test_oversized_n_exits_one_before_building(tmp_path, monkeypatch, capsys, argv):
+    def refuse(config):
+        raise AssertionError(f"built a partition at n={config.n}")
+
+    monkeypatch.setattr(cli, "build_partition", refuse)
+    monkeypatch.setattr(experiments, "build_partition", refuse)
+    assert run(*argv, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"n must be <= {MAX_N}" in err
+    assert not (tmp_path / "out").exists()
 
 
 class TestConfigFile:

@@ -5,19 +5,18 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from awtcpolar.adversary import Strategy, apply_read, apply_write, sample_action
-from awtcpolar.codec import (
-    ChainCodec,
-    InternalInconsistency,
-    Trit,
-    bit_reversal_permutation,
-    polar_transform,
+from awtcpolar.codec import ChainCodec, InternalInconsistency, Trit, polar_transform
+from awtcpolar.construction import (
+    CodeConfig,
+    IndexPartition,
+    InfeasibleConstruction,
+    build_partition,
 )
-from awtcpolar.construction import CodeConfig, IndexPartition, build_partition
-from awtcpolar.polar_core import realize_profile
+from awtcpolar.polar_core import bit_reversal_permutation, realize_profile
 
 from _trits import trits_from_str, trits_to_str
 
@@ -453,6 +452,33 @@ class TestSessions:
         decoded, counts = codec.decode_session(obs, preshared, strict=True)
         assert counts == [0] * T
         np.testing.assert_array_equal(np.array(decoded), msgs)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(1, 10), beta=st.floats(0.05, 0.49), rho_w=st.floats(0.0, 0.45),
+           rho_r=st.floats(0.0, 0.45), T=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    @example(n=10, beta=0.45, rho_w=0.1, rho_r=0.3, T=3, seed=1)  # |B| = 3
+    @example(n=8, beta=0.35, rho_w=0.3, rho_r=0.3, T=4, seed=2)  # |B| = 2
+    def test_property_erasure_free_round_trip(self, n, beta, rho_w, rho_r, T, seed):
+        """With nothing erased, Bob (pre-shared bits) and an Eve who reads
+        every position (no pre-shared bits) both recover every message
+        without one erased decision, whether the chain is live or empty."""
+        try:
+            part = build_partition(CodeConfig(n=n, beta=beta, rho_w=rho_w, rho_r=rho_r))
+        except InfeasibleConstruction:
+            assume(False)
+        codec = ChainCodec(part)
+        rng = np.random.default_rng(seed)
+        preshared = codec.preshared_state(rng)
+        msgs = rng.integers(0, 2, (T, codec.message_size), dtype=np.uint8)
+        codewords = codec.encode_session(msgs, preshared, rng)
+        everything = np.arange(1, codec.N + 1)
+        for obs, chain, guesses in (
+            ([apply_write(x, []) for x in codewords], preshared, None),
+            ([apply_read(x, everything) for x in codewords], None, np.random.default_rng(seed)),
+        ):
+            decoded, counts = codec.decode_session(obs, chain, rng=guesses)
+            assert counts == [0] * T
+            np.testing.assert_array_equal(np.array(decoded), msgs)
 
     def test_session_rng_guesses_like_a_block_loop(self):
         """decode_session(obs, None, rng=...) is the block loop a receiver

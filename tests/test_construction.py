@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from awtcpolar.construction import (
+    MAX_N,
     CodeConfig,
     IndexPartition,
     InfeasibleConstruction,
@@ -39,6 +40,12 @@ class TestCodeConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             CodeConfig(**kwargs)
+
+    def test_stage_ceiling(self):
+        assert CodeConfig(n=MAX_N, beta=0.25, rho_w=0.1, rho_r=0.1).N == 1 << MAX_N
+        for n in (MAX_N + 1, 64):
+            with pytest.raises(ValueError, match=f"n must be <= {MAX_N}"):
+                CodeConfig(n=n, beta=0.25, rho_w=0.1, rho_r=0.1)
 
 
 class TestPolarizedSets:

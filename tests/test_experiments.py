@@ -25,6 +25,8 @@ from awtcpolar.experiments import (
 )
 from awtcpolar.polar_core import bec_profile, realize_profile
 
+from _stage_loop import stage_loop_realize
+
 
 def single_info_partition(N, info_index):
     rest = np.setdiff1d(np.arange(1, N + 1), [info_index])
@@ -36,6 +38,11 @@ def single_info_partition(N, info_index):
         frozen=rest,
         chain_sink=np.array([], dtype=np.int64),
     )
+
+
+def counts_of(part, action):
+    """Row 0 of block_bound_counts over a one-action stack: (ir, e, leak)."""
+    return tuple(int(c[0]) for c in block_bound_counts(part, [action]))
 
 
 def action_of(N, write=(), read=()):
@@ -50,19 +57,19 @@ class TestBerBound:
     def test_no_writes_is_zero(self):
         cfg = CodeConfig(n=3, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=5)
         part = build_partition(cfg)
-        assert block_bound_counts(part, action_of(8))[:2] == (0, 0)
+        assert counts_of(part, action_of(8))[:2] == (0, 0)
 
     def test_full_write_counts_everything(self):
         cfg = CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3, blocks=4)
         part = build_partition(cfg)
         action = action_of(256, write=range(1, 257))
         ir = len(part.info) + len(part.chain_source) + len(part.random)
-        assert block_bound_counts(part, action) == (ir, len(part.chain_source), 0)
+        assert counts_of(part, action) == (ir, len(part.chain_source), 0)
 
     def test_crafted_single_erasure_misses_info(self):
         # one write only breaks the all-minus channel 1; info sits at 8
         part = single_info_partition(8, 8)
-        assert block_bound_counts(part, action_of(8, write=[1]))[:2] == (0, 0)
+        assert counts_of(part, action_of(8, write=[1]))[:2] == (0, 0)
         np.testing.assert_array_equal(
             realize_profile([1, 0, 0, 0, 0, 0, 0, 0]),
             [True] + [False] * 7,
@@ -72,10 +79,10 @@ class TestBerBound:
         rng = np.random.default_rng(0)
         cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=7)
         part = build_partition(cfg)
-        for _ in range(20):
-            action = sample_action(64, 0.2, 0.4, Strategy.UNIFORM, rng)
-            ir, e, leak = block_bound_counts(part, action)
-            assert all(type(v) is int for v in (ir, e, leak))
+        actions = [sample_action(64, 0.2, 0.4, Strategy.UNIFORM, rng) for _ in range(20)]
+        counts = block_bound_counts(part, actions)
+        assert all(c.shape == (20,) and np.issubdtype(c.dtype, np.integer) for c in counts)
+        for ir, e, leak in zip(*counts):
             assert 0 <= e <= ir and leak >= 0
 
 
@@ -83,14 +90,14 @@ class TestLeakBound:
     def test_reading_nothing_leaks_nothing(self):
         cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
         part = build_partition(cfg)
-        assert block_bound_counts(part, action_of(64))[2] == 0
+        assert counts_of(part, action_of(64))[2] == 0
 
     def test_reading_everything_leaks_i_and_f(self):
         cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
         part = build_partition(cfg)
         action = action_of(64, read=range(1, 65))
         i_f = len(part.info) + len(part.chain_source) + len(part.frozen)
-        assert block_bound_counts(part, action)[2] == i_f
+        assert counts_of(part, action)[2] == i_f
 
     def test_matches_eavesdropper_decoding_oracle(self):
         # the leak count must equal the number of decision leaves inside I union F
@@ -118,7 +125,78 @@ class TestLeakBound:
             res = probe.sc_decode_block(z, np.array([], dtype=np.uint8))
             known = np.setdiff1d(np.arange(1, 9), res.guessed)
             expected = len(np.intersect1d(known, i_f))
-            assert block_bound_counts(part, action)[2] == expected
+            assert counts_of(part, action)[2] == expected
+
+
+def reference_counts(part, action):
+    """The bound terms of one action from the stage-loop realization,
+    summed over each set's index positions."""
+    i_full = np.concatenate([part.info, part.chain_source])
+    ir0 = np.concatenate([i_full, part.random]) - 1
+    i_f0 = np.concatenate([i_full, part.frozen]) - 1
+    zw = stage_loop_realize(np.isin(np.arange(1, part.N + 1), action.write_set))
+    zr = stage_loop_realize(~np.isin(np.arange(1, part.N + 1), action.read_set))
+    return int(zw[ir0].sum()), int(zw[part.chain_source - 1].sum()), int((~zr[i_f0]).sum())
+
+
+class TestStackedBoundCounts:
+    STRATEGIES = (Strategy.UNIFORM, Strategy.PREFIX, Strategy.BERNOULLI)
+
+    @pytest.mark.parametrize("cfg", [
+        CodeConfig(n=3, beta=0.3, rho_w=0.2, rho_r=0.4),
+        CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4),
+        CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3),  # live chain, |E| = 2
+        CodeConfig(n=10, beta=0.26, rho_w=0.2, rho_r=0.4),
+    ])
+    def test_mixed_strategies_equal_reference_counts(self, monkeypatch, cfg):
+        part = build_partition(cfg)
+        rng = np.random.default_rng(cfg.n)
+        actions = [sample_action(cfg.N, cfg.rho_w, cfg.rho_r, self.STRATEGIES[k % 3], rng)
+                   for k in range(13)]
+        expected = np.array([reference_counts(part, a) for a in actions]).T
+        whole = block_bound_counts(part, actions)
+        np.testing.assert_array_equal(np.array(whole), expected)
+        # three rows per realization: slice boundaries inside the stack
+        monkeypatch.setattr(experiments, "_SLICE_BITS", 3 * cfg.N)
+        np.testing.assert_array_equal(np.array(block_bound_counts(part, iter(actions))),
+                                      expected)
+
+    def test_streams_one_slice_at_a_time(self, monkeypatch):
+        cfg = CodeConfig(n=5, beta=0.3, rho_w=0.2, rho_r=0.4)
+        part = build_partition(cfg)
+        monkeypatch.setattr(experiments, "_SLICE_BITS", 4 * cfg.N)
+        drawn, seen = [], []
+        realize = experiments.realize_profile
+
+        def recording_realize(masks):
+            seen.append((len(masks), len(drawn)))
+            return realize(masks)
+
+        def actions():
+            rng = np.random.default_rng(0)
+            for _ in range(10):
+                drawn.append(1)
+                yield sample_action(cfg.N, cfg.rho_w, cfg.rho_r, Strategy.UNIFORM, rng)
+
+        monkeypatch.setattr(experiments, "realize_profile", recording_realize)
+        counts = block_bound_counts(part, actions())
+        assert [len(c) for c in counts] == [10, 10, 10]
+        # write and read realizations per slice, each slice drawn just before
+        assert seen == [(4, 4), (4, 4), (4, 8), (4, 8), (2, 10), (2, 10)]
+
+    def test_no_actions(self):
+        part = build_partition(CodeConfig(n=4, beta=0.3, rho_w=0.2, rho_r=0.4))
+        counts = block_bound_counts(part, [])
+        assert len(counts) == 3 and all(c.shape == (0,) for c in counts)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_chunk_equals_one_seed_trials(self, strategy):
+        cfg = CodeConfig(n=7, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=6)
+        part = build_partition(cfg)
+        trial_seeds = [(t, 1000 + 7 * t) for t in range(9)]
+        chunk = experiments._run_chunk(("bounds", cfg, part, strategy, trial_seeds))
+        assert chunk == [bounds_trial(cfg, part, strategy, seed, trial)
+                         for trial, seed in trial_seeds]
 
 
 class TestTrials:
@@ -129,7 +207,7 @@ class TestTrials:
         assert row.cell.kind == "bounds" and row.trial == 9 and row.seed == 123
         assert row.bob_bit_errors is None
         action = sample_action(64, 0.2, 0.4, Strategy.UNIFORM, np.random.default_rng(123))
-        ir, e, leak = block_bound_counts(part, action)
+        ir, e, leak = counts_of(part, action)
         assert row.ber_bound == 3 * ir + 2 * e and row.leak_bound == 3 * leak
 
     def test_bernoulli_mean_matches_profile_expectation(self):
@@ -143,7 +221,7 @@ class TestTrials:
         rng = np.random.default_rng(77)
         for _ in range(800):
             action = sample_action(8, cfg.rho_w, cfg.rho_r, Strategy.BERNOULLI, rng)
-            ir, e, _ = block_bound_counts(part, action)
+            ir, e, _ = counts_of(part, action)
             vals.append(cfg.blocks * ir + (cfg.blocks - 1) * e)
         vals = np.array(vals)
         stderr = vals.std(ddof=1) / np.sqrt(len(vals))
@@ -335,7 +413,7 @@ class TestComplementaryReadWrite:
             write = np.sort(rng.permutation(64)[:12]) + 1
             read = np.setdiff1d(np.arange(1, 65), write)
             action = action_of(64, write=write, read=read)
-            ir, e, leak = block_bound_counts(part, action)
+            ir, e, leak = counts_of(part, action)
             # with S_r = S_w^c both sides see the same realization, so the
             # two bounds count complementary channel sets
             assert 0 <= e <= ir <= decisions

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awtcpolar.adversary import AdversaryAction, write_equivalent_mask
 from awtcpolar.polar_core import (
@@ -17,6 +19,8 @@ from awtcpolar.polar_core import (
     delta_threshold,
     realize_profile,
 )
+
+from _stage_loop import stage_loop_realize
 
 
 def exact_profile(rho: Fraction, n: int):
@@ -190,9 +194,36 @@ class TestRealizeProfile:
         assert mask.tolist() == [True, False, False, False]  # input left untouched
 
     def test_rejects_bad_length(self):
-        for bad in ([1, 0, 1], []):
+        for bad in ([1, 0, 1], [], np.zeros((2, 3), dtype=bool)):
             with pytest.raises(ValueError):
                 realize_profile(bad)
+
+    def test_rejects_bad_shape(self):
+        for bad in (True, np.zeros((2, 2, 4), dtype=bool)):
+            with pytest.raises(ValueError, match="stacked"):
+                realize_profile(bad)
+
+    def test_empty_stack(self):
+        for N in (4, 256):
+            out = realize_profile(np.zeros((0, N), dtype=bool))
+            assert out.shape == (0, N) and out.dtype == bool
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(n=st.integers(0, 12), rows=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+           density=st.floats(0.0, 1.0))
+    def test_property_stacked_equals_stage_loop(self, n, rows, seed, density):
+        """Sub-word (N < 64), one-word and multi-word blocks alike: the
+        stacked result equals row by row, equals the stage loop, and keeps
+        each row's count of full-noise entries; the input is left untouched."""
+        masks = np.random.default_rng(seed).random((rows, 1 << n)) < density
+        before = masks.copy()
+        stacked = realize_profile(masks)
+        np.testing.assert_array_equal(masks, before)
+        assert stacked.shape == masks.shape and stacked.dtype == bool
+        for mask, got in zip(masks, stacked):
+            np.testing.assert_array_equal(got, realize_profile(mask))
+            np.testing.assert_array_equal(got, stage_loop_realize(mask))
+        np.testing.assert_array_equal(stacked.sum(axis=1), masks.sum(axis=1))
 
 
 class TestDeltaThreshold:
