@@ -1,11 +1,12 @@
-"""Adversarial read/write set sampling and its effect on transmissions.
+"""Adversarial read/write sampling and its effect on transmissions.
 
-The adversary erases the bits it writes (Bob sees '?') and captures the bits
-it reads (Eve sees everything else as '?').  The uniform and prefix
-samplers draw exactly floor(rho * N) positions.  The bernoulli sampler keeps
-each position independently with probability rho, so its set size is
-Binomial(N, rho) and can exceed the floor(rho * N) budget.  The two sets are
-drawn independently and may overlap.
+An action is two boolean masks over the N 0-based codeword positions, True on
+the written set S_w and on the read set S_r.  The adversary erases the bits it
+writes (Bob sees '?') and captures the bits it reads (Eve sees everything else
+as '?').  The uniform and prefix samplers draw exactly floor(rho * N)
+positions.  The bernoulli sampler keeps each position independently with
+probability rho, so its set size is Binomial(N, rho) and can exceed the
+floor(rho * N) budget.  The two sets are drawn independently and may overlap.
 """
 
 from __future__ import annotations
@@ -35,30 +36,35 @@ class Strategy(Enum):
             ) from None
 
 
+def _is_mask(mask, shape) -> bool:
+    return isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == shape
+
+
 @dataclass(frozen=True, eq=False)
 class AdversaryAction:
-    """One adversary move: the written set S_w and the read set S_r (1-based)."""
+    """One adversary move as two masks over 0-based positions: write is True
+    on the written set S_w, read is True on the read set S_r."""
 
-    N: int
-    write_set: np.ndarray
-    read_set: np.ndarray
+    write: np.ndarray
+    read: np.ndarray
 
     def __post_init__(self):
-        for name in ("write_set", "read_set"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            object.__setattr__(self, name, arr)
-            if len(arr) and (arr.min() < 1 or arr.max() > self.N):
-                raise ValueError(f"{name} indices must lie in [1, {self.N}]")
+        shape = (np.size(self.write),)
+        if not (_is_mask(self.write, shape) and _is_mask(self.read, shape)):
+            raise ValueError("write and read must be 1-D boolean masks of one length")
 
 
-def _draw_set(N: int, rho: float, strategy: Strategy, rng: np.random.Generator) -> np.ndarray:
+def _draw_mask(N: int, rho: float, strategy: Strategy, rng: np.random.Generator) -> np.ndarray:
+    if strategy is Strategy.BERNOULLI:
+        return rng.random(N) < rho
     size = math.floor(rho * N)
+    mask = np.zeros(N, dtype=bool)
     if strategy is Strategy.UNIFORM:
         # Fisher-Yates prefix: a uniform fixed-size subset
-        return np.sort(rng.permutation(N)[:size]) + 1
-    if strategy is Strategy.BERNOULLI:
-        return np.flatnonzero(rng.random(N) < rho) + 1
-    return np.arange(1, size + 1, dtype=np.int64)
+        mask[rng.permutation(N)[:size]] = True
+    else:
+        mask[:size] = True
+    return mask
 
 
 def sample_action(
@@ -74,55 +80,38 @@ def sample_action(
             f"fractions must be non-negative with rho_w + rho_r < 1, "
             f"got {rho_w} + {rho_r}"
         )
-    write_set = _draw_set(N, rho_w, strategy, rng)
-    read_set = _draw_set(N, rho_r, strategy, rng)
-    return AdversaryAction(N=N, write_set=write_set, read_set=read_set)
+    write = _draw_mask(N, rho_w, strategy, rng)
+    read = _draw_mask(N, rho_r, strategy, rng)
+    return AdversaryAction(write=write, read=read)
 
 
-def apply_write(x, write_set) -> np.ndarray:
-    """Bob's observation: the codeword with every written position erased."""
-    y = np.asarray(x, dtype=np.int8).copy()
-    y[np.asarray(write_set, dtype=np.int64) - 1] = Trit.ERASED
-    return y
-
-
-def apply_read(x, read_set) -> np.ndarray:
-    """Eve's observation: erased everywhere except the positions she reads."""
+def _checked_block(x, mask) -> np.ndarray:
+    """x as int8, once mask is a boolean mask of its shape."""
     x = np.asarray(x, dtype=np.int8)
-    z = np.full(len(x), Trit.ERASED, dtype=np.int8)
-    idx = np.asarray(read_set, dtype=np.int64) - 1
-    z[idx] = x[idx]
-    return z
+    if not _is_mask(mask, x.shape):
+        raise ValueError(f"need a boolean mask of shape {x.shape}, one entry per position")
+    return x
 
 
-def _equivalent_mask(actions, attr: str, listed: bool) -> np.ndarray:
-    """Per-position indicators of membership in each action's `attr` set:
-    True where a position is listed when `listed`, where it is absent
-    otherwise.  One action gives (N,); a sequence of actions of one N gives
-    (rows, N), one row per action in order."""
-    single = isinstance(actions, AdversaryAction)
-    stack = [actions] if single else list(actions)
-    if not stack:
-        raise ValueError("need at least one action")
-    bits = np.full((len(stack), stack[0].N), not listed)
-    for row, action in zip(bits, stack):
-        if action.N != len(row):
-            raise ValueError("stacked actions must share one block length N")
-        row[getattr(action, attr) - 1] = listed
-    return bits[0] if single else bits
+def apply_write(x, write) -> np.ndarray:
+    """Bob's observation: x with every written position erased.  x is one
+    block (N,) or a stacked session (T, N); write is a mask of its shape."""
+    return np.where(write, np.int8(Trit.ERASED), _checked_block(x, write))
+
+
+def apply_read(x, read) -> np.ndarray:
+    """Eve's observation: x erased everywhere except the positions she reads.
+    x is one block (N,) or a stacked session (T, N); read is a mask of its shape."""
+    return np.where(read, _checked_block(x, read), np.int8(Trit.ERASED))
 
 
 def write_equivalent_mask(actions) -> np.ndarray:
-    """Bob's equivalent channel block: bits[i] is True (full noise) iff i+1 is in S_w.
-
-    One action gives (N,); a sequence of actions gives one row per action.
-    """
-    return _equivalent_mask(actions, "write_set", True)
+    """Bob's equivalent channel blocks, one row per action: True (full noise)
+    where written."""
+    return np.stack([action.write for action in actions])
 
 
 def read_equivalent_mask(actions) -> np.ndarray:
-    """Eve's equivalent channel block: bits[i] is True (full noise) iff i+1 is not in S_r.
-
-    One action gives (N,); a sequence of actions gives one row per action.
-    """
-    return _equivalent_mask(actions, "read_set", False)
+    """Eve's equivalent channel blocks, one row per action: True (full noise)
+    where not read."""
+    return ~np.stack([action.read for action in actions])

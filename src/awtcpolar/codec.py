@@ -178,7 +178,7 @@ class ChainCodec:
         u[self._e0] = fresh[: len(self._e0)]
         u[self._r0] = fresh[len(self._e0):]
         u[self._b0] = chain
-        return _butterfly(u[self._perm]), u[self._e0]
+        return polar_transform(u), u[self._e0]
 
     def encode_session(self, messages, preshared, rng: np.random.Generator):
         """Encode T blocks with chaining; returns the list of codewords."""

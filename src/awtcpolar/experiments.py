@@ -175,11 +175,12 @@ def end_to_end_trial(
 ) -> TrialResult:
     """Encode T messages as one chained session, attack it, decode both sides.
 
-    Each block meets a fresh adversary action, of which only the bound terms
-    and the two observations are kept.  Bob decodes his session with the
-    pre-shared bits; Eve decodes hers without them, her erased decisions
-    resolving to fair coin flips from her own stream.  The recorded bound
-    values are the per-realization sums over the actual per-block draws.
+    Each block meets a fresh adversary action; the T actions give the bound
+    terms and, stacked, both sides' session observations.  Bob decodes his
+    session with the pre-shared bits; Eve decodes hers without them, her
+    erased decisions resolving to fair coin flips from her own stream.  The
+    recorded bound values are the per-realization sums over the actual
+    per-block draws.
     """
     codec = ChainCodec(partition)
     msg_rng, enc_rng, pre_rng, adv_rng, eve_rng = map(
@@ -188,18 +189,12 @@ def end_to_end_trial(
     T = config.blocks
     messages = [msg_rng.integers(0, 2, size=codec.message_size, dtype=np.uint8)
                 for _ in range(T)]
-    codewords = codec.encode_session(messages, preshared, enc_rng)
-
-    bob_obs, eve_obs = [], []
-
-    def attacked():
-        for x in codewords:
-            action = sample_action(config.N, config.rho_w, config.rho_r, strategy, adv_rng)
-            bob_obs.append(apply_write(x, action.write_set))
-            eve_obs.append(apply_read(x, action.read_set))
-            yield action
-
-    ir, e, leak = block_bound_counts(partition, attacked())
+    codewords = np.array(codec.encode_session(messages, preshared, enc_rng))
+    actions = [sample_action(config.N, config.rho_w, config.rho_r, strategy, adv_rng)
+               for _ in range(T)]
+    ir, e, leak = block_bound_counts(partition, actions)
+    bob_obs = apply_write(codewords, write_equivalent_mask(actions))
+    eve_obs = apply_read(codewords, ~read_equivalent_mask(actions))
 
     bob_msgs, erased = codec.decode_session(bob_obs, preshared)
     eve_msgs, _ = codec.decode_session(eve_obs, None, rng=eve_rng)

@@ -268,7 +268,7 @@ def test_criterion_10_performance():
     msg = rng.integers(0, 2, codec.message_size, dtype=np.uint8)
     x, _ = codec.encode_block(msg, chain, rng)
     action = sample_action(cfg.N, 0.2, 0.4, Strategy.UNIFORM, rng)
-    y = apply_write(x, action.write_set)
+    y = apply_write(x, action.write)
 
     t0 = time.perf_counter()
     codec.sc_decode_block(y, chain)

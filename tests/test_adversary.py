@@ -1,7 +1,11 @@
 """Adversary sampling and observation-channel tests."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awtcpolar.adversary import (
     AdversaryAction,
@@ -13,7 +17,13 @@ from awtcpolar.adversary import (
     write_equivalent_mask,
 )
 
+from _set_draw import set_draw
 from _trits import trits_to_str
+
+
+def bits(s: str) -> np.ndarray:
+    """A boolean mask written as 0s and 1s, position 0 first."""
+    return np.array([c == "1" for c in s])
 
 
 class TestSampling:
@@ -21,36 +31,26 @@ class TestSampling:
         rng = np.random.default_rng(0)
         for _ in range(50):
             action = sample_action(4, 0.5, 0.25, Strategy.UNIFORM, rng)
-            assert len(action.write_set) == 2
-            assert len(action.read_set) == 1
+            assert action.write.sum() == 2
+            assert action.read.sum() == 1
 
     def test_zero_fraction_empty(self):
         rng = np.random.default_rng(1)
         for strategy in Strategy:
             action = sample_action(8, 0.0, 0.5, strategy, rng)
-            assert len(action.write_set) == 0
+            assert not action.write.any()
 
     def test_prefix_deterministic(self):
         rng = np.random.default_rng(2)
         action = sample_action(8, 0.25, 1 / 8, Strategy.PREFIX, rng)
-        np.testing.assert_array_equal(action.write_set, [1, 2])
-        np.testing.assert_array_equal(action.read_set, [1])
+        np.testing.assert_array_equal(action.write, bits("11000000"))
+        np.testing.assert_array_equal(action.read, bits("10000000"))
 
     def test_floor_sizing(self):
         rng = np.random.default_rng(3)
         action = sample_action(10, 0.35, 0.19, Strategy.UNIFORM, rng)
-        assert len(action.write_set) == 3  # floor(3.5)
-        assert len(action.read_set) == 1  # floor(1.9)
-
-    def test_sets_sorted_unique_in_range(self):
-        rng = np.random.default_rng(4)
-        for strategy in (Strategy.UNIFORM, Strategy.BERNOULLI):
-            for _ in range(20):
-                action = sample_action(64, 0.3, 0.4, strategy, rng)
-                for s in (action.write_set, action.read_set):
-                    assert np.array_equal(np.unique(s), s)
-                    if len(s):
-                        assert 1 <= s.min() and s.max() <= 64
+        assert action.write.sum() == 3  # floor(3.5)
+        assert action.read.sum() == 1  # floor(1.9)
 
     def test_rejects_bad_fractions(self):
         rng = np.random.default_rng(5)
@@ -71,92 +71,134 @@ class TestSampling:
         counts = np.zeros(N)
         for _ in range(draws):
             action = sample_action(N, 0.25, 0.0, Strategy.UNIFORM, rng)
-            counts[action.write_set - 1] += 1
+            counts += action.write
         expected = draws * 16 / N
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert chi2 < 110  # ~99.9th percentile of chi2 with 63 dof
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(n=st.integers(0, 12), rho_w=st.floats(0.0, 0.99), share=st.floats(0.0, 0.99),
+           strategy=st.sampled_from(Strategy), seed=st.integers(0, 2**32 - 1))
+    def test_property_masks_equal_set_draw(self, n, rho_w, share, strategy, seed):
+        """The masks mark exactly the 1-based sets the index-set draw made,
+        and the draw leaves the generator where that draw left it."""
+        N = 1 << n
+        rho_r = share * (1.0 - rho_w)
+        rng = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        action = sample_action(N, rho_w, rho_r, strategy, rng)
+        write_set, read_set = set_draw(N, rho_w, rho_r, strategy, reference)
+        assert len(action.write) == len(action.read) == N
+        np.testing.assert_array_equal(np.flatnonzero(action.write) + 1, write_set)
+        np.testing.assert_array_equal(np.flatnonzero(action.read) + 1, read_set)
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 class TestObservations:
     def test_write_nothing(self):
         x = np.array([1, 0, 1, 0], dtype=np.int8)
-        np.testing.assert_array_equal(apply_write(x, []), x)
+        np.testing.assert_array_equal(apply_write(x, bits("0000")), x)
 
     def test_write_everything(self):
         x = np.array([1, 0, 1, 0], dtype=np.int8)
-        assert trits_to_str(apply_write(x, [1, 2, 3, 4])) == "????"
+        assert trits_to_str(apply_write(x, bits("1111"))) == "????"
 
     def test_write_pattern(self):
         x = np.array([1, 0, 1, 0], dtype=np.int8)
-        assert trits_to_str(apply_write(x, [2, 3])) == "1??0"
+        assert trits_to_str(apply_write(x, bits("0110"))) == "1??0"
 
     def test_read_everything(self):
         x = np.array([1, 0, 1, 0], dtype=np.int8)
-        np.testing.assert_array_equal(apply_read(x, [1, 2, 3, 4]), x)
+        np.testing.assert_array_equal(apply_read(x, bits("1111")), x)
 
     def test_read_nothing(self):
         x = np.array([1, 0, 1, 0], dtype=np.int8)
-        assert trits_to_str(apply_read(x, [])) == "????"
+        assert trits_to_str(apply_read(x, bits("0000"))) == "????"
 
     def test_read_pattern(self):
         x = np.array([1, 0, 1, 0], dtype=np.int8)
-        assert trits_to_str(apply_read(x, [1, 4])) == "1??0"
+        assert trits_to_str(apply_read(x, bits("1001"))) == "1??0"
 
     def test_commutes_with_permutation(self):
         rng = np.random.default_rng(7)
         for _ in range(20):
             N = 16
             x = rng.integers(0, 2, N).astype(np.int8)
-            subset = np.sort(rng.permutation(N)[:5]) + 1
+            subset = np.zeros(N, dtype=bool)
+            subset[rng.permutation(N)[:5]] = True
             perm = rng.permutation(N)
-            inv = np.empty(N, dtype=np.int64)
-            inv[perm] = np.arange(N)
-            permuted_set = np.sort(inv[subset - 1] + 1)
             for apply_fn in (apply_write, apply_read):
                 direct = apply_fn(x, subset)[perm]
-                via_perm = apply_fn(x[perm], permuted_set)
+                via_perm = apply_fn(x[perm], subset[perm])
                 np.testing.assert_array_equal(direct, via_perm)
+
+    def test_stacked_session_equals_block_by_block(self):
+        rng = np.random.default_rng(8)
+        x = rng.integers(0, 2, (5, 16)).astype(np.int8)
+        masks = rng.random((5, 16)) < 0.4
+        for apply_fn in (apply_write, apply_read):
+            stacked = apply_fn(x, masks)
+            assert stacked.shape == (5, 16) and stacked.dtype == np.int8
+            for row, block, mask in zip(stacked, x, masks):
+                np.testing.assert_array_equal(row, apply_fn(block, mask))
+
+    def test_rejects_index_sets_and_wrong_shapes(self):
+        # an index array would read as a truthy mask and erase everything
+        x = np.array([1, 0, 1, 0], dtype=np.int8)
+        for apply_fn in (apply_write, apply_read):
+            for bad in (np.arange(1, 5), [], bits("011"), bits("01101"),
+                        np.stack([bits("0110")] * 2), list(bits("0110"))):
+                with pytest.raises(ValueError, match="boolean mask of shape"):
+                    apply_fn(x, bad)
+            with pytest.raises(ValueError, match="boolean mask of shape"):
+                apply_fn(np.stack([x, x]), bits("0110"))
 
 
 class TestEquivalentMasks:
     def test_write_mask_marks_written(self):
-        action = AdversaryAction(N=8, write_set=np.array([2, 5]), read_set=np.array([1]))
-        mask = write_equivalent_mask(action)
+        action = AdversaryAction(write=bits("01001000"), read=bits("10000000"))
         np.testing.assert_array_equal(
-            mask, [False, True, False, False, True, False, False, False]
+            write_equivalent_mask([action]),
+            [[False, True, False, False, True, False, False, False]],
         )
 
     def test_read_mask_marks_unread(self):
-        action = AdversaryAction(N=4, write_set=np.array([], dtype=np.int64),
-                                 read_set=np.array([1, 4]))
-        mask = read_equivalent_mask(action)
-        np.testing.assert_array_equal(mask, [False, True, True, False])
+        action = AdversaryAction(write=bits("0000"), read=bits("1001"))
+        np.testing.assert_array_equal(read_equivalent_mask([action]),
+                                      [[False, True, True, False]])
 
     def test_mask_popcounts(self):
         rng = np.random.default_rng(8)
         action = sample_action(64, 0.25, 0.25, Strategy.UNIFORM, rng)
-        assert write_equivalent_mask(action).sum() == len(action.write_set)
-        assert read_equivalent_mask(action).sum() == 64 - len(action.read_set)
+        assert write_equivalent_mask([action]).sum() == math.floor(0.25 * 64)
+        assert read_equivalent_mask([action]).sum() == 64 - math.floor(0.25 * 64)
 
     def test_stacked_masks_are_one_row_per_action(self):
         rng = np.random.default_rng(3)
         actions = [sample_action(16, 0.25, 0.25, s, rng)
                    for s in (Strategy.UNIFORM, Strategy.BERNOULLI, Strategy.PREFIX)]
-        for helper in (write_equivalent_mask, read_equivalent_mask):
+        for helper, block in ((write_equivalent_mask, lambda a: a.write),
+                              (read_equivalent_mask, lambda a: ~a.read)):
             stacked = helper(actions)
             assert stacked.shape == (3, 16) and stacked.dtype == bool
             for action, row in zip(actions, stacked):
-                np.testing.assert_array_equal(row, helper(action))
+                np.testing.assert_array_equal(row, block(action))
 
     def test_stacked_masks_reject_empty_and_mixed_lengths(self):
-        small = AdversaryAction(N=4, write_set=np.array([1]), read_set=np.array([2]))
-        large = AdversaryAction(N=8, write_set=np.array([1]), read_set=np.array([2]))
+        small = AdversaryAction(write=bits("1000"), read=bits("0100"))
+        large = AdversaryAction(write=bits("10000000"), read=bits("01000000"))
         for helper in (write_equivalent_mask, read_equivalent_mask):
-            with pytest.raises(ValueError, match="at least one action"):
+            with pytest.raises(ValueError):
                 helper([])
-            with pytest.raises(ValueError, match="one block length"):
+            with pytest.raises(ValueError):
                 helper([small, large])
 
-    def test_action_validates_range(self):
-        with pytest.raises(ValueError):
-            AdversaryAction(N=4, write_set=np.array([5]), read_set=np.array([1]))
+    def test_action_rejects_malformed_masks(self):
+        for write, read in (
+            (np.array([5]), bits("1")),  # an index set, not a mask
+            (bits("1000"), bits("10")),  # lengths differ
+            (np.stack([bits("10")] * 2), np.stack([bits("01")] * 2)),  # not 1-D
+            ([True, False], [False, True]),  # not arrays
+        ):
+            with pytest.raises(ValueError, match="1-D boolean masks"):
+                AdversaryAction(write=write, read=read)

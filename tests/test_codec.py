@@ -471,9 +471,9 @@ class TestSessions:
         preshared = codec.preshared_state(rng)
         msgs = rng.integers(0, 2, (T, codec.message_size), dtype=np.uint8)
         codewords = codec.encode_session(msgs, preshared, rng)
-        everything = np.arange(1, codec.N + 1)
+        everything = np.ones(codec.N, dtype=bool)
         for obs, chain, guesses in (
-            ([apply_write(x, []) for x in codewords], preshared, None),
+            ([apply_write(x, ~everything) for x in codewords], preshared, None),
             ([apply_read(x, everything) for x in codewords], None, np.random.default_rng(seed)),
         ):
             decoded, counts = codec.decode_session(obs, chain, rng=guesses)
@@ -521,8 +521,8 @@ class TestSessions:
         bob, eve = [], []
         for x in codewords:
             action = sample_action(cfg.N, cfg.rho_w, cfg.rho_r, Strategy.UNIFORM, rng)
-            bob.append(apply_write(x, action.write_set))
-            eve.append(apply_read(x, action.read_set))
+            bob.append(apply_write(x, action.write))
+            eve.append(apply_read(x, action.read))
 
         for obs, chain, seed in ((bob, preshared, None), (eve, None, 3)):
             guesses = None if seed is None else np.random.default_rng(seed)

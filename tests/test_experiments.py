@@ -46,11 +46,11 @@ def counts_of(part, action):
 
 
 def action_of(N, write=(), read=()):
-    return AdversaryAction(
-        N=N,
-        write_set=np.array(write, dtype=np.int64),
-        read_set=np.array(read, dtype=np.int64),
-    )
+    """An action from 1-based written and read positions."""
+    masks = np.zeros((2, N), dtype=bool)
+    masks[0, np.asarray(write, dtype=np.int64) - 1] = True
+    masks[1, np.asarray(read, dtype=np.int64) - 1] = True
+    return AdversaryAction(write=masks[0], read=masks[1])
 
 
 class TestBerBound:
@@ -121,7 +121,7 @@ class TestLeakBound:
         for _ in range(100):
             action = sample_action(8, 0.2, 0.4, Strategy.UNIFORM, rng)
             x = polar_transform(rng.integers(0, 2, 8, dtype=np.uint8))
-            z = apply_read(x, action.read_set)
+            z = apply_read(x, action.read)
             res = probe.sc_decode_block(z, np.array([], dtype=np.uint8))
             known = np.setdiff1d(np.arange(1, 9), res.guessed)
             expected = len(np.intersect1d(known, i_f))
@@ -134,8 +134,8 @@ def reference_counts(part, action):
     i_full = np.concatenate([part.info, part.chain_source])
     ir0 = np.concatenate([i_full, part.random]) - 1
     i_f0 = np.concatenate([i_full, part.frozen]) - 1
-    zw = stage_loop_realize(np.isin(np.arange(1, part.N + 1), action.write_set))
-    zr = stage_loop_realize(~np.isin(np.arange(1, part.N + 1), action.read_set))
+    zw = stage_loop_realize(action.write)
+    zr = stage_loop_realize(~action.read)
     return int(zw[ir0].sum()), int(zw[part.chain_source - 1].sum()), int((~zr[i_f0]).sum())
 
 
@@ -410,9 +410,9 @@ class TestComplementaryReadWrite:
         decisions = len(part.info) + len(part.chain_source) + len(part.random)
         i_f = len(part.info) + len(part.chain_source) + len(part.frozen)
         for _ in range(20):
-            write = np.sort(rng.permutation(64)[:12]) + 1
-            read = np.setdiff1d(np.arange(1, 65), write)
-            action = action_of(64, write=write, read=read)
+            write = np.zeros(64, dtype=bool)
+            write[rng.permutation(64)[:12]] = True
+            action = AdversaryAction(write=write, read=~write)
             ir, e, leak = counts_of(part, action)
             # with S_r = S_w^c both sides see the same realization, so the
             # two bounds count complementary channel sets
@@ -453,6 +453,43 @@ class TestGoldenTrialCsv:
             "end_to_end,64,6,0.3,0.3,0.3,3,uniform,0,17727436766698190686,"
             "1.0,0.0,3,10,24,1\r\n"
         )
+
+    @pytest.mark.parametrize("strategy, kind, rows", [
+        (Strategy.BERNOULLI, "bounds", [
+            "bounds,64,6,0.3,0.2,0.4,10,bernoulli,0,6794145248185273929,0.0,0.0,,,,",
+            "bounds,64,6,0.3,0.2,0.4,10,bernoulli,1,8541982365252673180,0.0,10.0,,,,",
+        ]),
+        (Strategy.BERNOULLI, "end_to_end", [
+            "end_to_end,64,6,0.3,0.3,0.3,3,bernoulli,0,3376322492991912982,"
+            "2.0,0.0,1,13,24,2",
+            "end_to_end,64,6,0.3,0.3,0.3,3,bernoulli,1,12901642967798064437,"
+            "1.0,5.0,0,16,24,1",
+        ]),
+        (Strategy.PREFIX, "bounds", [
+            "bounds,64,6,0.3,0.2,0.4,10,prefix,0,12306093840587331247,50.0,70.0,,,,",
+            "bounds,64,6,0.3,0.2,0.4,10,prefix,1,16381782886511214861,50.0,70.0,,,,",
+        ]),
+        (Strategy.PREFIX, "end_to_end", [
+            "end_to_end,64,6,0.3,0.3,0.3,3,prefix,0,15193605812930814908,"
+            "15.0,15.0,2,12,24,15",
+            "end_to_end,64,6,0.3,0.3,0.3,3,prefix,1,469125049840394849,"
+            "15.0,15.0,2,6,24,15",
+        ]),
+    ])
+    def test_other_strategies_bytes_frozen(self, strategy, kind, rows):
+        # pins each sampler's draws: bounds cells as in the uniform bounds
+        # case above, end-to-end cells as in the uniform end-to-end case
+        rho_w, blocks, base_seed = (0.2, 10, 12345) if kind == "bounds" else (0.3, 3, 3)
+        spec = SweepSpec(kind=kind, n_list=(6,), beta_list=(0.3,), rho_w=rho_w,
+                         rho_r=0.4 if kind == "bounds" else 0.3, blocks=blocks,
+                         strategy=strategy, trials=2, base_seed=base_seed)
+        buf = io.StringIO()
+        write_trials_csv(run_sweep(spec).results, buf)
+        assert buf.getvalue() == "\r\n".join([
+            "kind,N,n,beta,rho_w,rho_r,T,strategy,trial,seed,ber_bound,"
+            "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,erased_decisions",
+            *rows,
+        ]) + "\r\n"
 
     def test_aggregates_bytes_frozen(self):
         spec = SweepSpec(kind="end_to_end", n_list=(5, 6), beta_list=(0.3,), rho_w=0.3,

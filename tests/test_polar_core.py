@@ -188,8 +188,9 @@ class TestRealizeProfile:
             assert realize_profile(mask).sum() == 1
 
     def test_accepts_mask_type(self):
-        action = AdversaryAction(N=4, write_set=np.array([1]), read_set=np.array([2]))
-        mask = write_equivalent_mask(action)
+        action = AdversaryAction(write=np.array([True, False, False, False]),
+                                 read=np.array([False, True, False, False]))
+        mask = write_equivalent_mask([action])[0]
         np.testing.assert_array_equal(realize_profile(mask), [True, False, False, False])
         assert mask.tolist() == [True, False, False, False]  # input left untouched
 

@@ -8,6 +8,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from awtcpolar import experiments
 from awtcpolar.adversary import Strategy
 from awtcpolar.codec import ChainCodec
@@ -64,3 +66,23 @@ def test_traced_live_chain_trial_records_every_block(monkeypatch):
     """With a live chain (|B| = 3) each side decodes block by block."""
     cfg = CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3, blocks=3)
     assert traced_decode_counts(monkeypatch, cfg) == (cfg.blocks, cfg.blocks)
+
+
+ACTION_SPANS = ("adversary.sample_action", "adversary.write_equivalent_mask",
+                "adversary.read_equivalent_mask")
+OBSERVATION_SPANS = ("adversary.apply_write", "adversary.apply_read")
+
+
+@pytest.mark.parametrize("kind", ["bounds", "end_to_end"])
+def test_traced_chunk_records_every_adversary_layer(monkeypatch, kind):
+    """Every adversary name the tracer wraps is called by a trial; a wrapper
+    around a name nothing calls would read 0 busy time without failing."""
+    layertrace = load_layertrace(monkeypatch)
+    cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
+    part = build_partition(cfg)
+    with layertrace.Tracer(layertrace.targets()) as tracer:
+        experiments._run_chunk((kind, cfg, part, Strategy.UNIFORM, [(0, 1), (1, 2)]))
+    assert tracer.restored()
+    names = Counter(span.name for span in tracer.spans)
+    expected = ACTION_SPANS + (OBSERVATION_SPANS if kind == "end_to_end" else ())
+    assert all(names[name] >= 1 for name in expected), names
