@@ -69,6 +69,27 @@ _DEFAULTS = {
 }
 
 
+# the JSON types a config-file value may take: those its flag produces (a
+# bool is neither int nor float, and a float is no int); a *_list key holds a
+# list of them
+_CONFIG_TYPES = {
+    **dict.fromkeys(["n", "n_list", "blocks", "trials", "seed", "parallelism"], (int,)),
+    **dict.fromkeys(["beta", "beta_list", "rho_w", "rho_r"], (int, float)),
+    "plot": (bool,),
+}
+
+
+def _check_type(key: str, value) -> None:
+    allowed = _CONFIG_TYPES.get(key)
+    if allowed is None:
+        return
+    items = value if key.endswith("_list") else [value]
+    if not isinstance(items, list) or any(type(v) not in allowed for v in items):
+        what = " or ".join(t.__name__ for t in allowed)
+        what = f"a list of {what}" if key.endswith("_list") else what
+        raise ValidationError(f"config key {key!r} must be {what}, got {value!r}")
+
+
 def _add_common(p):
     p.add_argument("--n", type=int, help="stage count, block length N = 2^n")
     p.add_argument("--beta", type=float, help="threshold exponent in (0, 0.5)")
@@ -131,6 +152,8 @@ def _resolve(args, keys) -> dict:
         nulls = sorted(key for key, value in file_cfg.items() if value is None)
         if nulls:
             raise ValidationError(f"config keys must not be null: {nulls}")
+        for key, value in file_cfg.items():
+            _check_type(key, value)
     resolved = {}
     for key in keys:
         flag = getattr(args, key, None)

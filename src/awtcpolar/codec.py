@@ -8,13 +8,15 @@ A subtree whose inputs are all known or all erased is committed in one step
 (the Rate-1 and Rate-0 nodes of fast SC decoders); every other subtree
 splits.  The recursion runs on stacked rows of independent blocks at once
 (inter-frame decoding): a node commits the rows that are settled there and
-splits on the mixed ones.  Chain bits carried between blocks are plain uint8 arrays:
-they occupy the sink set B and are decoded by substitution, never from the
-channel.
+splits on the mixed ones.  Every width-8 subtree is decoded by table lookup
+instead (see _leaf_table).  Chain bits carried between blocks are plain uint8
+arrays: they occupy the sink set B and are decoded by substitution, never from
+the channel.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import NamedTuple
@@ -65,11 +67,23 @@ class DecodeResult:
 class _Decoding(NamedTuple):
     """The state one decode call shares with every node of its recursion."""
 
-    u: np.ndarray  # (rows, N): fixed bits until decisions overwrite them
-    unresolved: np.ndarray  # (rows, N): inside a subtree committed all-erased
+    # (rows, N): the fill (guesses, or 0, where decided; the fixed bits
+    # elsewhere) until decisions overwrite it
+    u: np.ndarray
+    unresolved: np.ndarray  # (rows, N): erased leaves
     decide: np.ndarray  # (N,): positions decided from the channel
-    guess: np.ndarray | None  # (rows, N): values of erased decisions, else 0
     strict: bool
+    # the decide flags of every width-_LEAF subtree packed to a byte, in u
+    # order; None decodes those subtrees by recursion (as when building their
+    # tables)
+    decide_bytes: list | None
+
+
+_LEAF = 8  # width of the table-decoded subtrees; a known pattern is one byte
+# the parity of every byte, and of every 16-bit word from those of its bytes
+_BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+    axis=1, dtype=np.uint8) & 1
+_PARITY = (_BYTE_PARITY[:, None] ^ _BYTE_PARITY).ravel()
 
 
 def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> np.ndarray:
@@ -80,6 +94,8 @@ def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> np.
     their indices.  Returns the subtree's re-encoded bits.
     """
     width = k.shape[1]
+    if width == _LEAF and d.decide_bytes is not None:
+        return _leaf(d, rows, k, v, base)
     known = np.count_nonzero(k)
     if known == 0 or known == k.size:
         # every row all erased or all known (always so at width 1): commit
@@ -105,24 +121,74 @@ def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> np.
 
 def _commit(d: _Decoding, rows, v: np.ndarray | None, base: int, width: int) -> np.ndarray:
     """Commit a subtree whose rows are all known (v, their input bits) or all
-    erased (v None); returns its re-encoded bits."""
+    erased (v None, the fill stands); returns its re-encoded bits."""
     sl = slice(base, base + width)
     u = d.u[rows, sl]  # a view for slice(None), else a copy written back below
-    dec = d.decide[sl]
     if v is not None:
         implied = _butterfly(v)
-        np.copyto(u, implied, where=dec)
+        np.copyto(u, implied, where=d.decide[sl])
         if d.strict and (u != implied).any():
             raise InternalInconsistency(
                 f"channel contradicts a fixed bit in u[{base + 1}..{base + width}]"
             )
+        if not isinstance(rows, slice):
+            d.u[rows, sl] = u
     else:
-        if d.guess is not None:
-            np.copyto(u, d.guess[rows, sl], where=dec)
         d.unresolved[rows, sl] = True
-    if not isinstance(rows, slice):
-        d.u[rows, sl] = u
     return _butterfly(u)
+
+
+@functools.cache
+def _leaf_table(decide_byte: int) -> tuple:
+    """Lookup tables of a width-_LEAF subtree whose decide flags pack to decide_byte.
+
+    Given the pattern p of the subtree's input known flags (packed little
+    endian), every flag inside it is fixed and every value step is an XOR or
+    a choice by a flag, so its decisions and re-encoded bits are GF(2)-linear
+    in the word w = v | f << 8 of its input bits v and fill f.  Returns
+    (masks, erased): masks[p, j] is the mask whose parity with w gives
+    decision j (j < 8) or re-encoded bit j - 8; erased[p] flags the erased
+    leaves.  The masks are read off one recursive decode of the 16 basis
+    words under each of the 256 patterns.
+    """
+    pattern = np.repeat(np.arange(256, dtype=np.uint8), 2 * _LEAF)
+    k = np.unpackbits(pattern[:, None], axis=1, bitorder="little").astype(bool)
+    basis = np.tile(np.eye(2 * _LEAF, dtype=np.uint8), (256, 1))
+    decide = np.unpackbits(np.array([decide_byte], dtype=np.uint8), bitorder="little")
+    d = _Decoding(basis[:, _LEAF:].copy(), np.zeros(k.shape, dtype=bool),
+                  decide.astype(bool), False, None)
+    out = _descend(d, slice(None), k, basis[:, :_LEAF], 0)
+    # (pattern, basis word, output bit) -> (pattern, output bit) masks over w
+    bits = np.concatenate([d.u, out], axis=1).reshape(256, 2 * _LEAF, 2 * _LEAF)
+    weights = np.uint16(1) << np.arange(2 * _LEAF, dtype=np.uint16)
+    masks = np.bitwise_or.reduce(bits * weights[:, None], axis=1).astype(np.uint16)
+    erased = d.unresolved[:: 2 * _LEAF].copy()
+    masks.flags.writeable = erased.flags.writeable = False  # shared by every decode
+    return masks, erased
+
+
+def _leaf(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> np.ndarray:
+    """Decode a width-_LEAF subtree by lookup; returns its re-encoded bits.
+
+    Strict mode also decodes every position as a decision (decide byte 0xFF):
+    the two agree exactly when no known fixed position reads a bit other
+    than its fixed one.
+    """
+    sl = slice(base, base + _LEAF)
+    masks, erased = _leaf_table(d.decide_bytes[base // _LEAF])
+    p = np.packbits(k, axis=1, bitorder="little")[:, 0]
+    w = np.packbits(np.concatenate([v, d.u[rows, sl]], axis=1), axis=1,
+                    bitorder="little").view("<u2")[:, 0]
+    bits = _PARITY[masks[p] & w[:, None]]
+    if d.strict:
+        every = _PARITY[_leaf_table(0xFF)[0][p, :_LEAF] & w[:, None]]
+        if (every != bits[:, :_LEAF]).any():
+            raise InternalInconsistency(
+                f"channel contradicts a fixed bit in u[{base + 1}..{base + _LEAF}]"
+            )
+    d.u[rows, sl] = bits[:, :_LEAF]
+    d.unresolved[rows, sl] = erased[p]
+    return bits[:, _LEAF:]
 
 
 class ChainCodec:
@@ -207,14 +273,14 @@ class ChainCodec:
         pre-shared bits).  Erased decisions resolve to guess_bits (same shape
         as y; default 0) and are counted and reported.
 
-        strict=True verifies, at every all-known node, that no fixed (frozen
-        or chain) bit contradicts the bits the inputs imply.  Every
-        disagreement between known messages that the recursion can produce
-        surfaces there.  Under pure erasures with correct side information
-        (chain bits and guesses) a contradiction is impossible, so one firing
-        means broken index conventions; a *wrong* guess or chain bit corrupts
-        later partial sums and can trip the check legitimately, so strict
-        mode belongs in clean-path tests only.
+        strict=True verifies, at every all-known node and every table-decoded
+        subtree, that no fixed (frozen or chain) bit contradicts the bits the
+        inputs imply.  Every disagreement between known messages that the
+        recursion can produce surfaces there.  Under pure erasures with
+        correct side information (chain bits and guesses) a contradiction is
+        impossible, so one firing means broken index conventions; a *wrong*
+        guess or chain bit corrupts later partial sums and can trip the check
+        legitimately, so strict mode belongs in clean-path tests only.
         """
         y = np.asarray(y, dtype=np.int8)
         if y.ndim not in (1, 2):
@@ -230,17 +296,22 @@ class ChainCodec:
             guess_bits = guess_bits.reshape(-1, self.N)
         obs = y.reshape(-1, self.N)
 
-        # u starts as the fixed bits; decisions overwrite their positions
-        u_hat = np.zeros(obs.shape, dtype=np.uint8)
         decide = self._decide
         if chain is None:
             decide = decide.copy()
             decide[self._b0] = True
-        else:
-            if len(chain) != self.chain_size:
-                raise ValueError("chain size mismatch")
+        elif len(chain) != self.chain_size:
+            raise ValueError("chain size mismatch")
+        # u starts as the fill: the guesses (or 0) where decided, the fixed
+        # bits elsewhere; decisions overwrite it
+        u_hat = np.zeros(obs.shape, dtype=np.uint8) if guess_bits is None else guess_bits * decide
+        if chain is not None:
             u_hat[:, self._b0] = chain
-        d = _Decoding(u_hat, np.zeros(obs.shape, dtype=bool), decide, guess_bits, strict)
+        decide_bytes = None
+        if self.N >= _LEAF:
+            decide_bytes = np.packbits(decide.reshape(-1, _LEAF), axis=1,
+                                       bitorder="little").ravel().tolist()
+        d = _Decoding(u_hat, np.zeros(obs.shape, dtype=bool), decide, strict, decide_bytes)
         known = (obs != Trit.ERASED)[:, self._perm]
         value = (obs == Trit.ONE).astype(np.uint8)[:, self._perm]
         _descend(d, slice(None), known, value, 0)

@@ -113,6 +113,28 @@ class TestConfigFile:
         assert capsys.readouterr().err.startswith("error: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("config", [
+        {"plot": "no"},
+        {"seed": 1.5},
+        {"blocks": True},
+        {"parallelism": 1.9},
+        {"n_list": [8.9]},
+        {"rho_w": False},
+        {"beta": "0.3"},
+        {"beta_list": ["0.3"]},
+    ])
+    def test_keys_reject_values_their_flag_cannot_produce(self, tmp_path, monkeypatch,
+                                                          capsys, config):
+        """A truthy string does not switch charts on, no number is truncated
+        to an integer, and no bool or string is read as a number, behind the
+        manifest's back."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        argv = ["bounds", "--n", 2, "--trials", 1] if "n_list" not in config else ["bounds"]
+        assert run(*argv, "--config", "cfg.json") == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "out").exists()
+
 
 class TestSweepCommands:
     def test_bounds_outputs(self, tmp_path):

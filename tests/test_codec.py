@@ -39,23 +39,33 @@ def flat_partition(N, **named):
 
 
 def plain_sc_decode(codec, y, chain, guess_bits):
-    """SC over erasures by plain recursion, without subtree shortcuts.
+    """SC over erasures by plain recursion, without subtree shortcuts or tables.
 
-    The reference for the decoder's shortcut path: returns (u, 1-based
-    guessed positions) for a decode with the chain bits in B.
+    The reference for the decoder's fast paths: returns (u, 1-based guessed
+    positions, 1-based contradicted positions) for one observation.  chain
+    None decides B from the channel; guess_bits None guesses 0.  A position
+    is contradicted when it is fixed (frozen, or B with chain bits) and its
+    leaf is known with a bit other than the fixed one: exactly where strict
+    mode must raise.
     """
     part = codec.partition
     decide = np.ones(codec.N, dtype=bool)
-    decide[np.concatenate([part.frozen, part.chain_sink]) - 1] = False
+    decide[part.frozen - 1] = False
     fixed = np.zeros(codec.N, dtype=np.uint8)
-    fixed[part.chain_sink - 1] = chain
+    if chain is not None:
+        decide[part.chain_sink - 1] = False
+        fixed[part.chain_sink - 1] = chain
+    if guess_bits is None:
+        guess_bits = np.zeros(codec.N, dtype=np.uint8)
     u_hat = np.zeros(codec.N, dtype=np.uint8)
-    guessed = []
+    guessed, contradicted = [], []
 
     def descend(k, v, base):
         if len(k) == 1:
             if not decide[base]:
                 u_hat[base] = fixed[base]
+                if k[0] and v[0] != fixed[base]:
+                    contradicted.append(base + 1)
             elif k[0]:
                 u_hat[base] = v[0]
             else:
@@ -69,7 +79,7 @@ def plain_sc_decode(codec, y, chain, guess_bits):
 
     perm = bit_reversal_permutation(codec.n)
     descend((y != Trit.ERASED)[perm], (y == Trit.ONE).astype(np.uint8)[perm], 0)
-    return u_hat, np.array(guessed, dtype=np.int64)
+    return u_hat, np.array(guessed, dtype=np.int64), np.array(contradicted, dtype=np.int64)
 
 
 def erase(x, positions):
@@ -247,7 +257,7 @@ class TestScDecodeBlock:
             guess = rng.integers(0, 2, 64, dtype=np.uint8)
             y = erase(x, np.flatnonzero(rng.random(64) < 0.3))
             fast = codec.sc_decode_block(y, chain, guess_bits=guess)
-            slow_u, slow_guessed = plain_sc_decode(codec, y, chain, guess)
+            slow_u, slow_guessed, _ = plain_sc_decode(codec, y, chain, guess)
             np.testing.assert_array_equal(fast.u, slow_u)
             np.testing.assert_array_equal(fast.guessed, slow_guessed)
 
@@ -410,6 +420,88 @@ class TestStacked:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+@st.composite
+def trit_cases(draw, n_min, n_max):
+    """A random five-way partition at N = 2^n (role shares drawn too, so whole
+    bytes of one role occur), 1..4 rows of arbitrary trits with a random
+    erased share, guesses or None, and chain bits or None."""
+    n = draw(st.sampled_from(range(n_min, n_max + 1)))
+    rows = draw(st.integers(1, 4))
+    erased_share = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = 1 << n
+    roles = rng.choice(5, size=N, p=rng.dirichlet(np.full(5, 0.5)))
+    sets = [np.flatnonzero(roles == r) + 1 for r in range(5)]
+    pairs = min(len(sets[1]), len(sets[4]))  # |E| = |B|; the surplus is info
+    info = np.sort(np.concatenate([sets[0], sets[1][pairs:], sets[4][pairs:]]))
+    part = IndexPartition(N=N, info=info, chain_source=sets[1][:pairs], random=sets[2],
+                          frozen=sets[3], chain_sink=sets[4][:pairs])
+    y = rng.integers(0, 2, (rows, N)).astype(np.int8)
+    y[rng.random((rows, N)) < erased_share] = Trit.ERASED
+    guess = rng.integers(0, 2, (rows, N), dtype=np.uint8) if draw(st.booleans()) else None
+    chain = rng.integers(0, 2, pairs, dtype=np.uint8) if draw(st.booleans()) else None
+    return part, y, guess, chain
+
+
+class TestLeafTables:
+    """Width-8 subtrees decode by table lookup exactly as by plain recursion."""
+
+    @staticmethod
+    def plain_rows(codec, y, chain, guess):
+        return [plain_sc_decode(codec, y[r], chain, None if guess is None else guess[r])
+                for r in range(len(y))]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(trit_cases(3, 10))
+    def test_property_stacked_equals_plain_recursion(self, case):
+        part, y, guess, chain = case
+        codec = ChainCodec(part)
+        res = codec.sc_decode_block(y, chain, guess_bits=guess)
+        for r, (u, guessed, _) in enumerate(self.plain_rows(codec, y, chain, guess)):
+            np.testing.assert_array_equal(res.u[r], u)
+            np.testing.assert_array_equal(res.guessed[r], guessed)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(trit_cases(1, 8))
+    def test_property_strict_raises_exactly_on_contradiction(self, case):
+        """strict raises iff some row has a known fixed position reading the
+        other bit; otherwise it returns the non-strict result."""
+        part, y, guess, chain = case
+        codec = ChainCodec(part)
+        loose = codec.sc_decode_block(y, chain, guess_bits=guess)
+        plain = self.plain_rows(codec, y, chain, guess)
+        if any(len(contradicted) for _, _, contradicted in plain):
+            with pytest.raises(InternalInconsistency):
+                codec.sc_decode_block(y, chain, guess_bits=guess, strict=True)
+            return
+        strict = codec.sc_decode_block(y, chain, guess_bits=guess, strict=True)
+        np.testing.assert_array_equal(strict.u, loose.u)
+        for a, b in zip(strict.guessed, loose.guessed):
+            np.testing.assert_array_equal(a, b)
+
+    def test_every_known_pattern_under_every_decide_byte(self):
+        """N=8 blocks under each of the 256 decide bytes, one row per known
+        pattern, random values and guesses: every table is built and used.
+        Every 17th pattern, at an offset that moves with the byte, is checked
+        against the plain recursion, so each pattern is checked 15 or 16 times."""
+        rng = np.random.default_rng(8)
+        pattern = np.arange(256, dtype=np.uint8)
+        known = np.unpackbits(pattern[:, None], axis=1).astype(bool)
+        for decide_byte in range(256):
+            decided = np.unpackbits(np.array([decide_byte], dtype=np.uint8)).astype(bool)
+            codec = ChainCodec(flat_partition(8, info=np.flatnonzero(decided) + 1,
+                                              frozen=np.flatnonzero(~decided) + 1))
+            y = rng.integers(0, 2, (256, 8)).astype(np.int8)
+            y[~known] = Trit.ERASED
+            guess = rng.integers(0, 2, (256, 8), dtype=np.uint8)
+            res = codec.sc_decode_block(y, np.array([], dtype=np.uint8), guess_bits=guess)
+            for r in range(decide_byte % 17, 256, 17):
+                u, guessed, _ = plain_sc_decode(codec, y[r], np.array([], dtype=np.uint8),
+                                                guess[r])
+                np.testing.assert_array_equal(res.u[r], u)
+                np.testing.assert_array_equal(res.guessed[r], guessed)
 
 
 class TestExhaustive:

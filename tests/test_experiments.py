@@ -5,12 +5,15 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from awtcpolar import experiments
 from awtcpolar.adversary import AdversaryAction, Strategy, apply_read, sample_action
 from awtcpolar.codec import ChainCodec
 from awtcpolar.construction import CodeConfig, IndexPartition, build_partition
 from awtcpolar.experiments import (
+    AggregateRow,
     Cell,
     SweepSpec,
     aggregate,
@@ -548,3 +551,24 @@ class TestCsvRoundTrip:
         buf2 = io.StringIO()
         write_aggregates_csv(back, buf2)
         assert buf.getvalue() == buf2.getvalue()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.lists(st.builds(
+        AggregateRow,
+        cell=st.builds(Cell, kind=st.sampled_from(experiments.KINDS), n=st.integers(0, 20),
+                       beta=st.floats(0.0, 0.5), rho_w=st.floats(0.0, 1.0),
+                       rho_r=st.floats(0.0, 1.0), T=st.integers(1, 10**6),
+                       strategy=st.sampled_from([s.value for s in Strategy])),
+        metric=st.sampled_from(["ber_bound", "leak_bound", "bob_ber", "eve_ber",
+                                "erased_decisions"]),
+        mean=st.floats(allow_nan=False),
+        stderr=st.floats(min_value=0.0, allow_nan=False),
+        trials=st.integers(0, 10**9),
+    ), max_size=5))
+    def test_property_aggregates_round_trip(self, rows):
+        """Random cells, means and standard errors read back equal, however
+        long a float's repr (subnormals, 17 significant digits, infinities)."""
+        buf = io.StringIO()
+        write_aggregates_csv(rows, buf)
+        buf.seek(0)
+        assert read_aggregates_csv(buf) == rows
