@@ -9,9 +9,10 @@ A subtree whose inputs are all known or all erased is committed in one step
 splits.  The recursion runs on stacked rows of independent blocks at once
 (inter-frame decoding): a node commits the rows that are settled there and
 splits on the mixed ones.  Every width-8 subtree is decoded by table lookup
-instead (see _leaf_table).  Chain bits carried between blocks are plain uint8
-arrays: they occupy the sink set B and are decoded by substitution, never from
-the channel.
+instead (see _leaf_table).  Each node works in place: it overwrites its input
+bits with its re-encoded bits, so the recursion allocates no outputs.  Chain
+bits carried between blocks are plain uint8 arrays: they occupy the sink set B
+and are decoded by substitution, never from the channel.
 """
 
 from __future__ import annotations
@@ -49,10 +50,15 @@ def _butterfly(bits: np.ndarray) -> np.ndarray:
 
 
 def polar_transform(u) -> np.ndarray:
-    """Encode u into the codeword x = u R F^(x n) over GF(2)."""
+    """Encode u into the codeword x = u R F^(x n) over GF(2).
+
+    u is one block, shape (N,), or independent blocks stacked as (rows, N).
+    """
     u = np.asarray(u, dtype=np.uint8)
-    n = check_block_length(len(u))
-    return _butterfly(u[bit_reversal_permutation(n)])
+    if u.ndim not in (1, 2):
+        raise ValueError(f"u must be (N,) or stacked (rows, N), got shape {u.shape}")
+    n = check_block_length(u.shape[-1])
+    return _butterfly(u[..., bit_reversal_permutation(n)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,12 +92,13 @@ _BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).su
 _PARITY = (_BYTE_PARITY[:, None] ^ _BYTE_PARITY).ravel()
 
 
-def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> np.ndarray:
-    """Decode the subtree at u-offset base for some rows of d.
+def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> None:
+    """Decode the subtree at u-offset base for some rows of d, in place.
 
     k and v are the rows' known flags and bit values at the subtree's input,
     shape (len(rows), width); rows is slice(None) for every row of d, else
-    their indices.  Returns the subtree's re-encoded bits.
+    their indices.  The subtree owns both arrays: it overwrites v with its
+    re-encoded bits and may overwrite k, so no node allocates an output.
     """
     width = k.shape[1]
     if width == _LEAF and d.decide_bytes is not None:
@@ -99,43 +106,56 @@ def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> np.
     known = np.count_nonzero(k)
     if known == 0 or known == k.size:
         # every row all erased or all known (always so at width 1): commit
-        return _commit(d, rows, v if known else None, base, width)
-    if len(k) > 1:
-        per_row = np.count_nonzero(k, axis=1)
+        return _commit(d, rows, v, known > 0, base)
+    # settled rows are split off above the table-decoded subtrees only: a
+    # width-2*_LEAF node's two lookups cost the same with or without them
+    if len(k) > 1 and (width > 2 * _LEAF or d.decide_bytes is None):
+        per_row = k.sum(axis=1)
         settled = (per_row == 0) | (per_row == width)
         if settled.any():
             # commit the settled rows, compact the mixed ones and split them
-            out = np.empty_like(v)
             for sel in (per_row == 0, per_row == width, ~settled):
                 if sel.any():
                     sub = np.flatnonzero(sel) if isinstance(rows, slice) else rows[sel]
-                    out[sel] = _descend(d, sub, k[sel], v[sel], base)
-            return out
+                    part = v[sel]
+                    _descend(d, sub, k[sel], part, base)
+                    v[sel] = part
+            return
     h = width // 2
     ka, va = k[:, :h], v[:, :h]
     kb, vb = k[:, h:], v[:, h:]
-    left = _descend(d, rows, ka & kb, va ^ vb, base)
-    right = _descend(d, rows, ka | kb, np.where(kb, vb, va ^ left), base + h)
-    return np.concatenate([left ^ right, right], axis=1)
+    left = va ^ vb
+    _descend(d, rows, ka & kb, left, base)
+    # the right child's input, vb where known, else va ^ left, is built over
+    # va and re-encoded there; then v becomes (left ^ right, right)
+    va ^= left
+    np.copyto(va, vb, where=kb)
+    kb |= ka
+    _descend(d, rows, kb, va, base + h)
+    vb[...] = va
+    va ^= left
 
 
-def _commit(d: _Decoding, rows, v: np.ndarray | None, base: int, width: int) -> np.ndarray:
-    """Commit a subtree whose rows are all known (v, their input bits) or all
-    erased (v None, the fill stands); returns its re-encoded bits."""
-    sl = slice(base, base + width)
+def _commit(d: _Decoding, rows, v: np.ndarray, known: bool, base: int) -> None:
+    """Commit a subtree whose rows are all known (v holds their input bits)
+    or all erased (the fill stands); overwrites v with its re-encoded bits."""
+    sl = slice(base, base + v.shape[1])
     u = d.u[rows, sl]  # a view for slice(None), else a copy written back below
-    if v is not None:
-        implied = _butterfly(v)
-        np.copyto(u, implied, where=d.decide[sl])
-        if d.strict and (u != implied).any():
-            raise InternalInconsistency(
-                f"channel contradicts a fixed bit in u[{base + 1}..{base + width}]"
-            )
-        if not isinstance(rows, slice):
-            d.u[rows, sl] = u
-    else:
+    if not known:
         d.unresolved[rows, sl] = True
-    return _butterfly(u)
+        v[...] = _butterfly(u)
+        return
+    implied = _butterfly(v)
+    np.copyto(u, implied, where=d.decide[sl])
+    if not isinstance(rows, slice):
+        d.u[rows, sl] = u
+    # F^(x n) is its own inverse, so u re-encodes to v unless a fixed bit differs
+    if not np.array_equal(u, implied):
+        if d.strict:
+            raise InternalInconsistency(
+                f"channel contradicts a fixed bit in u[{base + 1}..{sl.stop}]"
+            )
+        v[...] = _butterfly(u)
 
 
 @functools.cache
@@ -157,7 +177,8 @@ def _leaf_table(decide_byte: int) -> tuple:
     decide = np.unpackbits(np.array([decide_byte], dtype=np.uint8), bitorder="little")
     d = _Decoding(basis[:, _LEAF:].copy(), np.zeros(k.shape, dtype=bool),
                   decide.astype(bool), False, None)
-    out = _descend(d, slice(None), k, basis[:, :_LEAF], 0)
+    out = basis[:, :_LEAF].copy()
+    _descend(d, slice(None), k, out, 0)
     # (pattern, basis word, output bit) -> (pattern, output bit) masks over w
     bits = np.concatenate([d.u, out], axis=1).reshape(256, 2 * _LEAF, 2 * _LEAF)
     weights = np.uint16(1) << np.arange(2 * _LEAF, dtype=np.uint16)
@@ -167,8 +188,8 @@ def _leaf_table(decide_byte: int) -> tuple:
     return masks, erased
 
 
-def _leaf(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> np.ndarray:
-    """Decode a width-_LEAF subtree by lookup; returns its re-encoded bits.
+def _leaf(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> None:
+    """Decode a width-_LEAF subtree by lookup; overwrites v with its re-encoded bits.
 
     Strict mode also decodes every position as a decision (decide byte 0xFF):
     the two agree exactly when no known fixed position reads a bit other
@@ -176,19 +197,21 @@ def _leaf(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> np.nda
     """
     sl = slice(base, base + _LEAF)
     masks, erased = _leaf_table(d.decide_bytes[base // _LEAF])
-    p = np.packbits(k, axis=1, bitorder="little")[:, 0]
-    w = np.packbits(np.concatenate([v, d.u[rows, sl]], axis=1), axis=1,
-                    bitorder="little").view("<u2")[:, 0]
-    bits = _PARITY[masks[p] & w[:, None]]
+    # each row packs to one byte p and one 16-bit word w: packing the
+    # flattened rows, and take in place of fancy indexing, cost a third
+    p = np.packbits(k.reshape(-1), bitorder="little")
+    w = np.packbits(np.concatenate([v, d.u[rows, sl]], axis=1).reshape(-1),
+                    bitorder="little").view("<u2")
+    bits = _PARITY.take(masks.take(p, axis=0) & w[:, None])
     if d.strict:
-        every = _PARITY[_leaf_table(0xFF)[0][p, :_LEAF] & w[:, None]]
+        every = _PARITY.take(_leaf_table(0xFF)[0].take(p, axis=0)[:, :_LEAF] & w[:, None])
         if (every != bits[:, :_LEAF]).any():
             raise InternalInconsistency(
                 f"channel contradicts a fixed bit in u[{base + 1}..{base + _LEAF}]"
             )
     d.u[rows, sl] = bits[:, :_LEAF]
-    d.unresolved[rows, sl] = erased[p]
-    return bits[:, _LEAF:]
+    d.unresolved[rows, sl] = erased.take(p, axis=0)
+    v[...] = bits[:, _LEAF:]
 
 
 class ChainCodec:
@@ -224,36 +247,47 @@ class ChainCodec:
 
     # -- encoding --------------------------------------------------------
 
+    def _session_u(self, messages, preshared, rng: np.random.Generator) -> np.ndarray:
+        """The (T, N) input rows u of a chained session of T messages.
+
+        Block 1's sink set B holds the pre-shared bits, block t+1's the
+        previous block's u[E], rank-paired (the i-th smallest E index feeds
+        the i-th smallest B index).  E and R positions take fresh uniform
+        bits (one draw of |E|+|R| bits per block, in block order, E filled
+        first, both in ascending index order); F is all-zero frozen.
+        """
+        messages = np.asarray(messages, dtype=np.uint8)
+        if messages.ndim != 2 or messages.shape[1] != self.message_size:
+            raise ValueError(f"messages must have {self.message_size} bits each, "
+                             f"got shape {messages.shape}")
+        if len(preshared) != self.chain_size:
+            raise ValueError(f"chain must carry {self.chain_size} bits, got {len(preshared)}")
+        u = np.zeros((len(messages), self.N), dtype=np.uint8)
+        u[:, self._info0] = messages
+        for row in u:
+            fresh = rng.integers(0, 2, size=len(self._e0) + len(self._r0), dtype=np.uint8)
+            row[self._e0] = fresh[: len(self._e0)]
+            row[self._r0] = fresh[len(self._e0):]
+        u[:1, self._b0] = preshared
+        u[1:, self._b0] = u[:-1, self._e0]
+        return u
+
     def encode_block(self, msg, chain, rng: np.random.Generator):
         """Encode one message block; returns (codeword, chain bits for block t+1).
 
-        chain holds the bits for the sink set B: the pre-shared bits in block
-        1, afterwards the previous block's u[E], rank-paired (the i-th
-        smallest E index feeds the i-th smallest B index).  E and R positions
-        take fresh uniform bits (one draw of |E|+|R| bits, E filled first,
-        both in ascending index order); F is all-zero frozen.
+        chain holds the bits for the sink set B (see _session_u).
         """
-        msg = np.asarray(msg, dtype=np.uint8)
-        if len(msg) != self.message_size:
-            raise ValueError(f"message must have {self.message_size} bits, got {len(msg)}")
-        if len(chain) != self.chain_size:
-            raise ValueError(f"chain must carry {self.chain_size} bits, got {len(chain)}")
-        u = np.zeros(self.N, dtype=np.uint8)
-        u[self._info0] = msg
-        fresh = rng.integers(0, 2, size=len(self._e0) + len(self._r0), dtype=np.uint8)
-        u[self._e0] = fresh[: len(self._e0)]
-        u[self._r0] = fresh[len(self._e0):]
-        u[self._b0] = chain
+        u = self._session_u(np.asarray(msg, dtype=np.uint8)[None], chain, rng)[0]
         return polar_transform(u), u[self._e0]
 
-    def encode_session(self, messages, preshared, rng: np.random.Generator):
-        """Encode T blocks with chaining; returns the list of codewords."""
-        chain = preshared
-        codewords = []
-        for msg in messages:
-            x, chain = self.encode_block(msg, chain, rng)
-            codewords.append(x)
-        return codewords
+    def encode_session(self, messages, preshared, rng: np.random.Generator) -> np.ndarray:
+        """Encode T chained blocks; returns the (T, N) codewords.
+
+        Block t+1's chain bits are block t's drawn u[E], known before any
+        block is transformed, so all T blocks take one stacked transform.
+        The bits equal T chained encode_block calls on the same rng.
+        """
+        return polar_transform(self._session_u(messages, preshared, rng))
 
     # -- decoding --------------------------------------------------------
 
@@ -267,11 +301,12 @@ class ChainCodec:
         """Successive-cancellation decode of trit observations.
 
         y is one block's observation, shape (N,), or independent blocks'
-        observations stacked as (rows, N), all decoded in one recursion with
-        the same chain bits.  chain supplies the B decisions; passing None
-        demotes B to ordinary channel decisions (an eavesdropper without the
-        pre-shared bits).  Erased decisions resolve to guess_bits (same shape
-        as y; default 0) and are counted and reported.
+        observations stacked as (rows, N), all decoded in one recursion.
+        chain supplies the B decisions, shape (|B|,) for every row or
+        (rows, |B|) one per row; passing None demotes B to ordinary channel
+        decisions (an eavesdropper without the pre-shared bits).  Erased
+        decisions resolve to guess_bits (same shape as y; default 0) and are
+        counted and reported.
 
         strict=True verifies, at every all-known node and every table-decoded
         subtree, that no fixed (frozen or chain) bit contradicts the bits the
@@ -287,7 +322,7 @@ class ChainCodec:
             raise ValueError(f"observations must be (N,) or (rows, N), got shape {y.shape}")
         if y.shape[-1] != self.N:
             raise ValueError(f"observation length {y.shape[-1]} != N={self.N}")
-        if ((y < 0) | (y > 2)).any():
+        if (y.view(np.uint8) > Trit.ERASED).any():  # negative int8 views as >= 128
             raise ValueError("observations must be trits: 0, 1 or 2 (erased)")
         if guess_bits is not None:
             guess_bits = np.asarray(guess_bits, dtype=np.uint8)
@@ -300,8 +335,11 @@ class ChainCodec:
         if chain is None:
             decide = decide.copy()
             decide[self._b0] = True
-        elif len(chain) != self.chain_size:
-            raise ValueError("chain size mismatch")
+        else:
+            chain = np.asarray(chain, dtype=np.uint8)
+            if chain.shape not in ((self.chain_size,), (len(obs), self.chain_size)):
+                raise ValueError(f"chain shape {chain.shape} fits neither "
+                                 f"({self.chain_size},) nor ({len(obs)}, {self.chain_size})")
         # u starts as the fill: the guesses (or 0) where decided, the fixed
         # bits elsewhere; decisions overwrite it
         u_hat = np.zeros(obs.shape, dtype=np.uint8) if guess_bits is None else guess_bits * decide
@@ -312,8 +350,11 @@ class ChainCodec:
             decide_bytes = np.packbits(decide.reshape(-1, _LEAF), axis=1,
                                        bitorder="little").ravel().tolist()
         d = _Decoding(u_hat, np.zeros(obs.shape, dtype=bool), decide, strict, decide_bytes)
-        known = (obs != Trit.ERASED)[:, self._perm]
-        value = (obs == Trit.ONE).astype(np.uint8)[:, self._perm]
+        # one permuted copy; a trit's low bit is its value where it is known
+        # (an erasure's is 0), so the copy becomes the values in place
+        value = np.take(obs, self._perm, axis=1).view(np.uint8)
+        known = value != Trit.ERASED
+        value &= 1
         _descend(d, slice(None), known, value, 0)
 
         guessed = [np.flatnonzero(row) + 1 for row in d.unresolved & decide]
@@ -327,28 +368,54 @@ class ChainCodec:
         return u[..., self._info0]
 
     def decode_session(self, observations, preshared, strict: bool = False,
-                       rng: np.random.Generator | None = None):
-        """Decode T blocks, threading each block's decoded u[E] into the next
-        block's B so that chain errors propagate as they would on air.
+                       guess_bits=None):
+        """Decode chained sessions, threading each block's decoded u[E] into
+        the next block's B so that chain errors propagate as they would on air.
 
-        preshared=None decodes as a receiver without the pre-shared bits.  With
-        rng, each block's erased decisions resolve to N fresh coin flips from
-        it, else to 0.  Without a chain (|B| = 0) the blocks are independent
-        and all T are decoded in one stacked sc_decode_block call; otherwise
-        block by block.  Returns (message estimates, erased-decision counts).
+        observations is one session of T blocks, shape (T, N), or S
+        independent sessions stacked as (S, T, N); preshared is (|B|,) or
+        (S, |B|), or None to decode as a receiver without the pre-shared
+        bits.  Erased decisions resolve to guess_bits (the observations'
+        shape; default 0).  Without a chain (|B| = 0) every block is
+        independent and all are decoded in one stacked sc_decode_block call;
+        otherwise block t of every session is decoded in one call, t = 1..T.
+        Returns the message estimates, an array of shape (T, K) or (S, T, K),
+        and the erased-decision counts as a list of T ints, or S such lists.
         """
-        observations = list(observations)
-        guesses = [None if rng is None else rng.integers(0, 2, size=self.N, dtype=np.uint8)
-                   for _ in observations]
-        if self.chain_size == 0 and observations:
-            res = self.sc_decode_block(np.stack(observations), preshared, strict=strict,
-                                       guess_bits=None if rng is None else np.stack(guesses))
-            return list(self.extract_message(res.u)), [len(g) for g in res.guessed]
-        chain = preshared
-        messages, counts = [], []
-        for y, guess in zip(observations, guesses):
-            res = self.sc_decode_block(y, chain, guess_bits=guess, strict=strict)
-            messages.append(self.extract_message(res.u))
-            counts.append(res.erased_decisions)
-            chain = res.u[self._e0]
-        return messages, counts
+        obs = np.asarray(observations, dtype=np.int8)
+        if obs.ndim not in (2, 3) or obs.shape[-1] != self.N:
+            raise ValueError(f"observations must be (T, {self.N}) or (S, T, {self.N}), "
+                             f"got shape {obs.shape}")
+        if guess_bits is not None:
+            guess_bits = np.asarray(guess_bits, dtype=np.uint8)
+            if guess_bits.shape != obs.shape:
+                raise ValueError(f"guess_bits shape {guess_bits.shape} != {obs.shape}")
+        lead = obs.shape[:-1]  # (T,) or (S, T)
+        if preshared is not None:
+            preshared = np.asarray(preshared, dtype=np.uint8)
+            if preshared.shape != lead[:-1] + (self.chain_size,):
+                raise ValueError(f"preshared shape {preshared.shape} != "
+                                 f"{lead[:-1] + (self.chain_size,)}")
+        if self.chain_size == 0:
+            # preshared holds no bits; flattened, it is the (0,) chain of every row
+            res = self.sc_decode_block(
+                obs.reshape(-1, self.N), None if preshared is None else preshared.reshape(0),
+                guess_bits=None if guess_bits is None else guess_bits.reshape(-1, self.N),
+                strict=strict)
+            messages = self.extract_message(res.u)
+            counts = np.array([len(g) for g in res.guessed], dtype=int)
+        else:
+            S, T = (1,) + lead if obs.ndim == 2 else lead
+            sessions = obs.reshape(S, T, self.N)
+            guesses = None if guess_bits is None else guess_bits.reshape(sessions.shape)
+            chain = None if preshared is None else preshared.reshape(S, self.chain_size)
+            messages = np.empty((S, T, self.message_size), dtype=np.uint8)
+            counts = np.empty((S, T), dtype=int)
+            for t in range(T):
+                res = self.sc_decode_block(
+                    sessions[:, t], chain, guess_bits=None if guesses is None else guesses[:, t],
+                    strict=strict)
+                messages[:, t] = self.extract_message(res.u)
+                counts[:, t] = [len(g) for g in res.guessed]
+                chain = res.u[:, self._e0]
+        return messages.reshape(lead + (self.message_size,)), counts.reshape(lead).tolist()

@@ -166,6 +166,82 @@ def bounds_trial(
     return _bounds_trials(config, partition, strategy, [(trial, seed)])[0]
 
 
+# sessions x T x N bits stacked per decode_session call.  A group of an
+# end-to-end chunk's trials holds as many whole sessions as fit, and at least
+# one, so its stacked observations, guesses and decoder state (about 8 B per
+# bit) stay bounded however many trials a chunk has.  Two n=12, T=50
+# sessions (409,600 bits) still fit in one group.
+_GROUP_BITS = 1 << 19
+
+
+def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
+                       trial_seeds) -> list:
+    """Encode, attack and decode one chained session per (trial, seed).
+
+    Each trial draws from five streams spawned from its seed: its messages,
+    the encoder's fresh bits, the pre-shared bits, one adversary action per
+    block (the T actions give the bound terms and both sides' observations)
+    and Eve's coin flips, one row of N per block.  Bob decodes with the
+    pre-shared bits; Eve decodes without them, her erased decisions resolving
+    to her coin flips.  The trials are decoded in groups of at most
+    _GROUP_BITS stacked bits (at least one session), one decode_session call
+    per side and group, so a trial's row does not depend on its group.  Each
+    trial's codewords and actions are dropped once its observations are
+    stacked, and Eve's coin flips are drawn after Bob's decode, to keep the
+    group's working set small.  The recorded bound values are the
+    per-realization sums over the actual per-block draws.
+    """
+    codec = ChainCodec(partition)
+    T, N = config.blocks, config.N
+    cell = Cell.of("end_to_end", config, strategy)
+    group = max(1, _GROUP_BITS // (T * N))
+    results = []
+    for lo in range(0, len(trial_seeds), group):
+        batch = trial_seeds[lo: lo + group]
+        bob_obs = np.empty((len(batch), T, N), dtype=np.int8)
+        eve_obs = np.empty_like(bob_obs)
+        preshared = np.empty((len(batch), codec.chain_size), dtype=np.uint8)
+        sent = np.empty((len(batch), T, codec.message_size), dtype=np.uint8)
+        bounds, eve_rngs = [], []
+        for s, (_, seed) in enumerate(batch):
+            msg_rng, enc_rng, pre_rng, adv_rng, eve_rng = map(
+                np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
+            eve_rngs.append(eve_rng)
+            preshared[s] = codec.preshared_state(pre_rng)
+            sent[s] = [msg_rng.integers(0, 2, size=codec.message_size, dtype=np.uint8)
+                       for _ in range(T)]
+            codewords = codec.encode_session(sent[s], preshared[s], enc_rng)
+            actions = [sample_action(N, config.rho_w, config.rho_r, strategy, adv_rng)
+                       for _ in range(T)]
+            ir, e, leak = block_bound_counts(partition, actions)
+            bounds.append((float(ir.sum() + e[:-1].sum()), float(leak.sum())))
+            bob_obs[s] = apply_write(codewords, write_equivalent_mask(actions))
+            eve_obs[s] = apply_read(codewords, ~read_equivalent_mask(actions))
+        del codewords, actions
+
+        bob_msgs, erased = codec.decode_session(bob_obs, preshared)
+        del bob_obs
+        guesses = np.empty_like(eve_obs, dtype=np.uint8)
+        for s, eve_rng in enumerate(eve_rngs):
+            guesses[s] = [eve_rng.integers(0, 2, size=N, dtype=np.uint8) for _ in range(T)]
+        eve_msgs, _ = codec.decode_session(eve_obs, None, guess_bits=guesses)
+        bob_errors = np.count_nonzero(bob_msgs != sent, axis=(1, 2)).tolist()
+        eve_errors = np.count_nonzero(eve_msgs != sent, axis=(1, 2)).tolist()
+        for s, (trial, seed) in enumerate(batch):
+            results.append(TrialResult(
+                cell=cell,
+                trial=trial,
+                seed=seed,
+                ber_bound=bounds[s][0],
+                leak_bound=bounds[s][1],
+                bob_bit_errors=bob_errors[s],
+                eve_bit_errors=eve_errors[s],
+                message_bits=T * codec.message_size,
+                erased_decisions=sum(erased[s]),
+            ))
+    return results
+
+
 def end_to_end_trial(
     config: CodeConfig,
     partition: IndexPartition,
@@ -173,43 +249,9 @@ def end_to_end_trial(
     seed: int,
     trial: int = 0,
 ) -> TrialResult:
-    """Encode T messages as one chained session, attack it, decode both sides.
-
-    Each block meets a fresh adversary action; the T actions give the bound
-    terms and, stacked, both sides' session observations.  Bob decodes his
-    session with the pre-shared bits; Eve decodes hers without them, her
-    erased decisions resolving to fair coin flips from her own stream.  The
-    recorded bound values are the per-realization sums over the actual
-    per-block draws.
-    """
-    codec = ChainCodec(partition)
-    msg_rng, enc_rng, pre_rng, adv_rng, eve_rng = map(
-        np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
-    preshared = codec.preshared_state(pre_rng)
-    T = config.blocks
-    messages = [msg_rng.integers(0, 2, size=codec.message_size, dtype=np.uint8)
-                for _ in range(T)]
-    codewords = np.array(codec.encode_session(messages, preshared, enc_rng))
-    actions = [sample_action(config.N, config.rho_w, config.rho_r, strategy, adv_rng)
-               for _ in range(T)]
-    ir, e, leak = block_bound_counts(partition, actions)
-    bob_obs = apply_write(codewords, write_equivalent_mask(actions))
-    eve_obs = apply_read(codewords, ~read_equivalent_mask(actions))
-
-    bob_msgs, erased = codec.decode_session(bob_obs, preshared)
-    eve_msgs, _ = codec.decode_session(eve_obs, None, rng=eve_rng)
-    sent = np.array(messages)
-    return TrialResult(
-        cell=Cell.of("end_to_end", config, strategy),
-        trial=trial,
-        seed=seed,
-        ber_bound=float(ir.sum() + e[:-1].sum()),
-        leak_bound=float(leak.sum()),
-        bob_bit_errors=int((np.array(bob_msgs) != sent).sum()),
-        eve_bit_errors=int((np.array(eve_msgs) != sent).sum()),
-        message_bits=sent.size,
-        erased_decisions=sum(erased),
-    )
+    """Encode T messages as one chained session, attack it, decode both sides
+    (see _end_to_end_trials)."""
+    return _end_to_end_trials(config, partition, strategy, [(trial, seed)])[0]
 
 
 @dataclass(frozen=True)
@@ -272,12 +314,8 @@ class SweepResult:
 def _run_chunk(args) -> list:
     """Worker entry: run a batch of trials for one cell (picklable payload)."""
     kind, config, partition, strategy, trial_seeds = args
-    if kind == "bounds":
-        return _bounds_trials(config, partition, strategy, trial_seeds)
-    return [
-        end_to_end_trial(config, partition, strategy, seed, trial)
-        for trial, seed in trial_seeds
-    ]
+    trials = _bounds_trials if kind == "bounds" else _end_to_end_trials
+    return trials(config, partition, strategy, trial_seeds)
 
 
 def _trial_metrics(r: TrialResult) -> dict:

@@ -121,6 +121,19 @@ class TestPolarTransform:
         with pytest.raises(ValueError):
             polar_transform([1, 0, 1])
 
+    def test_stacked_rows_transform_along_the_last_axis(self):
+        """A (rows, N) stack is transformed row by row; its row count is not
+        its block length, so rows of a non-power-of-two length are rejected
+        whatever their number."""
+        rng = np.random.default_rng(2)
+        for shape in ((8, 4), (3, 16), (1, 2), (5, 1)):
+            u = rng.integers(0, 2, shape, dtype=np.uint8)
+            np.testing.assert_array_equal(polar_transform(u),
+                                          [polar_transform(row) for row in u])
+        for shape in ((8, 3), (4, 6), (2, 2, 4), ()):
+            with pytest.raises(ValueError):
+                polar_transform(np.zeros(shape, dtype=np.uint8))
+
     def test_bit_reversal_permutation(self):
         np.testing.assert_array_equal(bit_reversal_permutation(2), [0, 2, 1, 3])
         for n in range(7):
@@ -179,6 +192,27 @@ class TestEncodeBlock:
             codec.encode_block(np.zeros(5, dtype=np.uint8),
                                np.array([], dtype=np.uint8),
                                np.random.default_rng(0))
+
+    @pytest.mark.parametrize("cfg", [
+        CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3),  # |B| = 3
+        CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3),  # |B| = 2
+        CodeConfig(n=8, beta=0.26, rho_w=0.2, rho_r=0.4),  # |B| = 0
+    ])
+    def test_session_equals_chained_block_loop(self, cfg):
+        """encode_session's one stacked transform gives the codewords, and
+        leaves the rng where, T chained encode_block calls do."""
+        codec = ChainCodec(build_partition(cfg))
+        rng = np.random.default_rng(6)
+        preshared = codec.preshared_state(rng)
+        msgs = rng.integers(0, 2, (4, codec.message_size), dtype=np.uint8)
+        session_rng, loop_rng = np.random.default_rng(9), np.random.default_rng(9)
+        codewords = codec.encode_session(msgs, preshared, session_rng)
+        assert codewords.shape == (4, codec.N)
+        chain = preshared
+        for msg, x in zip(msgs, codewords):
+            expected, chain = codec.encode_block(msg, chain, loop_rng)
+            np.testing.assert_array_equal(x, expected)
+        assert session_rng.integers(2**62) == loop_rng.integers(2**62)
 
 
 class TestScDecodeBlock:
@@ -564,31 +598,31 @@ class TestSessions:
         msgs = rng.integers(0, 2, (T, codec.message_size), dtype=np.uint8)
         codewords = codec.encode_session(msgs, preshared, rng)
         everything = np.ones(codec.N, dtype=bool)
+        coins = np.random.default_rng(seed).integers(0, 2, (T, codec.N), dtype=np.uint8)
         for obs, chain, guesses in (
             ([apply_write(x, ~everything) for x in codewords], preshared, None),
-            ([apply_read(x, everything) for x in codewords], None, np.random.default_rng(seed)),
+            ([apply_read(x, everything) for x in codewords], None, coins),
         ):
-            decoded, counts = codec.decode_session(obs, chain, rng=guesses)
+            decoded, counts = codec.decode_session(obs, chain, guess_bits=guesses)
             assert counts == [0] * T
             np.testing.assert_array_equal(np.array(decoded), msgs)
 
     def test_session_rng_guesses_like_a_block_loop(self):
-        """decode_session(obs, None, rng=...) is the block loop a receiver
-        without the pre-shared bits runs: chain None first, then its own u[E],
-        with N fresh guess bits per block."""
+        """decode_session(obs, None, guess_bits=...) is the block loop a
+        receiver without the pre-shared bits runs: chain None first, then its
+        own u[E], with block t's row of guess bits."""
         codec = self._codec()
         N = codec.N
         rng = np.random.default_rng(7)
         msgs = rng.integers(0, 2, (3, codec.message_size), dtype=np.uint8)
         codewords = codec.encode_session(msgs, codec.preshared_state(rng), rng)
         obs = [erase(x, np.flatnonzero(rng.random(N) < 0.7)) for x in codewords]
+        guesses = np.random.default_rng(5).integers(0, 2, (3, N), dtype=np.uint8)
 
-        decoded, counts = codec.decode_session(obs, None, rng=np.random.default_rng(5))
+        decoded, counts = codec.decode_session(obs, None, guess_bits=guesses)
 
-        guesses = np.random.default_rng(5)
         chain = None
-        for y, got, count in zip(obs, decoded, counts):
-            guess = guesses.integers(0, 2, N, dtype=np.uint8)
+        for y, guess, got, count in zip(obs, guesses, decoded, counts):
             res = codec.sc_decode_block(y, chain, guess_bits=guess)
             np.testing.assert_array_equal(got, codec.extract_message(res.u))
             assert count == res.erased_decisions
@@ -616,18 +650,61 @@ class TestSessions:
             bob.append(apply_write(x, action.write))
             eve.append(apply_read(x, action.read))
 
-        for obs, chain, seed in ((bob, preshared, None), (eve, None, 3)):
-            guesses = None if seed is None else np.random.default_rng(seed)
-            decoded, counts = codec.decode_session(
-                obs, chain, rng=None if seed is None else np.random.default_rng(seed))
+        coins = rng.integers(0, 2, (5, cfg.N), dtype=np.uint8)
+        for obs, chain, guesses in ((bob, preshared, None), (eve, None, coins)):
+            decoded, counts = codec.decode_session(obs, chain, guess_bits=guesses)
             assert len(decoded) == len(counts) == len(obs)
-            for y, got, count in zip(obs, decoded, counts):
-                guess = None if guesses is None else guesses.integers(0, 2, cfg.N, dtype=np.uint8)
+            for t, (y, got, count) in enumerate(zip(obs, decoded, counts)):
+                guess = None if guesses is None else guesses[t]
                 res = codec.sc_decode_block(y, chain, guess_bits=guess)
                 np.testing.assert_array_equal(got, codec.extract_message(res.u))
                 assert type(count) is int and count == res.erased_decisions
                 chain = res.u[e0]
         assert sum(counts) > 0  # Eve's guesses were used
+
+    @pytest.mark.parametrize("cfg,chain_size", [
+        (CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3), 3),  # block t of every session
+        (CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3), 2),
+        (CodeConfig(n=8, beta=0.26, rho_w=0.2, rho_r=0.4), 0),  # one stacked call
+    ])
+    def test_stacked_sessions_equal_a_session_loop(self, cfg, chain_size):
+        """(S, T, N) sessions, each with its own pre-shared bits and guesses,
+        decode as S one-session calls do, with and without the chain."""
+        codec = ChainCodec(build_partition(cfg))
+        assert codec.chain_size == chain_size
+        S, T, N = 4, 3, cfg.N
+        rng = np.random.default_rng(12)
+        preshared = np.array([codec.preshared_state(rng) for _ in range(S)])
+        msgs = rng.integers(0, 2, (S, T, codec.message_size), dtype=np.uint8)
+        codewords = np.array([codec.encode_session(m, p, rng)
+                              for m, p in zip(msgs, preshared)])
+        obs = codewords.astype(np.int8)
+        obs[rng.random(obs.shape) < 0.5] = Trit.ERASED
+        guesses = rng.integers(0, 2, obs.shape, dtype=np.uint8)
+
+        for chain, coins in ((preshared, None), (None, guesses), (preshared, guesses)):
+            decoded, counts = codec.decode_session(obs, chain, guess_bits=coins)
+            assert decoded.shape == (S, T, codec.message_size)
+            assert len(counts) == S and sum(map(sum, counts)) > 0
+            for s in range(S):
+                one, one_counts = codec.decode_session(
+                    obs[s], None if chain is None else chain[s],
+                    guess_bits=None if coins is None else coins[s])
+                np.testing.assert_array_equal(decoded[s], one)
+                assert counts[s] == one_counts
+
+    def test_rejects_bad_sessions(self):
+        codec = ChainCodec(build_partition(CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3)))
+        obs = np.zeros((2, 3, codec.N), dtype=np.int8)
+        preshared = np.zeros((2, 3), dtype=np.uint8)
+        with pytest.raises(ValueError, match="observations must be"):
+            codec.decode_session(obs[0, 0], preshared[0])
+        with pytest.raises(ValueError, match="preshared shape"):
+            codec.decode_session(obs, preshared[0])
+        with pytest.raises(ValueError, match="guess_bits shape"):
+            codec.decode_session(obs, preshared, guess_bits=np.zeros((3, codec.N)))
+        with pytest.raises(ValueError, match="chain shape"):
+            codec.sc_decode_block(obs[:, 0], np.zeros((3, 3), dtype=np.uint8))
 
     def test_wrong_chain_estimate_propagates(self):
         """A write pattern that knocks out one E channel of block 1 makes

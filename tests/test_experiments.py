@@ -274,6 +274,67 @@ class TestTrials:
         assert a == b
 
 
+CHUNK_CELLS = (
+    CodeConfig(n=6, beta=0.3, rho_w=0.3, rho_r=0.3, blocks=3),  # |B| = 0
+    CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3, blocks=3),  # |B| = 3
+)
+
+
+@st.composite
+def end_to_end_chunks(draw):
+    """A cell with or without a live chain, a strategy, 1..5 (trial, seed)
+    pairs and the cut points of a split of them."""
+    cfg = draw(st.sampled_from(CHUNK_CELLS))
+    strategy = draw(st.sampled_from(list(Strategy)))
+    size = draw(st.integers(1, 5))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
+    trials = draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size))
+    cuts = sorted(draw(st.sets(st.integers(1, size), max_size=size)) | {0, size})
+    return cfg, strategy, list(zip(trials, seeds)), cuts
+
+
+class TestEndToEndChunks:
+    PARTITIONS = {cfg: build_partition(cfg) for cfg in CHUNK_CELLS}
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @given(end_to_end_chunks())
+    def test_property_chunk_equals_splits_and_one_seed_trials(self, case):
+        """A chunk's rows do not depend on which trials share it: any split
+        of the chunk, and each trial on its own, give the same rows."""
+        cfg, strategy, trial_seeds, cuts = case
+        part = self.PARTITIONS[cfg]
+        chunk = experiments._run_chunk(("end_to_end", cfg, part, strategy, trial_seeds))
+        split = [row for lo, hi in zip(cuts, cuts[1:]) for row in experiments._run_chunk(
+            ("end_to_end", cfg, part, strategy, trial_seeds[lo:hi]))]
+        assert chunk == split == [end_to_end_trial(cfg, part, strategy, seed, trial)
+                                  for trial, seed in trial_seeds]
+
+    def test_chunk_decodes_in_capped_groups(self, monkeypatch):
+        """A 40-trial n=10, T=50 chunk is decoded in groups of whole sessions,
+        each no taller than experiments._GROUP_BITS stacked bits: 10 sessions,
+        one call per side and group.  The rows around a group boundary equal
+        the one-seed trials."""
+        cfg = CodeConfig(n=10, beta=0.26, rho_w=0.2, rho_r=0.4, blocks=50)
+        part = build_partition(cfg)
+        heights = []
+        decode = ChainCodec.sc_decode_block
+
+        def recording(codec, y, *args, **kwargs):
+            heights.append(len(y) if np.ndim(y) == 2 else 1)
+            return decode(codec, y, *args, **kwargs)
+
+        monkeypatch.setattr(ChainCodec, "sc_decode_block", recording)
+        trial_seeds = [(t, 500 + t) for t in range(40)]
+        chunk = experiments._run_chunk(("end_to_end", cfg, part, Strategy.UNIFORM, trial_seeds))
+        sessions = experiments._GROUP_BITS // (cfg.blocks * cfg.N)
+        assert sessions == 10
+        assert heights == [sessions * cfg.blocks] * 8  # 4 groups, Bob and Eve
+        assert all(rows * cfg.N <= experiments._GROUP_BITS for rows in heights)
+        for trial in (9, 10, 39):
+            assert chunk[trial] == end_to_end_trial(cfg, part, Strategy.UNIFORM,
+                                                    500 + trial, trial)
+
+
 class TestSeeds:
     def test_deterministic_and_distinct(self):
         cell = Cell("bounds", 8, 0.25, 0.2, 0.4, 10, Strategy.UNIFORM.value)
@@ -316,6 +377,23 @@ class TestSweep:
             write_trials_csv(res.results, buf)
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
+
+    def test_end_to_end_parallel_matches_serial(self, monkeypatch):
+        """Chunks, and the decode groups inside them, split the trials
+        differently at each parallelism; the CSV bytes do not change.  The
+        n=8 cell has no chain, the n=10 cell a live one (|B| = 3); a serial
+        chunk of 12 sessions at n=10, T=50 takes two decode groups."""
+        monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+        spec = self._spec(kind="end_to_end", n_list=(8, 10), beta_list=(0.45,), rho_w=0.1,
+                          rho_r=0.3, blocks=50, trials=12, base_seed=8)
+        outputs = set()
+        for parallelism in (1, 2, 3):
+            result = run_sweep(spec, parallelism=parallelism)
+            trials, aggregates = io.StringIO(), io.StringIO()
+            write_trials_csv(result.results, trials)
+            write_aggregates_csv(result.aggregates, aggregates)
+            outputs.add((trials.getvalue(), aggregates.getvalue()))
+        assert len(outputs) == 1
 
     def test_end_to_end_kind(self):
         spec = self._spec(kind="end_to_end", n_list=(5,), trials=3)
@@ -486,6 +564,38 @@ class TestGoldenTrialCsv:
         spec = SweepSpec(kind=kind, n_list=(6,), beta_list=(0.3,), rho_w=rho_w,
                          rho_r=0.4 if kind == "bounds" else 0.3, blocks=blocks,
                          strategy=strategy, trials=2, base_seed=base_seed)
+        buf = io.StringIO()
+        write_trials_csv(run_sweep(spec).results, buf)
+        assert buf.getvalue() == "\r\n".join([
+            "kind,N,n,beta,rho_w,rho_r,T,strategy,trial,seed,ber_bound,"
+            "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,erased_decisions",
+            *rows,
+        ]) + "\r\n"
+
+    @pytest.mark.parametrize("strategy, rows", [
+        (Strategy.UNIFORM, [
+            "end_to_end,1024,10,0.45,0.1,0.3,3,uniform,0,10601355881830110474,"
+            "0.0,0.0,0,167,315,0",
+            "end_to_end,1024,10,0.45,0.1,0.3,3,uniform,1,10544600363491441194,"
+            "0.0,0.0,0,167,315,0",
+            "end_to_end,1024,10,0.45,0.1,0.3,3,uniform,2,6062050022270885089,"
+            "0.0,0.0,0,151,315,0",
+        ]),
+        (Strategy.PREFIX, [
+            "end_to_end,1024,10,0.45,0.1,0.3,3,prefix,0,311600452708395945,"
+            "114.0,252.0,9,128,315,114",
+            "end_to_end,1024,10,0.45,0.1,0.3,3,prefix,1,5811087000931136237,"
+            "114.0,252.0,6,119,315,114",
+            "end_to_end,1024,10,0.45,0.1,0.3,3,prefix,2,65219527623745221,"
+            "114.0,252.0,10,117,315,114",
+        ]),
+    ])
+    def test_live_chain_bytes_frozen(self, strategy, rows):
+        # |B| = 3 at this cell, so both sides thread the chain from block to
+        # block; the prefix rows pin Bob's guesses carried through the chain
+        spec = SweepSpec(kind="end_to_end", n_list=(10,), beta_list=(0.45,), rho_w=0.1,
+                         rho_r=0.3, blocks=3, strategy=strategy, trials=3, base_seed=11)
+        assert ChainCodec(build_partition(next(spec.configs()))).chain_size == 3
         buf = io.StringIO()
         write_trials_csv(run_sweep(spec).results, buf)
         assert buf.getvalue() == "\r\n".join([
