@@ -34,8 +34,15 @@ class Trit(IntEnum):
     ERASED = 2
 
 
-class InternalInconsistency(RuntimeError):
-    """Two known messages disagreed; impossible unless index conventions broke."""
+def _checked(a, name: str, top: int = 1) -> np.ndarray:
+    """a as uint8 bits (top 1) or trits (top 2), rejecting every other value,
+    which the cast alone would wrap (257 to a one, 258 to an erasure)."""
+    a = np.asarray(a)
+    out = a.astype(np.uint8, copy=False)
+    if not np.array_equal(out, a) or (out > top).any():
+        kind = "bits: 0 or 1" if top == 1 else "trits: 0, 1 or 2 (erased)"
+        raise ValueError(f"{name} must be {kind}")
+    return out
 
 
 def _butterfly(bits: np.ndarray) -> np.ndarray:
@@ -63,22 +70,25 @@ def polar_transform(u) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class DecodeResult:
-    u: np.ndarray  # (N,) for one observation, (rows, N) for stacked ones
-    erased_decisions: int  # total over the rows
-    # 1-based indices of decisions forced on an erasure; one array per row
-    # (a tuple) for stacked observations
-    guessed: np.ndarray | tuple
+    """Three arrays of the observation's shape, (N,) or (rows, N)."""
+
+    u: np.ndarray  # the decoded bits; fixed positions hold their fixed bits
+    erased: np.ndarray  # decisions forced on an erasure (resolved to the guess)
+    residual: np.ndarray  # known fixed positions whose implied bit is the other one
+
+    @property
+    def erased_decisions(self) -> int:
+        return int(np.count_nonzero(self.erased))
 
 
 class _Decoding(NamedTuple):
     """The state one decode call shares with every node of its recursion."""
 
     # (rows, N): the fill (guesses, or 0, where decided; the fixed bits
-    # elsewhere) until decisions overwrite it
+    # elsewhere) until decisions, and implied bits at fixed positions, overwrite it
     u: np.ndarray
     unresolved: np.ndarray  # (rows, N): erased leaves
     decide: np.ndarray  # (N,): positions decided from the channel
-    strict: bool
     # the decide flags of every width-_LEAF subtree packed to a byte, in u
     # order; None decodes those subtrees by recursion (as when building their
     # tables)
@@ -138,24 +148,23 @@ def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> Non
 
 def _commit(d: _Decoding, rows, v: np.ndarray, known: bool, base: int) -> None:
     """Commit a subtree whose rows are all known (v holds their input bits)
-    or all erased (the fill stands); overwrites v with its re-encoded bits."""
+    or all erased (the fill stands); overwrites v with its re-encoded bits.
+
+    A known subtree stores its implied bits in u at fixed positions too, for
+    sc_decode_block to compare with the fill, but re-encodes the fixed bits.
+    """
     sl = slice(base, base + v.shape[1])
-    u = d.u[rows, sl]  # a view for slice(None), else a copy written back below
+    u = d.u[rows, sl]  # a view for slice(None), else a copy
     if not known:
         d.unresolved[rows, sl] = True
         v[...] = _butterfly(u)
         return
     implied = _butterfly(v)
     np.copyto(u, implied, where=d.decide[sl])
-    if not isinstance(rows, slice):
-        d.u[rows, sl] = u
     # F^(x n) is its own inverse, so u re-encodes to v unless a fixed bit differs
     if not np.array_equal(u, implied):
-        if d.strict:
-            raise InternalInconsistency(
-                f"channel contradicts a fixed bit in u[{base + 1}..{sl.stop}]"
-            )
         v[...] = _butterfly(u)
+    d.u[rows, sl] = implied
 
 
 @functools.cache
@@ -167,16 +176,17 @@ def _leaf_table(decide_byte: int) -> tuple:
     a choice by a flag, so its decisions and re-encoded bits are GF(2)-linear
     in the word w = v | f << 8 of its input bits v and fill f.  Returns
     (masks, erased): masks[p, j] is the mask whose parity with w gives
-    decision j (j < 8) or re-encoded bit j - 8; erased[p] flags the erased
-    leaves.  The masks are read off one recursive decode of the 16 basis
-    words under each of the 256 patterns.
+    decision j (j < 8; a fixed position's implied bit, or its fill if erased)
+    or re-encoded bit j - 8; erased[p] flags the erased leaves.  The masks
+    are read off one recursive decode of the 16 basis words under each of
+    the 256 patterns.
     """
     pattern = np.repeat(np.arange(256, dtype=np.uint8), 2 * _LEAF)
     k = np.unpackbits(pattern[:, None], axis=1, bitorder="little").astype(bool)
     basis = np.tile(np.eye(2 * _LEAF, dtype=np.uint8), (256, 1))
     decide = np.unpackbits(np.array([decide_byte], dtype=np.uint8), bitorder="little")
     d = _Decoding(basis[:, _LEAF:].copy(), np.zeros(k.shape, dtype=bool),
-                  decide.astype(bool), False, None)
+                  decide.astype(bool), None)
     out = basis[:, :_LEAF].copy()
     _descend(d, slice(None), k, out, 0)
     # (pattern, basis word, output bit) -> (pattern, output bit) masks over w
@@ -189,12 +199,7 @@ def _leaf_table(decide_byte: int) -> tuple:
 
 
 def _leaf(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> None:
-    """Decode a width-_LEAF subtree by lookup; overwrites v with its re-encoded bits.
-
-    Strict mode also decodes every position as a decision (decide byte 0xFF):
-    the two agree exactly when no known fixed position reads a bit other
-    than its fixed one.
-    """
+    """Decode a width-_LEAF subtree by lookup; overwrites v with its re-encoded bits."""
     sl = slice(base, base + _LEAF)
     masks, erased = _leaf_table(d.decide_bytes[base // _LEAF])
     # each row packs to one byte p and one 16-bit word w: packing the
@@ -203,12 +208,6 @@ def _leaf(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> None:
     w = np.packbits(np.concatenate([v, d.u[rows, sl]], axis=1).reshape(-1),
                     bitorder="little").view("<u2")
     bits = _PARITY.take(masks.take(p, axis=0) & w[:, None])
-    if d.strict:
-        every = _PARITY.take(_leaf_table(0xFF)[0].take(p, axis=0)[:, :_LEAF] & w[:, None])
-        if (every != bits[:, :_LEAF]).any():
-            raise InternalInconsistency(
-                f"channel contradicts a fixed bit in u[{base + 1}..{base + _LEAF}]"
-            )
     d.u[rows, sl] = bits[:, :_LEAF]
     d.unresolved[rows, sl] = erased.take(p, axis=0)
     v[...] = bits[:, _LEAF:]
@@ -256,7 +255,8 @@ class ChainCodec:
         bits (one draw of |E|+|R| bits per block, in block order, E filled
         first, both in ascending index order); F is all-zero frozen.
         """
-        messages = np.asarray(messages, dtype=np.uint8)
+        messages = _checked(messages, "messages")
+        preshared = _checked(preshared, "chain")
         if messages.ndim != 2 or messages.shape[1] != self.message_size:
             raise ValueError(f"messages must have {self.message_size} bits each, "
                              f"got shape {messages.shape}")
@@ -277,7 +277,7 @@ class ChainCodec:
 
         chain holds the bits for the sink set B (see _session_u).
         """
-        u = self._session_u(np.asarray(msg, dtype=np.uint8)[None], chain, rng)[0]
+        u = self._session_u(np.asarray(msg)[None], chain, rng)[0]
         return polar_transform(u), u[self._e0]
 
     def encode_session(self, messages, preshared, rng: np.random.Generator) -> np.ndarray:
@@ -291,13 +291,8 @@ class ChainCodec:
 
     # -- decoding --------------------------------------------------------
 
-    def sc_decode_block(
-        self,
-        y,
-        chain: np.ndarray | None,
-        guess_bits: np.ndarray | None = None,
-        strict: bool = False,
-    ) -> DecodeResult:
+    def sc_decode_block(self, y, chain: np.ndarray | None,
+                        guess_bits: np.ndarray | None = None) -> DecodeResult:
         """Successive-cancellation decode of trit observations.
 
         y is one block's observation, shape (N,), or independent blocks'
@@ -305,27 +300,22 @@ class ChainCodec:
         chain supplies the B decisions, shape (|B|,) for every row or
         (rows, |B|) one per row; passing None demotes B to ordinary channel
         decisions (an eavesdropper without the pre-shared bits).  Erased
-        decisions resolve to guess_bits (same shape as y; default 0) and are
-        counted and reported.
+        decisions resolve to guess_bits (same shape as y; default 0).
 
-        strict=True verifies, at every all-known node and every table-decoded
-        subtree, that no fixed (frozen or chain) bit contradicts the bits the
-        inputs imply.  Every disagreement between known messages that the
-        recursion can produce surfaces there.  Under pure erasures with
-        correct side information (chain bits and guesses) a contradiction is
-        impossible, so one firing means broken index conventions; a *wrong*
-        guess or chain bit corrupts later partial sums and can trip the check
-        legitimately, so strict mode belongs in clean-path tests only.
+        Returns u, erased and residual, each of y's shape.  erased marks the
+        decisions forced on an erasure.  residual marks the fixed positions
+        (frozen, or B when chain is given) that are known and imply the
+        other bit; u holds the fixed bit there.  Pure erasures with correct
+        chain bits and guesses leave no residual; a wrong guess or chain bit
+        corrupts later partial sums and can leave one legitimately.
         """
-        y = np.asarray(y, dtype=np.int8)
+        y = _checked(y, "observations", Trit.ERASED)
         if y.ndim not in (1, 2):
             raise ValueError(f"observations must be (N,) or (rows, N), got shape {y.shape}")
         if y.shape[-1] != self.N:
             raise ValueError(f"observation length {y.shape[-1]} != N={self.N}")
-        if (y.view(np.uint8) > Trit.ERASED).any():  # negative int8 views as >= 128
-            raise ValueError("observations must be trits: 0, 1 or 2 (erased)")
         if guess_bits is not None:
-            guess_bits = np.asarray(guess_bits, dtype=np.uint8)
+            guess_bits = _checked(guess_bits, "guess_bits")
             if guess_bits.shape != y.shape:
                 raise ValueError(f"guess_bits shape {guess_bits.shape} != {y.shape}")
             guess_bits = guess_bits.reshape(-1, self.N)
@@ -336,7 +326,7 @@ class ChainCodec:
             decide = decide.copy()
             decide[self._b0] = True
         else:
-            chain = np.asarray(chain, dtype=np.uint8)
+            chain = _checked(chain, "chain")
             if chain.shape not in ((self.chain_size,), (len(obs), self.chain_size)):
                 raise ValueError(f"chain shape {chain.shape} fits neither "
                                  f"({self.chain_size},) nor ({len(obs)}, {self.chain_size})")
@@ -345,30 +335,32 @@ class ChainCodec:
         u_hat = np.zeros(obs.shape, dtype=np.uint8) if guess_bits is None else guess_bits * decide
         if chain is not None:
             u_hat[:, self._b0] = chain
+        fixed = ~decide
+        fill = u_hat[:, fixed]
         decide_bytes = None
         if self.N >= _LEAF:
             decide_bytes = np.packbits(decide.reshape(-1, _LEAF), axis=1,
                                        bitorder="little").ravel().tolist()
-        d = _Decoding(u_hat, np.zeros(obs.shape, dtype=bool), decide, strict, decide_bytes)
+        d = _Decoding(u_hat, np.zeros(obs.shape, dtype=bool), decide, decide_bytes)
         # one permuted copy; a trit's low bit is its value where it is known
         # (an erasure's is 0), so the copy becomes the values in place
-        value = np.take(obs, self._perm, axis=1).view(np.uint8)
+        value = np.take(obs, self._perm, axis=1)
         known = value != Trit.ERASED
         value &= 1
         _descend(d, slice(None), known, value, 0)
 
-        guessed = [np.flatnonzero(row) + 1 for row in d.unresolved & decide]
-        erased = sum(map(len, guessed))
-        if y.ndim == 1:
-            return DecodeResult(u=u_hat[0], erased_decisions=erased, guessed=guessed[0])
-        return DecodeResult(u=u_hat, erased_decisions=erased, guessed=tuple(guessed))
+        # known fixed positions hold their implied bits: compare, then restore
+        residual = np.zeros(obs.shape, dtype=bool)
+        residual[:, fixed] = u_hat[:, fixed] != fill
+        u_hat[:, fixed] = fill
+        erased = d.unresolved & decide
+        return DecodeResult(*(a.reshape(y.shape) for a in (u_hat, erased, residual)))
 
     def extract_message(self, u: np.ndarray) -> np.ndarray:
         """The information bits of a decoded u, or of each row of stacked ones."""
         return u[..., self._info0]
 
-    def decode_session(self, observations, preshared, strict: bool = False,
-                       guess_bits=None):
+    def decode_session(self, observations, preshared, guess_bits=None):
         """Decode chained sessions, threading each block's decoded u[E] into
         the next block's B so that chain errors propagate as they would on air.
 
@@ -376,46 +368,34 @@ class ChainCodec:
         independent sessions stacked as (S, T, N); preshared is (|B|,) or
         (S, |B|), or None to decode as a receiver without the pre-shared
         bits.  Erased decisions resolve to guess_bits (the observations'
-        shape; default 0).  Without a chain (|B| = 0) every block is
-        independent and all are decoded in one stacked sc_decode_block call;
-        otherwise block t of every session is decoded in one call, t = 1..T.
+        shape; default 0).  Block t of every session is decoded in one
+        sc_decode_block call, t = 1..T, which checks the values; without a
+        chain (|B| = 0) the blocks are independent and all S·T are one call.
         Returns the message estimates, an array of shape (T, K) or (S, T, K),
         and the erased-decision counts as a list of T ints, or S such lists.
         """
-        obs = np.asarray(observations, dtype=np.int8)
+        obs = np.asarray(observations)
         if obs.ndim not in (2, 3) or obs.shape[-1] != self.N:
             raise ValueError(f"observations must be (T, {self.N}) or (S, T, {self.N}), "
                              f"got shape {obs.shape}")
-        if guess_bits is not None:
-            guess_bits = np.asarray(guess_bits, dtype=np.uint8)
-            if guess_bits.shape != obs.shape:
-                raise ValueError(f"guess_bits shape {guess_bits.shape} != {obs.shape}")
         lead = obs.shape[:-1]  # (T,) or (S, T)
-        if preshared is not None:
-            preshared = np.asarray(preshared, dtype=np.uint8)
-            if preshared.shape != lead[:-1] + (self.chain_size,):
-                raise ValueError(f"preshared shape {preshared.shape} != "
-                                 f"{lead[:-1] + (self.chain_size,)}")
-        if self.chain_size == 0:
-            # preshared holds no bits; flattened, it is the (0,) chain of every row
+        if guess_bits is not None and np.shape(guess_bits) != obs.shape:
+            raise ValueError(f"guess_bits shape {np.shape(guess_bits)} != {obs.shape}")
+        if preshared is not None and np.shape(preshared) != lead[:-1] + (self.chain_size,):
+            raise ValueError(f"preshared shape {np.shape(preshared)} != "
+                             f"{lead[:-1] + (self.chain_size,)}")
+        # without a chain (|B| = 0) the blocks are independent: one call decodes all
+        T = lead[-1] if self.chain_size else 1
+        sessions = obs.reshape(-1, T, self.N)
+        S = len(sessions)
+        guesses = None if guess_bits is None else np.reshape(guess_bits, sessions.shape)
+        chain = None if preshared is None else np.reshape(preshared, (S, self.chain_size))
+        messages = np.empty((S, T, self.message_size), dtype=np.uint8)
+        counts = np.empty((S, T), dtype=int)
+        for t in range(T):
             res = self.sc_decode_block(
-                obs.reshape(-1, self.N), None if preshared is None else preshared.reshape(0),
-                guess_bits=None if guess_bits is None else guess_bits.reshape(-1, self.N),
-                strict=strict)
-            messages = self.extract_message(res.u)
-            counts = np.array([len(g) for g in res.guessed], dtype=int)
-        else:
-            S, T = (1,) + lead if obs.ndim == 2 else lead
-            sessions = obs.reshape(S, T, self.N)
-            guesses = None if guess_bits is None else guess_bits.reshape(sessions.shape)
-            chain = None if preshared is None else preshared.reshape(S, self.chain_size)
-            messages = np.empty((S, T, self.message_size), dtype=np.uint8)
-            counts = np.empty((S, T), dtype=int)
-            for t in range(T):
-                res = self.sc_decode_block(
-                    sessions[:, t], chain, guess_bits=None if guesses is None else guesses[:, t],
-                    strict=strict)
-                messages[:, t] = self.extract_message(res.u)
-                counts[:, t] = [len(g) for g in res.guessed]
-                chain = res.u[:, self._e0]
+                sessions[:, t], chain, guess_bits=None if guesses is None else guesses[:, t])
+            messages[:, t] = self.extract_message(res.u)
+            counts[:, t] = np.count_nonzero(res.erased, axis=1)
+            chain = res.u[:, self._e0]
         return messages.reshape(lead + (self.message_size,)), counts.reshape(lead).tolist()

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from awtcpolar.adversary import Strategy, apply_read, apply_write, sample_action
-from awtcpolar.codec import ChainCodec, InternalInconsistency, Trit, polar_transform
+from awtcpolar.codec import ChainCodec, Trit, polar_transform
 from awtcpolar.construction import (
     CodeConfig,
     IndexPartition,
@@ -45,8 +45,8 @@ def plain_sc_decode(codec, y, chain, guess_bits):
     positions, 1-based contradicted positions) for one observation.  chain
     None decides B from the channel; guess_bits None guesses 0.  A position
     is contradicted when it is fixed (frozen, or B with chain bits) and its
-    leaf is known with a bit other than the fixed one: exactly where strict
-    mode must raise.
+    leaf is known with a bit other than the fixed one: exactly the decoder's
+    residual.
     """
     part = codec.partition
     decide = np.ones(codec.N, dtype=bool)
@@ -277,7 +277,7 @@ class TestScDecodeBlock:
             res = codec.sc_decode_block(erase(x, np.flatnonzero(mask)), chain)
             realized = np.flatnonzero(realize_profile(mask)) + 1
             np.testing.assert_array_equal(
-                res.guessed, np.intersect1d(realized, decide)
+                np.flatnonzero(res.erased) + 1, np.intersect1d(realized, decide)
             )
 
     def test_shortcuts_equal_plain_recursion(self):
@@ -293,12 +293,12 @@ class TestScDecodeBlock:
             fast = codec.sc_decode_block(y, chain, guess_bits=guess)
             slow_u, slow_guessed, _ = plain_sc_decode(codec, y, chain, guess)
             np.testing.assert_array_equal(fast.u, slow_u)
-            np.testing.assert_array_equal(fast.guessed, slow_guessed)
+            np.testing.assert_array_equal(np.flatnonzero(fast.erased) + 1, slow_guessed)
 
     def test_strict_accepts_erasures_with_correct_guesses(self):
         # guesses that happen to equal the transmitted bits never poison the
-        # partial sums, so strict mode must stay silent and agree with the
-        # shortcut path even under heavy erasing
+        # partial sums, so no fixed position reads the other bit, even under
+        # heavy erasing
         rng = np.random.default_rng(23)
         part = build_partition(CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4))
         codec = ChainCodec(part)
@@ -308,22 +308,21 @@ class TestScDecodeBlock:
             x, _ = codec.encode_block(msg, chain, rng)
             truth = polar_transform(x)  # involution recovers u
             y = erase(x, np.flatnonzero(rng.random(64) < 0.4))
-            fast = codec.sc_decode_block(y, chain, guess_bits=truth)
-            slow = codec.sc_decode_block(y, chain, guess_bits=truth, strict=True)
-            np.testing.assert_array_equal(fast.u, truth)
-            np.testing.assert_array_equal(slow.u, truth)
-            np.testing.assert_array_equal(fast.guessed, slow.guessed)
+            res = codec.sc_decode_block(y, chain, guess_bits=truth)
+            np.testing.assert_array_equal(res.u, truth)
+            assert not res.residual.any()
 
     def test_strict_flags_corrupted_observation(self):
-        # bit flips are outside the erasure model; strict mode must notice
+        # bit flips are outside the erasure model; the residual shows them
         part = flat_partition(2, info=[2], frozen=[1])
         codec = ChainCodec(part)
         chain = np.array([], dtype=np.uint8)
         x = polar_transform([0, 1])  # frozen zero, message one
         bad = x.astype(np.int8).copy()
         bad[0] ^= 1
-        with pytest.raises(InternalInconsistency):
-            codec.sc_decode_block(bad, chain, strict=True)
+        res = codec.sc_decode_block(bad, chain)
+        np.testing.assert_array_equal(np.flatnonzero(res.residual) + 1, [1])
+        assert res.u[0] == 0  # the frozen bit stands
 
     def test_without_chain_sink_becomes_decision(self):
         part = build_partition(CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3))
@@ -355,6 +354,36 @@ class TestScDecodeBlock:
         with pytest.raises(ValueError):
             codec.sc_decode_block(np.zeros(5, dtype=np.int8), chain)
 
+    @pytest.mark.parametrize("bad", [258, 257, -1, 2.5])
+    def test_rejects_non_trits_before_any_cast(self, bad):
+        """258 and 257 would wrap to an erasure and a one in int8."""
+        codec = ChainCodec(flat_partition(4))
+        y = np.array([0, 1, 2, bad])
+        with pytest.raises(ValueError, match="trits"):
+            codec.sc_decode_block(y, None)
+        with pytest.raises(ValueError, match="trits"):
+            codec.decode_session(y[None], None)
+
+    @pytest.mark.parametrize("bad", [2, 257, -1, 0.5])
+    def test_rejects_non_bits_before_any_cast(self, bad):
+        """Messages, chain bits and guesses must be 0 or 1; 257 would wrap to 1."""
+        codec = ChainCodec(flat_partition(4, chain_source=[4], chain_sink=[1]))
+        rng = np.random.default_rng(0)
+        ok, y = np.zeros(2), np.zeros((1, 4), dtype=np.int8)
+        calls = {
+            "messages": [lambda: codec.encode_session([[bad, 0]], [0], rng),
+                         lambda: codec.encode_block([0, bad], [0], rng)],
+            "chain": [lambda: codec.encode_session([ok], [bad], rng),
+                      lambda: codec.sc_decode_block(y, [bad]),
+                      lambda: codec.decode_session(y, [bad])],
+            "guess_bits": [lambda: codec.sc_decode_block(y, None, guess_bits=[[0, 0, 0, bad]]),
+                           lambda: codec.decode_session(y, None, guess_bits=[[0, bad, 0, 0]])],
+        }
+        for name, fns in calls.items():
+            for fn in fns:
+                with pytest.raises(ValueError, match=f"{name} must be bits"):
+                    fn()
+
 
 @st.composite
 def stacked_cases(draw):
@@ -385,17 +414,17 @@ class TestStacked:
     """Stacked observations decode in one recursion exactly as row by row."""
 
     @staticmethod
-    def assert_rows_equal(codec, y, chain, guess, strict=False):
-        stacked = codec.sc_decode_block(y, chain, guess_bits=guess, strict=strict)
-        assert stacked.u.shape == y.shape
-        assert len(stacked.guessed) == len(y)
+    def assert_rows_equal(codec, y, chain, guess):
+        stacked = codec.sc_decode_block(y, chain, guess_bits=guess)
+        assert stacked.u.shape == stacked.erased.shape == stacked.residual.shape == y.shape
         for r in range(len(y)):
-            one = codec.sc_decode_block(y[r], chain, strict=strict,
+            one = codec.sc_decode_block(y[r], chain,
                                         guess_bits=None if guess is None else guess[r])
             np.testing.assert_array_equal(stacked.u[r], one.u)
-            np.testing.assert_array_equal(stacked.guessed[r], one.guessed)
+            np.testing.assert_array_equal(stacked.erased[r], one.erased)
+            np.testing.assert_array_equal(stacked.residual[r], one.residual)
         assert type(stacked.erased_decisions) is int
-        assert stacked.erased_decisions == sum(len(g) for g in stacked.guessed)
+        assert stacked.erased_decisions == np.count_nonzero(stacked.erased)
         return stacked
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -407,13 +436,12 @@ class TestStacked:
         self.assert_rows_equal(codec, y, chain, guess)
         self.assert_rows_equal(codec, y, chain, None)
         # the clean path: the transmitted codewords, erased where y is, and
-        # truthful guesses; strict stays silent and changes nothing
+        # truthful guesses, leaves no residual and recovers u
         clean = np.array([polar_transform(u) for u in truth], dtype=np.int8)
         clean[y == Trit.ERASED] = Trit.ERASED
-        loose = self.assert_rows_equal(codec, clean, chain, truth)
-        strict = self.assert_rows_equal(codec, clean, chain, truth, strict=True)
-        np.testing.assert_array_equal(strict.u, loose.u)
-        np.testing.assert_array_equal(strict.u, truth)
+        res = self.assert_rows_equal(codec, clean, chain, truth)
+        assert not res.residual.any()
+        np.testing.assert_array_equal(res.u, truth)
 
     def test_one_row_stack_keeps_the_row_shape(self):
         codec = ChainCodec(flat_partition(4))
@@ -421,9 +449,10 @@ class TestStacked:
         y = trits_from_str("?01?")
         one = codec.sc_decode_block(y, chain)
         stacked = codec.sc_decode_block(y[None], chain)
-        assert one.u.shape == (4,) and stacked.u.shape == (1, 4)
-        assert isinstance(one.guessed, np.ndarray) and isinstance(stacked.guessed, tuple)
-        np.testing.assert_array_equal(stacked.guessed[0], one.guessed)
+        for mask in ("u", "erased", "residual"):
+            assert getattr(one, mask).shape == (4,)
+            assert getattr(stacked, mask).shape == (1, 4)
+            np.testing.assert_array_equal(getattr(stacked, mask)[0], getattr(one, mask))
 
     def test_rejects_bad_stacks(self):
         codec = ChainCodec(flat_partition(4))
@@ -495,25 +524,18 @@ class TestLeafTables:
         res = codec.sc_decode_block(y, chain, guess_bits=guess)
         for r, (u, guessed, _) in enumerate(self.plain_rows(codec, y, chain, guess)):
             np.testing.assert_array_equal(res.u[r], u)
-            np.testing.assert_array_equal(res.guessed[r], guessed)
+            np.testing.assert_array_equal(np.flatnonzero(res.erased[r]) + 1, guessed)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
     @given(trit_cases(1, 8))
-    def test_property_strict_raises_exactly_on_contradiction(self, case):
-        """strict raises iff some row has a known fixed position reading the
-        other bit; otherwise it returns the non-strict result."""
+    def test_property_residual_is_exactly_the_contradictions(self, case):
+        """Each row's residual is the set of its known fixed positions that
+        read the other bit, position by position."""
         part, y, guess, chain = case
         codec = ChainCodec(part)
-        loose = codec.sc_decode_block(y, chain, guess_bits=guess)
-        plain = self.plain_rows(codec, y, chain, guess)
-        if any(len(contradicted) for _, _, contradicted in plain):
-            with pytest.raises(InternalInconsistency):
-                codec.sc_decode_block(y, chain, guess_bits=guess, strict=True)
-            return
-        strict = codec.sc_decode_block(y, chain, guess_bits=guess, strict=True)
-        np.testing.assert_array_equal(strict.u, loose.u)
-        for a, b in zip(strict.guessed, loose.guessed):
-            np.testing.assert_array_equal(a, b)
+        res = codec.sc_decode_block(y, chain, guess_bits=guess)
+        for r, (_, _, contradicted) in enumerate(self.plain_rows(codec, y, chain, guess)):
+            np.testing.assert_array_equal(np.flatnonzero(res.residual[r]) + 1, contradicted)
 
     def test_every_known_pattern_under_every_decide_byte(self):
         """N=8 blocks under each of the 256 decide bytes, one row per known
@@ -532,10 +554,12 @@ class TestLeafTables:
             guess = rng.integers(0, 2, (256, 8), dtype=np.uint8)
             res = codec.sc_decode_block(y, np.array([], dtype=np.uint8), guess_bits=guess)
             for r in range(decide_byte % 17, 256, 17):
-                u, guessed, _ = plain_sc_decode(codec, y[r], np.array([], dtype=np.uint8),
-                                                guess[r])
+                u, guessed, contradicted = plain_sc_decode(
+                    codec, y[r], np.array([], dtype=np.uint8), guess[r])
                 np.testing.assert_array_equal(res.u[r], u)
-                np.testing.assert_array_equal(res.guessed[r], guessed)
+                np.testing.assert_array_equal(np.flatnonzero(res.erased[r]) + 1, guessed)
+                np.testing.assert_array_equal(np.flatnonzero(res.residual[r]) + 1,
+                                              contradicted)
 
 
 class TestExhaustive:
@@ -575,9 +599,13 @@ class TestSessions:
         msgs = rng.integers(0, 2, (T, codec.message_size), dtype=np.uint8)
         codewords = codec.encode_session(msgs, preshared, rng)
         obs = [x.astype(np.int8) for x in codewords]
-        decoded, counts = codec.decode_session(obs, preshared, strict=True)
+        decoded, counts = codec.decode_session(obs, preshared)
         assert counts == [0] * T
         np.testing.assert_array_equal(np.array(decoded), msgs)
+        # with each block's true chain bits no fixed position reads the other bit
+        u = polar_transform(codewords)
+        chain = np.vstack([preshared, u[:-1, codec.partition.chain_source - 1]])
+        assert not codec.sc_decode_block(np.array(obs), chain).residual.any()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(n=st.integers(1, 10), beta=st.floats(0.05, 0.49), rho_w=st.floats(0.0, 0.45),

@@ -86,7 +86,7 @@ def as_partition(N, roles):
 def assert_agrees_until_break(res, ref_u, ref_guessed, broke_at):
     limit = len(ref_u) if broke_at is None else broke_at
     np.testing.assert_array_equal(res.u[:limit], ref_u[:limit])
-    sc_guessed = [g - 1 for g in res.guessed.tolist() if g - 1 < limit]
+    sc_guessed = [g for g in np.flatnonzero(res.erased).tolist() if g < limit]
     assert sc_guessed == [g for g in ref_guessed if g < limit]
 
 
@@ -138,7 +138,7 @@ def test_matches_reference_fully_with_truthful_guesses(n):
                                     guess_bits=u)
         np.testing.assert_array_equal(res.u, ref_u)
         np.testing.assert_array_equal(res.u, u)
-        assert res.guessed.tolist() == [g + 1 for g in ref_guessed]
+        assert np.flatnonzero(res.erased).tolist() == ref_guessed
 
 
 def test_matches_reference_on_wrong_guess_corruption():
@@ -162,10 +162,10 @@ def test_matches_reference_on_wrong_guess_corruption():
         assert broke_at is None
         res = codec.sc_decode_block(y, np.array([], dtype=np.uint8))
         np.testing.assert_array_equal(res.u, ref_u)
-        assert res.guessed.tolist() == [g + 1 for g in ref_guessed]
+        assert np.flatnonzero(res.erased).tolist() == ref_guessed
         wrong_elsewhere = [
             i for i in range(N)
-            if res.u[i] != u[i] and (i + 1) not in res.guessed.tolist()
+            if res.u[i] != u[i] and not res.erased[i]
         ]
         if wrong_elsewhere:
             corrupt_cases += 1
@@ -216,10 +216,8 @@ def test_property_matches_reference_and_strict(case):
     res = codec.sc_decode_block(y, no_chain, guess_bits=guess)
     assert_agrees_until_break(res, *reference_sc_decode(y, roles, fixed, guess))
 
-    # truthful guesses keep every known message consistent: strict stays
-    # silent and returns exactly the non-strict result
-    loose = codec.sc_decode_block(y, no_chain, guess_bits=u)
-    strict = codec.sc_decode_block(y, no_chain, guess_bits=u, strict=True)
-    np.testing.assert_array_equal(strict.u, loose.u)
-    np.testing.assert_array_equal(strict.guessed, loose.guessed)
-    assert strict.erased_decisions == loose.erased_decisions
+    # truthful guesses keep every known message consistent: no fixed
+    # position reads the other bit, and u is recovered
+    clean = codec.sc_decode_block(y, no_chain, guess_bits=u)
+    assert not clean.residual.any()
+    np.testing.assert_array_equal(clean.u, u)
