@@ -190,11 +190,22 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
     stacked, and Eve's coin flips are drawn after Bob's decode, to keep the
     group's working set small.  The recorded bound values are the
     per-realization sums over the actual per-block draws.
+
+    Bob decodes only the blocks with a forced guess, or with a live chain
+    only the sessions holding one; every other block keeps its sent message
+    and 0 erased decisions.  This is exact: SC forces a guess exactly on the
+    decided positions of the write realization's noisy channels (acceptance
+    criterion 5), which block_bound_counts already counts as the block's ir
+    term, and with no forced guess and correct chain bits SC on the BEC
+    returns the sent u, chain source E included.  So every block of a session
+    before its first damaged block hands the next block correct chain bits.
     """
     codec = ChainCodec(partition)
     T, N = config.blocks, config.N
     cell = Cell.of("end_to_end", config, strategy)
     group = max(1, _GROUP_BITS // (T * N))
+    # decode_session's own unit: a whole session with a live chain, else a block
+    unit = T if codec.chain_size else 1
     results = []
     for lo in range(0, len(trial_seeds), group):
         batch = trial_seeds[lo: lo + group]
@@ -202,6 +213,7 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
         eve_obs = np.empty_like(bob_obs)
         preshared = np.empty((len(batch), codec.chain_size), dtype=np.uint8)
         sent = np.empty((len(batch), T, codec.message_size), dtype=np.uint8)
+        damaged = np.empty((len(batch), T), dtype=bool)
         bounds, eve_rngs = [], []
         for s, (_, seed) in enumerate(batch):
             msg_rng, enc_rng, pre_rng, adv_rng, eve_rng = map(
@@ -214,18 +226,27 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
             actions = [sample_action(N, config.rho_w, config.rho_r, strategy, adv_rng)
                        for _ in range(T)]
             ir, e, leak = block_bound_counts(partition, actions)
+            damaged[s] = ir > 0
             bounds.append((float(ir.sum() + e[:-1].sum()), float(leak.sum())))
             bob_obs[s] = apply_write(codewords, write_equivalent_mask(actions))
             eve_obs[s] = apply_read(codewords, ~read_equivalent_mask(actions))
         del codewords, actions
 
-        bob_msgs, erased = codec.decode_session(bob_obs, preshared)
+        dirty = damaged.reshape(-1, unit).any(axis=1)
+        bob_msgs = sent.reshape(-1, unit, codec.message_size).copy()
+        erased = np.zeros((len(dirty), unit), dtype=int)
+        if dirty.any():
+            chains = np.repeat(preshared, T // unit, axis=0)
+            bob_msgs[dirty], erased[dirty] = codec.decode_session(
+                bob_obs.reshape(-1, unit, N)[dirty], chains[dirty])
         del bob_obs
         guesses = np.empty_like(eve_obs, dtype=np.uint8)
         for s, eve_rng in enumerate(eve_rngs):
             guesses[s] = [eve_rng.integers(0, 2, size=N, dtype=np.uint8) for _ in range(T)]
         eve_msgs, _ = codec.decode_session(eve_obs, None, guess_bits=guesses)
-        bob_errors = np.count_nonzero(bob_msgs != sent, axis=(1, 2)).tolist()
+        bob_errors = np.count_nonzero(bob_msgs.reshape(sent.shape) != sent,
+                                      axis=(1, 2)).tolist()
+        erased = erased.reshape(len(batch), T).sum(axis=1).tolist()
         eve_errors = np.count_nonzero(eve_msgs != sent, axis=(1, 2)).tolist()
         for s, (trial, seed) in enumerate(batch):
             results.append(TrialResult(
@@ -237,7 +258,7 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
                 bob_bit_errors=bob_errors[s],
                 eve_bit_errors=eve_errors[s],
                 message_bits=T * codec.message_size,
-                erased_decisions=sum(erased[s]),
+                erased_decisions=erased[s],
             ))
     return results
 
@@ -252,6 +273,15 @@ def end_to_end_trial(
     """Encode T messages as one chained session, attack it, decode both sides
     (see _end_to_end_trials)."""
     return _end_to_end_trials(config, partition, strategy, [(trial, seed)])[0]
+
+
+# Largest end-to-end session, T x N bits, a sweep accepts.  A decode group
+# holds at least one whole session, at about 12 B of peak memory per bit
+# (n=16, T=128 sessions, every block decoded), so this cap keeps one session
+# near 200 MB; an unchecked one (say n=16, T=10^7) fails to allocate, or
+# takes the memory and exhausts it.  Bounds trials hold one action each and
+# are not capped.
+MAX_SESSION_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -285,6 +315,11 @@ class SweepSpec:
                 f"beta grid values closer than 1e-9 would share trial seeds: "
                 f"{list(self.beta_list)}")
         tuple(self.configs())  # every cell must be a valid CodeConfig
+        bits = self.blocks * (1 << max(self.n_list))
+        if self.kind == "end_to_end" and bits > MAX_SESSION_BITS:
+            raise ValueError(
+                f"a session of {self.blocks} blocks of N = 2^{max(self.n_list)} is {bits} "
+                f"bits, more than MAX_SESSION_BITS = {MAX_SESSION_BITS}")
 
     def configs(self):
         """The CodeConfig of every (n, beta) cell, n-major."""

@@ -79,6 +79,20 @@ def test_oversized_n_exits_one_before_building(tmp_path, monkeypatch, capsys, ar
     assert not (tmp_path / "out").exists()
 
 
+def test_oversized_session_exits_one_before_building(tmp_path, monkeypatch, capsys):
+    """n=16, T=10^7 asks for a 655 Gbit session, far over
+    experiments.MAX_SESSION_BITS: exit 1 before any cell is built."""
+    def refuse(config):
+        raise AssertionError(f"built a partition at n={config.n}")
+
+    monkeypatch.setattr(experiments, "build_partition", refuse)
+    assert run("simulate", "--n", 16, "--blocks", 10**7, "--trials", 1,
+               "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MAX_SESSION_BITS" in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

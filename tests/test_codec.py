@@ -215,6 +215,15 @@ class TestEncodeBlock:
         assert session_rng.integers(2**62) == loop_rng.integers(2**62)
 
 
+# cells with a live chain (|B| >= 1) at n <= 10; random cells rarely have one
+LIVE_CHAIN_CELLS = (
+    CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3),  # |B| = 2
+    CodeConfig(n=9, beta=0.3, rho_w=0.3, rho_r=0.4),  # |B| = 4
+    CodeConfig(n=10, beta=0.26, rho_w=0.3, rho_r=0.4),  # |B| = 1
+    CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3),  # |B| = 3
+)
+
+
 class TestScDecodeBlock:
     def test_noiseless_exact_recovery(self):
         rng = np.random.default_rng(9)
@@ -279,6 +288,52 @@ class TestScDecodeBlock:
             np.testing.assert_array_equal(
                 np.flatnonzero(res.erased) + 1, np.intersect1d(realized, decide)
             )
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=80)
+    @given(cfg=st.one_of(
+        st.sampled_from(LIVE_CHAIN_CELLS),
+        st.builds(CodeConfig, n=st.integers(1, 10), beta=st.floats(0.05, 0.49),
+                  rho_w=st.floats(0.0, 0.45), rho_r=st.floats(0.0, 0.45))),
+        strategy=st.sampled_from(list(Strategy)), seed=st.integers(0, 2**32 - 1))
+    def test_property_block_without_forced_guess_decodes_to_sent_u(self, cfg, strategy, seed):
+        """A block whose write realization leaves no decided position noisy,
+        decoded with its true chain bits, returns the sent u whatever the
+        guesses, with no erased decision and no residual.  Sweeps rely on
+        it to skip Bob's decode of such blocks.  The write is the strategy's
+        draw with as few of its positions (in a random order) cleared as
+        leave no forced guess."""
+        try:
+            part = build_partition(cfg)
+        except InfeasibleConstruction:
+            assume(False)
+        codec = ChainCodec(part)
+        rng = np.random.default_rng(seed)
+        decide = np.zeros(part.N, dtype=bool)
+        decide[np.concatenate([part.info, part.chain_source, part.random]) - 1] = True
+        write = sample_action(part.N, cfg.rho_w, cfg.rho_r, strategy, rng).write
+        order = rng.permutation(np.flatnonzero(write))
+
+        def cleared(k):
+            w = write.copy()
+            w[order[:k]] = False
+            return w
+
+        lo, hi = 0, len(order)  # clearing every written position leaves no forced guess
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (realize_profile(cleared(mid)) & decide).any():
+                lo = mid + 1
+            else:
+                hi = mid
+        chain = codec.preshared_state(rng)
+        msg = rng.integers(0, 2, codec.message_size, dtype=np.uint8)
+        x, _ = codec.encode_block(msg, chain, rng)
+        y = apply_write(x, cleared(lo))
+        sent = polar_transform(x)  # the transform is its own inverse
+        for guesses in (None, rng.integers(0, 2, part.N, dtype=np.uint8)):
+            res = codec.sc_decode_block(y, chain, guess_bits=guesses)
+            np.testing.assert_array_equal(res.u, sent)
+            assert not res.erased.any() and not res.residual.any()
 
     def test_shortcuts_equal_plain_recursion(self):
         rng = np.random.default_rng(17)

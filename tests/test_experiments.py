@@ -280,6 +280,13 @@ CHUNK_CELLS = (
 )
 
 
+# further live-chain cells; at n=9 a wrong chain bit turns up in Bob's errors
+LIVE_CHAIN_CELLS = (
+    CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3, blocks=3),  # |B| = 2
+    CodeConfig(n=9, beta=0.3, rho_w=0.3, rho_r=0.4, blocks=3),  # |B| = 4
+)
+
+
 @st.composite
 def end_to_end_chunks(draw):
     """A cell with or without a live chain, a strategy, 1..5 (trial, seed)
@@ -312,27 +319,96 @@ class TestEndToEndChunks:
     def test_chunk_decodes_in_capped_groups(self, monkeypatch):
         """A 40-trial n=10, T=50 chunk is decoded in groups of whole sessions,
         each no taller than experiments._GROUP_BITS stacked bits: 10 sessions,
-        one call per side and group.  The rows around a group boundary equal
-        the one-seed trials."""
+        one call per side and group.  Eve's calls hold all 500 blocks of their
+        group; Bob's hold exactly its damaged blocks, those whose bound term
+        ir counts a forced guess.  The rows around a group boundary equal the
+        one-seed trials."""
         cfg = CodeConfig(n=10, beta=0.26, rho_w=0.2, rho_r=0.4, blocks=50)
         part = build_partition(cfg)
-        heights = []
+        assert ChainCodec(part).chain_size == 0  # Bob's unit is a block
+        calls, irs = [], []
         decode = ChainCodec.sc_decode_block
+        bound_counts = experiments.block_bound_counts
 
-        def recording(codec, y, *args, **kwargs):
-            heights.append(len(y) if np.ndim(y) == 2 else 1)
-            return decode(codec, y, *args, **kwargs)
+        def recording(codec, y, chain, guess_bits=None):
+            res = decode(codec, y, chain, guess_bits=guess_bits)
+            side = "bob" if guess_bits is None else "eve"
+            calls.append((side, len(y), res.erased.any(axis=1)))
+            return res
+
+        def recording_counts(partition, actions):
+            counts = bound_counts(partition, actions)
+            irs.append(counts[0])  # one call per trial, its T blocks' terms
+            return counts
 
         monkeypatch.setattr(ChainCodec, "sc_decode_block", recording)
+        monkeypatch.setattr(experiments, "block_bound_counts", recording_counts)
         trial_seeds = [(t, 500 + t) for t in range(40)]
         chunk = experiments._run_chunk(("end_to_end", cfg, part, Strategy.UNIFORM, trial_seeds))
         sessions = experiments._GROUP_BITS // (cfg.blocks * cfg.N)
-        assert sessions == 10
-        assert heights == [sessions * cfg.blocks] * 8  # 4 groups, Bob and Eve
-        assert all(rows * cfg.N <= experiments._GROUP_BITS for rows in heights)
+        assert sessions == 10 and len(irs) == 40
+        damaged = [sum(np.count_nonzero(ir) for ir in irs[lo: lo + sessions])
+                   for lo in range(0, 40, sessions)]
+        assert [side for side, _, _ in calls] == ["bob", "eve"] * 4  # 4 groups
+        assert [rows for side, rows, _ in calls if side == "bob"] == damaged
+        assert all(forced.all() for side, _, forced in calls if side == "bob")
+        assert [rows for side, rows, _ in calls if side == "eve"] == [sessions * cfg.blocks] * 4
+        assert 0 < sum(damaged) < 40 * cfg.blocks  # the skip was exercised
+        assert all(rows * cfg.N <= experiments._GROUP_BITS for _, rows, _ in calls)
         for trial in (9, 10, 39):
             assert chunk[trial] == end_to_end_trial(cfg, part, Strategy.UNIFORM,
                                                     500 + trial, trial)
+
+    def test_skipped_blocks_change_no_row(self, monkeypatch):
+        """Every trial's erased_decisions is the sum over its blocks of the
+        forced guesses its own T actions cause, the decided positions that
+        the write realization leaves noisy; a trial with none reports no Bob
+        error; and Bob's error count equals a decode of every block of the
+        session.  Bob's decode of the blocks (with a live chain, the
+        sessions) without a forced guess is skipped, so a wrong count, a lost
+        error or a wrong chain bit would show here.  Cells with |B| = 0, 3,
+        2 and 4 under every strategy."""
+        drawn, sessions, observed = [], [], []
+        sample, encode = experiments.sample_action, ChainCodec.encode_session
+        write = experiments.apply_write
+
+        def sampling(*args, **kwargs):
+            drawn.append(sample(*args, **kwargs))
+            return drawn[-1]
+
+        def encoding(codec, messages, preshared, rng):
+            sessions.append((codec, np.copy(messages), np.copy(preshared)))
+            return encode(codec, messages, preshared, rng)
+
+        def writing(x, mask):
+            observed.append(write(x, mask))
+            return observed[-1]
+
+        monkeypatch.setattr(experiments, "sample_action", sampling)
+        monkeypatch.setattr(ChainCodec, "encode_session", encoding)
+        monkeypatch.setattr(experiments, "apply_write", writing)
+        clean = 0
+        for cfg in CHUNK_CELLS + LIVE_CHAIN_CELLS:
+            part = build_partition(cfg)
+            decide = np.zeros(cfg.N, dtype=bool)
+            decide[np.concatenate([part.info, part.chain_source, part.random]) - 1] = True
+            for strategy in Strategy:
+                for record in (drawn, sessions, observed):
+                    record.clear()
+                rows = experiments._run_chunk(
+                    ("end_to_end", cfg, part, strategy, [(t, 900 + t) for t in range(15)]))
+                writes = np.array([action.write for action in drawn])
+                forced = np.count_nonzero(realize_profile(writes) & decide, axis=1)
+                forced = forced.reshape(len(rows), cfg.blocks).sum(axis=1)
+                assert [row.erased_decisions for row in rows] == forced.tolist()
+                for row, (codec, msgs, preshared), obs in zip(rows, sessions, observed,
+                                                             strict=True):
+                    decoded, _ = codec.decode_session(obs, preshared)
+                    assert row.bob_bit_errors == np.count_nonzero(decoded != msgs)
+                    if row.erased_decisions == 0:
+                        clean += 1
+                        assert row.bob_bit_errors == 0
+        assert 0 < clean < 180  # both kinds of trial were seen
 
 
 class TestSeeds:
@@ -479,6 +555,17 @@ class TestSweep:
         # distinct betas that round to the same seed key would share trials
         with pytest.raises(ValueError, match="would share trial seeds"):
             self._spec(beta_list=(0.3, 0.3000000001))
+
+    def test_session_size_limit(self):
+        """An end-to-end session of more than MAX_SESSION_BITS bits at the
+        grid's largest n is refused when the spec is built, before anything
+        is allocated; a bounds sweep holds one action per trial and is not."""
+        blocks = experiments.MAX_SESSION_BITS >> 16
+        self._spec(kind="end_to_end", n_list=(8, 16), blocks=blocks)
+        for n_list, T in (((8, 16), blocks + 1), ((16,), 10**7), ((20,), 17)):
+            with pytest.raises(ValueError, match="MAX_SESSION_BITS"):
+                self._spec(kind="end_to_end", n_list=n_list, blocks=T)
+            self._spec(kind="bounds", n_list=n_list, blocks=T)
 
 
 class TestComplementaryReadWrite:

@@ -43,11 +43,11 @@ def test_wrapped_parameters_exist():
         assert names <= set(inspect.signature(fn).parameters), fn.__qualname__
 
 
-def traced_decode_counts(monkeypatch, cfg):
+def traced_decode_counts(monkeypatch, cfg, strategy=Strategy.UNIFORM):
     layertrace = load_layertrace(monkeypatch)
     part = build_partition(cfg)
     with layertrace.Tracer(layertrace.targets()) as tracer:
-        experiments.end_to_end_trial(cfg, part, Strategy.UNIFORM, seed=1)
+        experiments.end_to_end_trial(cfg, part, strategy, seed=1)
     assert tracer.restored()
     names = Counter(span.name for span in tracer.spans)
     assert names["experiments.trial"] == 1
@@ -63,9 +63,12 @@ def test_traced_trial_records_both_decode_sides(monkeypatch):
 
 
 def test_traced_live_chain_trial_records_every_block(monkeypatch):
-    """With a live chain (|B| = 3) each side decodes block by block."""
+    """With a live chain (|B| = 3) each side decodes block by block.  Bob
+    skips a session without a forced guess (seed 1's uniform writes leave
+    none) and decodes a damaged one (every prefix block is) whole."""
     cfg = CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3, blocks=3)
-    assert traced_decode_counts(monkeypatch, cfg) == (cfg.blocks, cfg.blocks)
+    assert traced_decode_counts(monkeypatch, cfg) == (0, cfg.blocks)
+    assert traced_decode_counts(monkeypatch, cfg, Strategy.PREFIX) == (cfg.blocks, cfg.blocks)
 
 
 ACTION_SPANS = ("adversary.sample_action", "adversary.write_equivalent_mask",
