@@ -691,6 +691,62 @@ class TestGoldenTrialCsv:
             *rows,
         ]) + "\r\n"
 
+    @pytest.mark.parametrize("strategy, rows", [
+        (Strategy.UNIFORM, [
+            "end_to_end,512,9,0.3,0.3,0.4,5,uniform,0,6973472301746567127,0.0,0.0,0,4,5,0",
+            "end_to_end,512,9,0.3,0.3,0.4,5,uniform,1,8208341833156044171,1.0,1.0,0,2,5,1",
+            "end_to_end,512,9,0.3,0.3,0.4,5,uniform,2,1741412835885037853,2.0,2.0,0,1,5,2",
+        ]),
+        (Strategy.BERNOULLI, [
+            "end_to_end,512,9,0.3,0.3,0.4,5,bernoulli,0,13630092718974567829,"
+            "3.0,0.0,1,0,5,3",
+            "end_to_end,512,9,0.3,0.3,0.4,5,bernoulli,1,13773745684710505867,"
+            "1.0,0.0,0,1,5,1",
+            "end_to_end,512,9,0.3,0.3,0.4,5,bernoulli,2,16163938625148213357,"
+            "0.0,0.0,0,3,5,0",
+        ]),
+        (Strategy.PREFIX, [
+            "end_to_end,512,9,0.3,0.3,0.4,5,prefix,0,15146872578273835586,"
+            "324.0,350.0,0,2,5,320",
+            "end_to_end,512,9,0.3,0.3,0.4,5,prefix,1,4829840623438648147,"
+            "324.0,350.0,0,2,5,320",
+            "end_to_end,512,9,0.3,0.3,0.4,5,prefix,2,14623613672339028089,"
+            "324.0,350.0,0,0,5,320",
+        ]),
+    ])
+    def test_damaged_live_chain_bytes_frozen(self, strategy, rows):
+        # |B| = 4 and some sessions hold a damaged block, so Bob decodes them
+        # with each block's chain taken from its predecessor's decoded u[E]:
+        # decoding every block with the pre-shared bits instead turns the
+        # uniform rows 1, 2 and bernoulli row 1 into Bob errors
+        spec = SweepSpec(kind="end_to_end", n_list=(9,), beta_list=(0.3,), rho_w=0.3,
+                         rho_r=0.4, blocks=5, strategy=strategy, trials=3, base_seed=13)
+        assert ChainCodec(build_partition(next(spec.configs()))).chain_size == 4
+        buf = io.StringIO()
+        write_trials_csv(run_sweep(spec).results, buf)
+        assert buf.getvalue() == "\r\n".join([
+            "kind,N,n,beta,rho_w,rho_r,T,strategy,trial,seed,ber_bound,"
+            "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,erased_decisions",
+            *rows,
+        ]) + "\r\n"
+
+    def test_wide_chain_free_bytes_frozen(self):
+        # N = 4096 without a chain: both sides decode through the widest nodes
+        spec = SweepSpec(kind="end_to_end", n_list=(12,), beta_list=(0.26,), rho_w=0.2,
+                         rho_r=0.4, blocks=4, strategy=Strategy.UNIFORM, trials=2,
+                         base_seed=13)
+        assert ChainCodec(build_partition(next(spec.configs()))).chain_size == 0
+        buf = io.StringIO()
+        write_trials_csv(run_sweep(spec).results, buf)
+        assert buf.getvalue() == "\r\n".join([
+            "kind,N,n,beta,rho_w,rho_r,T,strategy,trial,seed,ber_bound,"
+            "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,erased_decisions",
+            "end_to_end,4096,12,0.26,0.2,0.4,4,uniform,0,17917990950421138390,"
+            "1.0,1.0,131,1707,3408,1",
+            "end_to_end,4096,12,0.26,0.2,0.4,4,uniform,1,8762620967831483339,"
+            "0.0,0.0,0,1744,3408,0",
+        ]) + "\r\n"
+
     def test_aggregates_bytes_frozen(self):
         spec = SweepSpec(kind="end_to_end", n_list=(5, 6), beta_list=(0.3,), rho_w=0.3,
                          rho_r=0.3, blocks=2, strategy=Strategy.UNIFORM, trials=3,
