@@ -8,11 +8,17 @@ A subtree whose inputs are all known or all erased is committed in one step
 (the Rate-1 and Rate-0 nodes of fast SC decoders); every other subtree
 splits.  The recursion runs on stacked rows of independent blocks at once
 (inter-frame decoding): a node commits the rows that are settled there and
-splits on the mixed ones.  Every width-8 subtree is decoded by table lookup
-instead (see _leaf_table).  Each node works in place: it overwrites its input
-bits with its re-encoded bits, so the recursion allocates no outputs.  Chain
-bits carried between blocks are plain uint8 arrays: they occupy the sink set B
-and are decoded by substitution, never from the channel.
+splits on the mixed ones.  Every row is packed 8 positions per byte, little
+endian, in u order (known flags, values, fill and decisions, erased flags),
+so a node's XORs and masked copies move one bit per position, and a commit
+re-encodes with one byte table (F^(x 3) inside a byte) and byte-level
+stages.  Every width-8 subtree, one byte, is decoded by table lookup instead
+(see _leaf_table); a code shorter than 8 is decoded as the last N inputs of
+one such subtree whose other inputs are frozen and erased.  Each node works
+in place: it overwrites its input bits with its re-encoded bits, so the
+recursion allocates no outputs.  Chain bits carried between blocks are
+plain uint8 arrays: they occupy the sink set B and are decoded by
+substitution, never from the channel.
 """
 
 from __future__ import annotations
@@ -45,15 +51,44 @@ def _checked(a, name: str, top: int = 1) -> np.ndarray:
     return out
 
 
-def _butterfly(bits: np.ndarray) -> np.ndarray:
-    """GF(2) multiply of each row (last axis) by F^(x n); its own inverse."""
-    out = bits.copy()
+def _xor_stages(a: np.ndarray) -> np.ndarray:
+    """Multiply each row (last axis) of a by F^(x m), m = log2 of its length, in place."""
     h = 1
-    while h < out.shape[-1]:
-        blk = out.reshape(*out.shape[:-1], -1, 2 * h)
+    while h < a.shape[-1]:
+        blk = a.reshape(*a.shape[:-1], -1, 2 * h)
         blk[..., :h] ^= blk[..., h:]
         h *= 2
-    return out
+    return a
+
+
+# F^(x 3) on the eight positions packed in a byte (little endian)
+_BYTE_BUTTERFLY = np.packbits(
+    _xor_stages(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                              bitorder="little")), axis=1, bitorder="little").ravel()
+
+
+def _butterfly(packed: np.ndarray) -> np.ndarray:
+    """GF(2) multiply of each packed row (last axis, 8 positions per byte) by
+    F^(x n): one table lookup per byte, then the byte-level stages.  A row
+    shorter than a byte is zero above its N bits, which F^(x 3) keeps out of
+    its first N outputs.  Its own inverse."""
+    return _xor_stages(_BYTE_BUTTERFLY.take(packed))
+
+
+def _pack(bits: np.ndarray, pad: int = 0) -> np.ndarray:
+    """Rows of bits (last axis) as bytes, 8 positions per byte, little endian.
+
+    pad > 0 shifts a row shorter than a byte into the byte's last N
+    positions, leaving the first pad ones 0.
+    """
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    packed <<= pad
+    return packed
+
+
+def _unpack(packed: np.ndarray, N: int, pad: int = 0) -> np.ndarray:
+    """Inverse of _pack for rows of N bits."""
+    return np.unpackbits(packed, axis=-1, bitorder="little")[..., pad: pad + N]
 
 
 def polar_transform(u) -> np.ndarray:
@@ -65,7 +100,7 @@ def polar_transform(u) -> np.ndarray:
     if u.ndim not in (1, 2):
         raise ValueError(f"u must be (N,) or stacked (rows, N), got shape {u.shape}")
     n = check_block_length(u.shape[-1])
-    return _butterfly(u[..., bit_reversal_permutation(n)])
+    return _unpack(_butterfly(_pack(u[..., bit_reversal_permutation(n)])), 1 << n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -82,49 +117,43 @@ class DecodeResult:
 
 
 class _Decoding(NamedTuple):
-    """The state one decode call shares with every node of its recursion."""
+    """The state one decode call shares with every node of its recursion.
 
-    # (rows, N): the fill (guesses, or 0, where decided; the fixed bits
+    Every array is packed 8 positions per byte, little endian, in u order.
+    """
+
+    # (rows, N/8): the fill (guesses, or 0, where decided; the fixed bits
     # elsewhere) until decisions, and implied bits at fixed positions, overwrite it
     u: np.ndarray
-    unresolved: np.ndarray  # (rows, N): erased leaves
-    decide: np.ndarray  # (N,): positions decided from the channel
-    # the decide flags of every width-_LEAF subtree packed to a byte, in u
-    # order; None decodes those subtrees by recursion (as when building their
-    # tables)
-    decide_bytes: list | None
-
-
-_LEAF = 8  # width of the table-decoded subtrees; a known pattern is one byte
-# the parity of every byte, and of every 16-bit word from those of its bytes
-_BYTE_PARITY = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-    axis=1, dtype=np.uint8) & 1
-_PARITY = (_BYTE_PARITY[:, None] ^ _BYTE_PARITY).ravel()
+    unresolved: np.ndarray  # (rows, N/8): erased leaves
+    decide: np.ndarray  # (N/8,): positions decided from the channel
 
 
 def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> None:
-    """Decode the subtree at u-offset base for some rows of d, in place.
+    """Decode the subtree at u byte offset base for some rows of d, in place.
 
-    k and v are the rows' known flags and bit values at the subtree's input,
-    shape (len(rows), width); rows is slice(None) for every row of d, else
-    their indices.  The subtree owns both arrays: it overwrites v with its
-    re-encoded bits and may overwrite k, so no node allocates an output.
+    k and v are the rows' packed known flags and bit values at the
+    subtree's input, shape (len(rows), width / 8); rows is slice(None) for
+    every row of d, else their indices.  The subtree owns both arrays: it
+    overwrites v with its re-encoded bits and may overwrite k, so no node
+    allocates an output.  Width-8 subtrees are decoded by table lookup.
     """
     width = k.shape[1]
-    if width == _LEAF and d.decide_bytes is not None:
+    if width == 1:
         return _leaf(d, rows, k, v, base)
-    known = np.count_nonzero(k)
-    if known == 0 or known == k.size:
-        # every row all erased or all known (always so at width 1): commit
-        return _commit(d, rows, v, known > 0, base)
-    # settled rows are split off above the table-decoded subtrees only: a
-    # width-2*_LEAF node's two lookups cost the same with or without them
-    if len(k) > 1 and (width > 2 * _LEAF or d.decide_bytes is None):
-        per_row = k.sum(axis=1)
-        settled = (per_row == 0) | (per_row == width)
+    if not np.count_nonzero(k):
+        return _commit(d, rows, v, False, base)
+    if k.min() == 0xFF:
+        return _commit(d, rows, v, True, base)
+    # settled rows are split off above width 16 (two bytes) only: a width-16
+    # node's two lookups cost the same with or without them
+    if len(k) > 1 and width > 2:
+        empty = np.bitwise_or.reduce(k, axis=1) == 0
+        full = np.bitwise_and.reduce(k, axis=1) == 0xFF
+        settled = empty | full
         if settled.any():
             # commit the settled rows, compact the mixed ones and split them
-            for sel in (per_row == 0, per_row == width, ~settled):
+            for sel in (empty, full, ~settled):
                 if sel.any():
                     sub = np.flatnonzero(sel) if isinstance(rows, slice) else rows[sel]
                     part = v[sel]
@@ -139,7 +168,7 @@ def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> Non
     # the right child's input, vb where known, else va ^ left, is built over
     # va and re-encoded there; then v becomes (left ^ right, right)
     va ^= left
-    np.copyto(va, vb, where=kb)
+    va ^= (va ^ vb) & kb
     kb |= ka
     _descend(d, rows, kb, va, base + h)
     vb[...] = va
@@ -156,61 +185,71 @@ def _commit(d: _Decoding, rows, v: np.ndarray, known: bool, base: int) -> None:
     sl = slice(base, base + v.shape[1])
     u = d.u[rows, sl]  # a view for slice(None), else a copy
     if not known:
-        d.unresolved[rows, sl] = True
+        d.unresolved[rows, sl] = 0xFF
         v[...] = _butterfly(u)
         return
     implied = _butterfly(v)
-    np.copyto(u, implied, where=d.decide[sl])
+    u ^= (u ^ implied) & d.decide[sl]
     # F^(x n) is its own inverse, so u re-encodes to v unless a fixed bit differs
     if not np.array_equal(u, implied):
         v[...] = _butterfly(u)
     d.u[rows, sl] = implied
 
 
+def _sc_bits(k: np.ndarray, v: np.ndarray, f: np.ndarray, decide: np.ndarray) -> tuple:
+    """Plain SC of unpacked rows (known flags k, values v, fill f), without
+    shortcuts; returns (u, unresolved, re-encoded bits), each of k's shape.
+
+    A known leaf's u is its implied bit, and it re-encodes its decision if
+    decided, else its fixed bit (the fill); an erased leaf takes the fill.
+    """
+    if k.shape[1] == 1:
+        return np.where(k, v, f), ~k, np.where(k & decide, v, f)
+    h = k.shape[1] // 2
+    ka, kb, va, vb = k[:, :h], k[:, h:], v[:, :h], v[:, h:]
+    ul, el, xl = _sc_bits(ka & kb, va ^ vb, f[:, :h], decide[:h])
+    ur, er, xr = _sc_bits(ka | kb, np.where(kb, vb, va ^ xl), f[:, h:], decide[h:])
+    return np.hstack([ul, ur]), np.hstack([el, er]), np.hstack([xl ^ xr, xr])
+
+
 @functools.cache
 def _leaf_table(decide_byte: int) -> tuple:
-    """Lookup tables of a width-_LEAF subtree whose decide flags pack to decide_byte.
+    """Lookup tables of a width-8 subtree whose decide flags pack to decide_byte.
 
-    Given the pattern p of the subtree's input known flags (packed little
-    endian), every flag inside it is fixed and every value step is an XOR or
-    a choice by a flag, so its decisions and re-encoded bits are GF(2)-linear
-    in the word w = v | f << 8 of its input bits v and fill f.  Returns
-    (masks, erased): masks[p, j] is the mask whose parity with w gives
-    decision j (j < 8; a fixed position's implied bit, or its fill if erased)
-    or re-encoded bit j - 8; erased[p] flags the erased leaves.  The masks
-    are read off one recursive decode of the 16 basis words under each of
-    the 256 patterns.
+    Given the byte p of the subtree's input known flags, every flag inside
+    it is fixed and every value step is an XOR or a choice by a flag, so
+    its decision byte (a fixed position's implied bit, or its fill if
+    erased) and its re-encoded byte are GF(2)-linear in its value byte v
+    and its fill byte f.  Returns (tables, erased): the output word
+    decisions | re-encoded << 8 is the XOR of tables[64 p + 16 g + nibble g]
+    over the four nibbles g = 0..3 of v | f << 8 (four 256 x 16 uint16
+    tables, 32 KB); erased[p] is the byte of erased leaves.  They are read
+    off one plain SC of the 16 basis words under each of the 256 patterns.
     """
-    pattern = np.repeat(np.arange(256, dtype=np.uint8), 2 * _LEAF)
+    pattern = np.repeat(np.arange(256, dtype=np.uint8), 16)
     k = np.unpackbits(pattern[:, None], axis=1, bitorder="little").astype(bool)
-    basis = np.tile(np.eye(2 * _LEAF, dtype=np.uint8), (256, 1))
+    basis = np.tile(np.eye(16, dtype=np.uint8), (256, 1))
     decide = np.unpackbits(np.array([decide_byte], dtype=np.uint8), bitorder="little")
-    d = _Decoding(basis[:, _LEAF:].copy(), np.zeros(k.shape, dtype=bool),
-                  decide.astype(bool), None)
-    out = basis[:, :_LEAF].copy()
-    _descend(d, slice(None), k, out, 0)
-    # (pattern, basis word, output bit) -> (pattern, output bit) masks over w
-    bits = np.concatenate([d.u, out], axis=1).reshape(256, 2 * _LEAF, 2 * _LEAF)
-    weights = np.uint16(1) << np.arange(2 * _LEAF, dtype=np.uint16)
-    masks = np.bitwise_or.reduce(bits * weights[:, None], axis=1).astype(np.uint16)
-    erased = d.unresolved[:: 2 * _LEAF].copy()
-    masks.flags.writeable = erased.flags.writeable = False  # shared by every decode
-    return masks, erased
+    u, unresolved, x = _sc_bits(k, basis[:, :8], basis[:, 8:], decide.astype(bool))
+    # words[p, b]: the output word of basis word b under pattern p
+    words = _pack(np.hstack([u, x])).view("<u2").reshape(256, 4, 1, 4)
+    nibbles = (np.arange(16, dtype=np.uint16)[:, None] >> np.arange(4)) & 1
+    tables = np.bitwise_xor.reduce(words * nibbles, axis=-1).astype(np.uint16).ravel()
+    erased = _pack(unresolved[::16]).ravel()
+    tables.flags.writeable = erased.flags.writeable = False  # shared by every decode
+    return tables, erased
 
 
 def _leaf(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> None:
-    """Decode a width-_LEAF subtree by lookup; overwrites v with its re-encoded bits."""
-    sl = slice(base, base + _LEAF)
-    masks, erased = _leaf_table(d.decide_bytes[base // _LEAF])
-    # each row packs to one byte p and one 16-bit word w: packing the
-    # flattened rows, and take in place of fancy indexing, cost a third
-    p = np.packbits(k.reshape(-1), bitorder="little")
-    w = np.packbits(np.concatenate([v, d.u[rows, sl]], axis=1).reshape(-1),
-                    bitorder="little").view("<u2")
-    bits = _PARITY.take(masks.take(p, axis=0) & w[:, None])
-    d.u[rows, sl] = bits[:, :_LEAF]
-    d.unresolved[rows, sl] = erased.take(p, axis=0)
-    v[...] = bits[:, _LEAF:]
+    """Decode a width-8 subtree by lookup; overwrites v with its re-encoded byte."""
+    tables, erased = _leaf_table(int(d.decide[base]))
+    p, vb, fb = k[:, 0], v[:, 0], d.u[rows, base]
+    at = p.astype(np.intp) << 6
+    word = (tables.take(at | (vb & 15)) ^ tables.take(at | 16 | (vb >> 4))
+            ^ tables.take(at | 32 | (fb & 15)) ^ tables.take(at | 48 | (fb >> 4)))
+    d.u[rows, base] = word  # the assignment keeps the low byte: the decisions
+    d.unresolved[rows, base] = erased.take(p)
+    v[:, 0] = word >> 8
 
 
 class ChainCodec:
@@ -331,30 +370,31 @@ class ChainCodec:
                 raise ValueError(f"chain shape {chain.shape} fits neither "
                                  f"({self.chain_size},) nor ({len(obs)}, {self.chain_size})")
         # u starts as the fill: the guesses (or 0) where decided, the fixed
-        # bits elsewhere; decisions overwrite it
-        u_hat = np.zeros(obs.shape, dtype=np.uint8) if guess_bits is None else guess_bits * decide
+        # bits elsewhere; decisions overwrite it.  A code shorter than a byte
+        # is decoded as the last N inputs of a width-8 subtree whose first
+        # 8 - N positions are frozen and erased.
+        pad = max(0, 8 - self.N)
+        fill = np.zeros(obs.shape, dtype=np.uint8) if guess_bits is None else guess_bits * decide
         if chain is not None:
-            u_hat[:, self._b0] = chain
-        fixed = ~decide
-        fill = u_hat[:, fixed]
-        decide_bytes = None
-        if self.N >= _LEAF:
-            decide_bytes = np.packbits(decide.reshape(-1, _LEAF), axis=1,
-                                       bitorder="little").ravel().tolist()
-        d = _Decoding(u_hat, np.zeros(obs.shape, dtype=bool), decide, decide_bytes)
+            fill[:, self._b0] = chain
+        fill = _pack(fill, pad)
+        decide = _pack(decide, pad)
+        d = _Decoding(fill.copy(), np.zeros_like(fill), decide)
         # one permuted copy; a trit's low bit is its value where it is known
-        # (an erasure's is 0), so the copy becomes the values in place
+        # (an erasure's is 0)
         value = np.take(obs, self._perm, axis=1)
-        known = value != Trit.ERASED
+        known = _pack(value != Trit.ERASED, pad)
         value &= 1
+        value = _pack(value, pad)
         _descend(d, slice(None), known, value, 0)
 
         # known fixed positions hold their implied bits: compare, then restore
-        residual = np.zeros(obs.shape, dtype=bool)
-        residual[:, fixed] = u_hat[:, fixed] != fill
-        u_hat[:, fixed] = fill
+        residual = (d.u ^ fill) & ~decide
+        d.u[...] ^= residual
         erased = d.unresolved & decide
-        return DecodeResult(*(a.reshape(y.shape) for a in (u_hat, erased, residual)))
+        return DecodeResult(_unpack(d.u, self.N, pad).reshape(y.shape),
+                            *(_unpack(a, self.N, pad).view(bool).reshape(y.shape)
+                              for a in (erased, residual)))
 
     def extract_message(self, u: np.ndarray) -> np.ndarray:
         """The information bits of a decoded u, or of each row of stacked ones."""

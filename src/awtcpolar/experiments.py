@@ -282,6 +282,10 @@ def end_to_end_trial(
 # takes the memory and exhausts it.  Bounds trials hold one action each and
 # are not capped.
 MAX_SESSION_BITS = 1 << 24
+# Most trials, over every cell, a sweep accepts.  Every trial's seed and
+# result are held at once, about 450 B each (2^20 bounds trials at n=4 peak
+# near 470 MB); an unchecked --trials 10^12 grows until the memory runs out.
+MAX_TRIALS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -305,6 +309,10 @@ class SweepSpec:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if not self.n_list or not self.beta_list:
             raise ValueError("n and beta grids must be non-empty")
+        cells = len(self.n_list) * len(self.beta_list)
+        if self.trials * cells > MAX_TRIALS:
+            raise ValueError(f"{self.trials} trials x {cells} cells is more than "
+                             f"MAX_TRIALS = {MAX_TRIALS}")
         object.__setattr__(self, "n_list", tuple(int(v) for v in self.n_list))
         object.__setattr__(self, "beta_list", tuple(float(v) for v in self.beta_list))
         for name, grid in (("n", self.n_list), ("beta", self.beta_list)):

@@ -93,6 +93,20 @@ def test_oversized_session_exits_one_before_building(tmp_path, monkeypatch, caps
     assert not (tmp_path / "out").exists()
 
 
+def test_huge_trial_count_exits_one_before_building(tmp_path, monkeypatch, capsys):
+    """bounds --trials 10^12 is far over experiments.MAX_TRIALS: exit 1
+    before any cell is built or any seed derived."""
+    def refuse(*args):
+        raise AssertionError("derived trial seeds or built a partition")
+
+    monkeypatch.setattr(experiments, "build_partition", refuse)
+    monkeypatch.setattr(experiments, "derive_trial_seed", refuse)
+    assert run("bounds", "--n", 4, "--trials", 10**12, "--out-dir", tmp_path / "out") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MAX_TRIALS" in err
+    assert not (tmp_path / "out").exists()
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -134,6 +134,23 @@ class TestPolarTransform:
             with pytest.raises(ValueError):
                 polar_transform(np.zeros(shape, dtype=np.uint8))
 
+    def test_matches_explicit_generator_matrix(self):
+        """x = u B_N F^(x n) mod 2, with B_N the bit-reversal permutation
+        matrix and F^(x n) built by np.kron, for n = 0..10, on one block and
+        on a stack of blocks: every entry of the generator is pinned, where
+        the tests above check values for N <= 4 only."""
+        rng = np.random.default_rng(3)
+        # float matrices use the fast matrix product; every sum is an exact integer
+        F = np.array([[1.0, 0.0], [1.0, 1.0]])
+        kernel = np.ones((1, 1))
+        for n in range(11):
+            N = 1 << n
+            generator = np.eye(N)[:, bit_reversal_permutation(n)] @ kernel
+            for u in (rng.integers(0, 2, N, dtype=np.uint8),
+                      rng.integers(0, 2, (5, N), dtype=np.uint8)):
+                np.testing.assert_array_equal(polar_transform(u), (u @ generator) % 2)
+            kernel = np.kron(kernel, F)
+
     def test_bit_reversal_permutation(self):
         np.testing.assert_array_equal(bit_reversal_permutation(2), [0, 2, 1, 3])
         for n in range(7):
@@ -465,6 +482,54 @@ def stacked_cases(draw):
     return part, truth, chain, y, draw(bits).astype(np.uint8), draw(st.booleans())
 
 
+def random_partition(N, rng):
+    """A random five-way partition at N with random role shares, so whole
+    bytes of one role occur."""
+    roles = rng.choice(5, size=N, p=rng.dirichlet(np.full(5, 0.5)))
+    sets = [np.flatnonzero(roles == r) + 1 for r in range(5)]
+    pairs = min(len(sets[1]), len(sets[4]))  # |E| = |B|; the surplus is info
+    info = np.sort(np.concatenate([sets[0], sets[1][pairs:], sets[4][pairs:]]))
+    return IndexPartition(N=N, info=info, chain_source=sets[1][:pairs], random=sets[2],
+                          frozen=sets[3], chain_sink=sets[4][:pairs])
+
+
+@st.composite
+def tall_stacks(draw):
+    """16..64 stacked rows at n = 8..12 under a random five-way partition.
+
+    Each row is all known, all erased, erased at random, or erased on one
+    run of the decoding order, so its subtrees settle at several depths;
+    about half the rows are codewords (frozen bits 0, B bits the row's
+    chain), the rest random bits.  Guesses are random or None; chain bits
+    are None, shared by every row or one set per row.
+    """
+    n = draw(st.integers(8, 12))
+    rows = draw(st.integers(16, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    N = 1 << n
+    part = random_partition(N, rng)
+    chain = rng.integers(0, 2, (rows, len(part.chain_sink)), dtype=np.uint8)
+    truth = rng.integers(0, 2, (rows, N), dtype=np.uint8)
+    truth[:, part.frozen - 1] = 0
+    truth[:, part.chain_sink - 1] = chain
+    y = rng.integers(0, 2, (rows, N)).astype(np.int8)
+    codeword = rng.random(rows) < 0.5
+    y[codeword] = polar_transform(truth[codeword])
+    erased = rng.random((rows, N)) < rng.random((rows, 1))
+    kind = rng.integers(0, 4, rows)
+    erased[kind == 0] = False
+    erased[kind == 1] = True
+    order = bit_reversal_permutation(n)
+    for r in np.flatnonzero(kind == 3):
+        a, b = np.sort(rng.integers(0, N + 1, 2))
+        erased[r] = False
+        erased[r, order[a:b]] = True
+    y[erased] = Trit.ERASED
+    guess = rng.integers(0, 2, (rows, N), dtype=np.uint8) if draw(st.booleans()) else None
+    chain = draw(st.sampled_from([None, chain[0], chain]))
+    return part, y, guess, chain, rng.choice(rows, 2, replace=False)
+
+
 class TestStacked:
     """Stacked observations decode in one recursion exactly as row by row."""
 
@@ -497,6 +562,28 @@ class TestStacked:
         res = self.assert_rows_equal(codec, clean, chain, truth)
         assert not res.residual.any()
         np.testing.assert_array_equal(res.u, truth)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=20)
+    @given(tall_stacks())
+    def test_property_tall_stacks_equal_one_row_decodes(self, case):
+        """Tall stacks split off settled rows at several depths: every row
+        equals its own one-row decode, and two sampled rows equal plain SC."""
+        part, y, guess, chain, sampled = case
+        codec = ChainCodec(part)
+        res = codec.sc_decode_block(y, chain, guess_bits=guess)
+        row_chain = (lambda r: chain) if chain is None or chain.ndim == 1 else (
+            lambda r: chain[r])
+        row_guess = (lambda r: None) if guess is None else (lambda r: guess[r])
+        for r in range(len(y)):
+            one = codec.sc_decode_block(y[r], row_chain(r), guess_bits=row_guess(r))
+            np.testing.assert_array_equal(res.u[r], one.u)
+            np.testing.assert_array_equal(res.erased[r], one.erased)
+            np.testing.assert_array_equal(res.residual[r], one.residual)
+        for r in sampled:
+            u, guessed, contradicted = plain_sc_decode(codec, y[r], row_chain(r), row_guess(r))
+            np.testing.assert_array_equal(res.u[r], u)
+            np.testing.assert_array_equal(np.flatnonzero(res.erased[r]) + 1, guessed)
+            np.testing.assert_array_equal(np.flatnonzero(res.residual[r]) + 1, contradicted)
 
     def test_one_row_stack_keeps_the_row_shape(self):
         codec = ChainCodec(flat_partition(4))
@@ -550,12 +637,8 @@ def trit_cases(draw, n_min, n_max):
     erased_share = draw(st.floats(0.0, 1.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     N = 1 << n
-    roles = rng.choice(5, size=N, p=rng.dirichlet(np.full(5, 0.5)))
-    sets = [np.flatnonzero(roles == r) + 1 for r in range(5)]
-    pairs = min(len(sets[1]), len(sets[4]))  # |E| = |B|; the surplus is info
-    info = np.sort(np.concatenate([sets[0], sets[1][pairs:], sets[4][pairs:]]))
-    part = IndexPartition(N=N, info=info, chain_source=sets[1][:pairs], random=sets[2],
-                          frozen=sets[3], chain_sink=sets[4][:pairs])
+    part = random_partition(N, rng)
+    pairs = len(part.chain_sink)
     y = rng.integers(0, 2, (rows, N)).astype(np.int8)
     y[rng.random((rows, N)) < erased_share] = Trit.ERASED
     guess = rng.integers(0, 2, (rows, N), dtype=np.uint8) if draw(st.booleans()) else None

@@ -567,6 +567,16 @@ class TestSweep:
                 self._spec(kind="end_to_end", n_list=n_list, blocks=T)
             self._spec(kind="bounds", n_list=n_list, blocks=T)
 
+    def test_trial_count_limit(self):
+        """trials x cells over MAX_TRIALS is refused when the spec is built,
+        before any seed is derived; the limit itself is accepted."""
+        cap = experiments.MAX_TRIALS
+        self._spec(n_list=(5, 6), beta_list=(0.2, 0.3), trials=cap // 4)
+        for n_list, trials in (((5, 6), cap // 2 + 1), ((5,), cap + 1), ((4,), 10**12)):
+            for kind in ("bounds", "end_to_end"):
+                with pytest.raises(ValueError, match="MAX_TRIALS"):
+                    self._spec(kind=kind, n_list=n_list, trials=trials)
+
 
 class TestComplementaryReadWrite:
     def test_reader_on_exact_write_complement_stays_consistent(self):
