@@ -379,7 +379,8 @@ class ChainCodec:
             fill[:, self._b0] = chain
         fill = _pack(fill, pad)
         decide = _pack(decide, pad)
-        d = _Decoding(fill.copy(), np.zeros_like(fill), decide)
+        u = fill.copy()
+        d = _Decoding(u, np.zeros_like(fill), decide)
         # one permuted copy; a trit's low bit is its value where it is known
         # (an erasure's is 0)
         value = np.take(obs, self._perm, axis=1)
@@ -389,10 +390,10 @@ class ChainCodec:
         _descend(d, slice(None), known, value, 0)
 
         # known fixed positions hold their implied bits: compare, then restore
-        residual = (d.u ^ fill) & ~decide
-        d.u[...] ^= residual
+        residual = (u ^ fill) & ~decide
+        u ^= residual
         erased = d.unresolved & decide
-        return DecodeResult(_unpack(d.u, self.N, pad).reshape(y.shape),
+        return DecodeResult(_unpack(u, self.N, pad).reshape(y.shape),
                             *(_unpack(a, self.N, pad).view(bool).reshape(y.shape)
                               for a in (erased, residual)))
 
