@@ -571,16 +571,15 @@ class TestStacked:
         part, y, guess, chain, sampled = case
         codec = ChainCodec(part)
         res = codec.sc_decode_block(y, chain, guess_bits=guess)
-        row_chain = (lambda r: chain) if chain is None or chain.ndim == 1 else (
-            lambda r: chain[r])
-        row_guess = (lambda r: None) if guess is None else (lambda r: guess[r])
+        chains = [chain if chain is None or chain.ndim == 1 else chain[r] for r in range(len(y))]
+        guesses = [None if guess is None else guess[r] for r in range(len(y))]
         for r in range(len(y)):
-            one = codec.sc_decode_block(y[r], row_chain(r), guess_bits=row_guess(r))
+            one = codec.sc_decode_block(y[r], chains[r], guess_bits=guesses[r])
             np.testing.assert_array_equal(res.u[r], one.u)
             np.testing.assert_array_equal(res.erased[r], one.erased)
             np.testing.assert_array_equal(res.residual[r], one.residual)
         for r in sampled:
-            u, guessed, contradicted = plain_sc_decode(codec, y[r], row_chain(r), row_guess(r))
+            u, guessed, contradicted = plain_sc_decode(codec, y[r], chains[r], guesses[r])
             np.testing.assert_array_equal(res.u[r], u)
             np.testing.assert_array_equal(np.flatnonzero(res.erased[r]) + 1, guessed)
             np.testing.assert_array_equal(np.flatnonzero(res.residual[r]) + 1, contradicted)
