@@ -7,15 +7,16 @@ direct look and otherwise corrects the crossed look with the partial sum.
 A subtree whose inputs are all known or all erased is committed in one step
 (the Rate-1 and Rate-0 nodes of fast SC decoders); every other subtree
 splits.  The recursion runs on stacked rows of independent blocks at once
-(inter-frame decoding): a node commits the rows that are settled there and
-splits on the mixed ones.  Every row is packed 8 positions per byte, little
-endian, in u order (known flags, values, fill and decisions, erased flags),
-so a node's XORs and masked copies move one bit per position, and a commit
-re-encodes with one byte table (F^(x 3) inside a byte) and byte-level
-stages.  Every width-8 subtree, one byte, is decoded by table lookup instead
-(see _leaf_table); a code shorter than 8 is decoded as the last N inputs of
-one such subtree whose other inputs are frozen and erased.  Each node works
-in place: it overwrites its input bits with its re-encoded bits, so the
+(inter-frame decoding), all through the same node sequence: a node commits
+only when every row is all known or all erased there, else every row
+splits.  Every row is packed 8 positions per byte, little endian, in u
+order (known flags, values, fill and decisions, erased flags), so a node's
+XORs and masked copies move one bit per position, and a commit re-encodes
+with one byte table (F^(x 3) inside a byte) and byte-level stages.  Every
+width-8 subtree, one byte, is decoded by table lookup instead (see
+_leaf_table); a code shorter than 8 is decoded as the last N inputs of one
+such subtree whose other inputs are frozen and erased.  Each node works in
+place: it overwrites its input bits with its re-encoded bits, so the
 recursion allocates no outputs.  Chain bits carried between blocks are
 plain uint8 arrays: they occupy the sink set B and are decoded by
 substitution, never from the channel.
@@ -26,7 +27,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +55,7 @@ def _xor_stages(a: np.ndarray) -> np.ndarray:
     """Multiply each row (last axis) of a by F^(x m), m = log2 of its length, in place."""
     h = 1
     while h < a.shape[-1]:
-        blk = a.reshape(*a.shape[:-1], -1, 2 * h)
+        blk = a.reshape(*a.shape[:-1], a.shape[-1] // (2 * h), 2 * h)
         blk[..., :h] ^= blk[..., h:]
         h *= 2
     return a
@@ -96,7 +96,7 @@ def polar_transform(u) -> np.ndarray:
 
     u is one block, shape (N,), or independent blocks stacked as (rows, N).
     """
-    u = np.asarray(u, dtype=np.uint8)
+    u = _checked(u, "u")
     if u.ndim not in (1, 2):
         raise ValueError(f"u must be (N,) or stacked (rows, N), got shape {u.shape}")
     n = check_block_length(u.shape[-1])
@@ -116,84 +116,60 @@ class DecodeResult:
         return int(np.count_nonzero(self.erased))
 
 
-class _Decoding(NamedTuple):
-    """The state one decode call shares with every node of its recursion.
+def _descend(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
+             k: np.ndarray, v: np.ndarray) -> None:
+    """Decode one subtree for every row of the stack, in place.
 
-    Every array is packed 8 positions per byte, little endian, in u order.
-    """
-
-    # (rows, N/8): the fill (guesses, or 0, where decided; the fixed bits
-    # elsewhere) until decisions, and implied bits at fixed positions, overwrite it
-    u: np.ndarray
-    unresolved: np.ndarray  # (rows, N/8): erased leaves
-    decide: np.ndarray  # (N/8,): positions decided from the channel
-
-
-def _descend(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> None:
-    """Decode the subtree at u byte offset base for some rows of d, in place.
-
-    k and v are the rows' packed known flags and bit values at the
-    subtree's input, shape (len(rows), width / 8); rows is slice(None) for
-    every row of d, else their indices.  The subtree owns both arrays: it
+    Every array is packed 8 positions per byte, little endian, in u order,
+    and covers the subtree only: u (rows, width/8) holds the fill (guesses,
+    or 0, where decided; the fixed bits elsewhere) until decisions, and
+    implied bits at fixed positions, overwrite it; unresolved (rows,
+    width/8) receives the erased leaves; decide (width/8,) marks the
+    positions decided from the channel.  k and v are the known flags and
+    bit values at the subtree's input.  The subtree owns both: it
     overwrites v with its re-encoded bits and may overwrite k, so no node
     allocates an output.  Width-8 subtrees are decoded by table lookup.
     """
     width = k.shape[1]
     if width == 1:
-        return _leaf(d, rows, k, v, base)
+        return _leaf(u, unresolved, decide, k, v)
     if not np.count_nonzero(k):
-        return _commit(d, rows, v, False, base)
+        return _commit(u, unresolved, decide, v, False)
     if k.min() == 0xFF:
-        return _commit(d, rows, v, True, base)
-    # settled rows are split off above width 16 (two bytes) only: a width-16
-    # node's two lookups cost the same with or without them
-    if len(k) > 1 and width > 2:
-        empty = np.bitwise_or.reduce(k, axis=1) == 0
-        full = np.bitwise_and.reduce(k, axis=1) == 0xFF
-        settled = empty | full
-        if settled.any():
-            # commit the settled rows, compact the mixed ones and split them
-            for sel in (empty, full, ~settled):
-                if sel.any():
-                    sub = np.flatnonzero(sel) if isinstance(rows, slice) else rows[sel]
-                    part = v[sel]
-                    _descend(d, sub, k[sel], part, base)
-                    v[sel] = part
-            return
+        return _commit(u, unresolved, decide, v, True)
     h = width // 2
     ka, va = k[:, :h], v[:, :h]
     kb, vb = k[:, h:], v[:, h:]
     left = va ^ vb
-    _descend(d, rows, ka & kb, left, base)
+    _descend(u[:, :h], unresolved[:, :h], decide[:h], ka & kb, left)
     # the right child's input, vb where known, else va ^ left, is built over
     # va and re-encoded there; then v becomes (left ^ right, right)
     va ^= left
     va ^= (va ^ vb) & kb
     kb |= ka
-    _descend(d, rows, kb, va, base + h)
+    _descend(u[:, h:], unresolved[:, h:], decide[h:], kb, va)
     vb[...] = va
     va ^= left
 
 
-def _commit(d: _Decoding, rows, v: np.ndarray, known: bool, base: int) -> None:
-    """Commit a subtree whose rows are all known (v holds their input bits)
-    or all erased (the fill stands); overwrites v with its re-encoded bits.
+def _commit(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
+            v: np.ndarray, known: bool) -> None:
+    """Commit a subtree whose every row is all known (v holds their input
+    bits) or all erased (the fill stands); overwrites v with its re-encoded bits.
 
     A known subtree stores its implied bits in u at fixed positions too, for
     sc_decode_block to compare with the fill, but re-encodes the fixed bits.
     """
-    sl = slice(base, base + v.shape[1])
-    u = d.u[rows, sl]  # a view for slice(None), else a copy
     if not known:
-        d.unresolved[rows, sl] = 0xFF
+        unresolved[...] = 0xFF
         v[...] = _butterfly(u)
         return
     implied = _butterfly(v)
-    u ^= (u ^ implied) & d.decide[sl]
+    u ^= (u ^ implied) & decide
     # F^(x n) is its own inverse, so u re-encodes to v unless a fixed bit differs
     if not np.array_equal(u, implied):
         v[...] = _butterfly(u)
-    d.u[rows, sl] = implied
+    u[...] = implied
 
 
 def _sc_bits(k: np.ndarray, v: np.ndarray, f: np.ndarray, decide: np.ndarray) -> tuple:
@@ -240,15 +216,16 @@ def _leaf_table(decide_byte: int) -> tuple:
     return tables, erased
 
 
-def _leaf(d: _Decoding, rows, k: np.ndarray, v: np.ndarray, base: int) -> None:
+def _leaf(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
+          k: np.ndarray, v: np.ndarray) -> None:
     """Decode a width-8 subtree by lookup; overwrites v with its re-encoded byte."""
-    tables, erased = _leaf_table(int(d.decide[base]))
-    p, vb, fb = k[:, 0], v[:, 0], d.u[rows, base]
+    tables, erased = _leaf_table(int(decide[0]))
+    p, vb, fb = k[:, 0], v[:, 0], u[:, 0]
     at = p.astype(np.intp) << 6
     word = (tables.take(at | (vb & 15)) ^ tables.take(at | 16 | (vb >> 4))
             ^ tables.take(at | 32 | (fb & 15)) ^ tables.take(at | 48 | (fb >> 4)))
-    d.u[rows, base] = word  # the assignment keeps the low byte: the decisions
-    d.unresolved[rows, base] = erased.take(p)
+    u[:, 0] = word  # the assignment keeps the low byte: the decisions
+    unresolved[:, 0] = erased.take(p)
     v[:, 0] = word >> 8
 
 
@@ -380,19 +357,19 @@ class ChainCodec:
         fill = _pack(fill, pad)
         decide = _pack(decide, pad)
         u = fill.copy()
-        d = _Decoding(u, np.zeros_like(fill), decide)
+        unresolved = np.zeros_like(fill)
         # one permuted copy; a trit's low bit is its value where it is known
         # (an erasure's is 0)
         value = np.take(obs, self._perm, axis=1)
         known = _pack(value != Trit.ERASED, pad)
         value &= 1
         value = _pack(value, pad)
-        _descend(d, slice(None), known, value, 0)
+        _descend(u, unresolved, decide, known, value)
 
         # known fixed positions hold their implied bits: compare, then restore
         residual = (u ^ fill) & ~decide
         u ^= residual
-        erased = d.unresolved & decide
+        erased = unresolved & decide
         return DecodeResult(_unpack(u, self.N, pad).reshape(y.shape),
                             *(_unpack(a, self.N, pad).view(bool).reshape(y.shape)
                               for a in (erased, residual)))

@@ -438,7 +438,8 @@ class TestScDecodeBlock:
 
     @pytest.mark.parametrize("bad", [2, 257, -1, 0.5])
     def test_rejects_non_bits_before_any_cast(self, bad):
-        """Messages, chain bits and guesses must be 0 or 1; 257 would wrap to 1."""
+        """Messages, chain bits, guesses and transform inputs must be 0 or 1;
+        257 would wrap to 1."""
         codec = ChainCodec(flat_partition(4, chain_source=[4], chain_sink=[1]))
         rng = np.random.default_rng(0)
         ok, y = np.zeros(2), np.zeros((1, 4), dtype=np.int8)
@@ -450,6 +451,7 @@ class TestScDecodeBlock:
                       lambda: codec.decode_session(y, [bad])],
             "guess_bits": [lambda: codec.sc_decode_block(y, None, guess_bits=[[0, 0, 0, bad]]),
                            lambda: codec.decode_session(y, None, guess_bits=[[0, bad, 0, 0]])],
+            "u": [lambda: polar_transform([bad, 0]), lambda: polar_transform(np.array([bad, 0]))],
         }
         for name, fns in calls.items():
             for fn in fns:
@@ -566,8 +568,9 @@ class TestStacked:
     @settings(derandomize=True, database=None, deadline=None, max_examples=20)
     @given(tall_stacks())
     def test_property_tall_stacks_equal_one_row_decodes(self, case):
-        """Tall stacks split off settled rows at several depths: every row
-        equals its own one-row decode, and two sampled rows equal plain SC."""
+        """Stacks that mix all-known, all-erased and partly erased rows
+        decode every row exactly as its own one-row decode does, and two
+        sampled rows as plain SC does."""
         part, y, guess, chain, sampled = case
         codec = ChainCodec(part)
         res = codec.sc_decode_block(y, chain, guess_bits=guess)
@@ -607,6 +610,23 @@ class TestStacked:
                                   guess_bits=np.zeros(4, dtype=np.uint8))
         with pytest.raises(ValueError, match=r"\(N,\) or \(rows, N\)"):
             codec.sc_decode_block(np.zeros((1, 2, 4), dtype=np.int8), chain)
+
+    @pytest.mark.parametrize("n", [2, 4, 10])
+    def test_zero_row_stacks_give_empty_results(self, n):
+        """No rows in, no rows out: the transform, a block decode with chain
+        bits, without them or with guesses, and a session decode of S = 0."""
+        N = 1 << n
+        codec = ChainCodec(flat_partition(N, chain_source=[N], chain_sink=[1]))
+        empty = np.zeros((0, N), dtype=np.int8)
+        assert polar_transform(empty).shape == (0, N)
+        for chain, guess in (([1], None), (np.zeros((0, 1), dtype=np.uint8), None),
+                             (None, None), (None, np.zeros((0, N), dtype=np.uint8))):
+            res = codec.sc_decode_block(empty, chain, guess_bits=guess)
+            assert res.u.shape == res.erased.shape == res.residual.shape == (0, N)
+            assert res.erased_decisions == 0
+        for preshared in (np.zeros((0, 1), dtype=np.uint8), None):
+            decoded, counts = codec.decode_session(np.zeros((0, 3, N), dtype=np.int8), preshared)
+            assert decoded.shape == (0, 3, codec.message_size) and counts == []
 
     def test_decode_leaves_no_cyclic_garbage(self):
         """A decode's temporaries are freed by reference counting alone."""
