@@ -10,16 +10,20 @@ splits.  The recursion runs on stacked rows of independent blocks at once
 (inter-frame decoding), all through the same node sequence: a node commits
 only when every row is all known or all erased there, else every row
 splits.  Every row is packed 8 positions per byte, little endian, in u
-order (known flags, values, fill and decisions, erased flags), so a node's
-XORs and masked copies move one bit per position, and a commit re-encodes
-with one byte table (F^(x 3) inside a byte) and byte-level stages.  Every
-width-8 subtree, one byte, is decoded by table lookup instead (see
-_leaf_table); a code shorter than 8 is decoded as the last N inputs of one
-such subtree whose other inputs are frozen and erased.  Each node works in
-place: it overwrites its input bits with its re-encoded bits, so the
-recursion allocates no outputs.  Chain bits carried between blocks are
-plain uint8 arrays: they occupy the sink set B and are decoded by
-substitution, never from the channel.
+order (known flags, values, fill and decisions, erased flags), and the
+stack is stored position-major, (N/8, rows): each byte position's rows
+are contiguous, so every half a node takes is a contiguous block and a
+node's XORs and masked copies move one bit per position.  A commit
+re-encodes with one byte table (F^(x 3) inside a byte) and byte-level
+stages.  Every width-8 subtree, one byte, is decoded by table lookup
+instead (see _byte_tables): one byte-indexed lookup of its values, two
+nibble-indexed ones of its fill.  Every width-16 subtree is decoded in one
+step of two such leaves, without the commit checks; a code shorter than 8
+is decoded as the last N inputs of one width-8 subtree whose other inputs
+are frozen and erased.  Each node works in place: it overwrites its input
+bits with its re-encoded bits, so the recursion allocates no outputs.
+Chain bits carried between blocks are plain uint8 arrays: they occupy the
+sink set B and are decoded by substitution, never from the channel.
 """
 
 from __future__ import annotations
@@ -51,44 +55,63 @@ def _checked(a, name: str, top: int = 1) -> np.ndarray:
     return out
 
 
+def random_bit_rows(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
+    """A (rows, size) uint8 array of uniform bits, equal bit for bit, and in
+    the generator state it leaves, to rows calls of
+    rng.integers(0, 2, size=size, dtype=np.uint8) stacked.
+
+    One padded draw is exact because numpy draws bounded uint8 values four
+    to a uint32 (a 0..1 draw never rejects) and starts a fresh uint32 at
+    every call: a call of size bits takes ceil(size / 4) uint32s, as does
+    each padded row of the one draw.
+    """
+    padded = rng.integers(0, 2, size=(rows, -(-size // 4) * 4), dtype=np.uint8)
+    return padded[:, :size]
+
+
 def _xor_stages(a: np.ndarray) -> np.ndarray:
-    """Multiply each row (last axis) of a by F^(x m), m = log2 of its length, in place."""
+    """Multiply each column (axis 0) of a by F^(x m), m = log2 of its length, in place."""
     h = 1
-    while h < a.shape[-1]:
-        blk = a.reshape(*a.shape[:-1], a.shape[-1] // (2 * h), 2 * h)
-        blk[..., :h] ^= blk[..., h:]
+    while h < len(a):
+        blk = a.reshape(len(a) // (2 * h), 2 * h, *a.shape[1:])
+        blk[:, :h] ^= blk[:, h:]
         h *= 2
     return a
 
 
 # F^(x 3) on the eight positions packed in a byte (little endian)
 _BYTE_BUTTERFLY = np.packbits(
-    _xor_stages(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                              bitorder="little")), axis=1, bitorder="little").ravel()
+    _xor_stages(np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0,
+                              bitorder="little")), axis=0, bitorder="little").ravel()
 
 
 def _butterfly(packed: np.ndarray) -> np.ndarray:
-    """GF(2) multiply of each packed row (last axis, 8 positions per byte) by
-    F^(x n): one table lookup per byte, then the byte-level stages.  A row
+    """GF(2) multiply of each packed column (axis 0, 8 positions per byte) by
+    F^(x n): one table lookup per byte, then the byte-level stages.  A code
     shorter than a byte is zero above its N bits, which F^(x 3) keeps out of
     its first N outputs.  Its own inverse."""
     return _xor_stages(_BYTE_BUTTERFLY.take(packed))
 
 
 def _pack(bits: np.ndarray, pad: int = 0) -> np.ndarray:
-    """Rows of bits (last axis) as bytes, 8 positions per byte, little endian.
+    """Rows of bits (last axis) as position-major bytes, 8 positions per
+    byte, little endian: (rows, N) gives (N/8, rows), each byte position's
+    rows contiguous; (N,) gives (N/8,).
 
     pad > 0 shifts a row shorter than a byte into the byte's last N
     positions, leaving the first pad ones 0.
     """
-    packed = np.packbits(bits, axis=-1, bitorder="little")
+    packed = np.ascontiguousarray(np.packbits(bits, axis=-1, bitorder="little").T)
     packed <<= pad
     return packed
 
 
 def _unpack(packed: np.ndarray, N: int, pad: int = 0) -> np.ndarray:
-    """Inverse of _pack for rows of N bits."""
-    return np.unpackbits(packed, axis=-1, bitorder="little")[..., pad: pad + N]
+    """Inverse of _pack for rows of N bits.  The bytes are moved back to the
+    last axis first, as _pack packs there: either step on a strided axis
+    is several times slower."""
+    rows = np.ascontiguousarray(packed.T)
+    return np.unpackbits(rows, axis=-1, bitorder="little")[..., pad: pad + N]
 
 
 def polar_transform(u) -> np.ndarray:
@@ -121,35 +144,53 @@ def _descend(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
     """Decode one subtree for every row of the stack, in place.
 
     Every array is packed 8 positions per byte, little endian, in u order,
-    and covers the subtree only: u (rows, width/8) holds the fill (guesses,
-    or 0, where decided; the fixed bits elsewhere) until decisions, and
-    implied bits at fixed positions, overwrite it; unresolved (rows,
-    width/8) receives the erased leaves; decide (width/8,) marks the
-    positions decided from the channel.  k and v are the known flags and
-    bit values at the subtree's input.  The subtree owns both: it
+    position-major (one byte position per line, the rows of the stack
+    contiguous along it), and covers the subtree only: u (width/8, rows)
+    holds the fill (guesses, or 0, where decided; the fixed bits elsewhere)
+    until decisions, and implied bits at fixed positions, overwrite it;
+    unresolved (width/8, rows) receives the erased leaves; decide (width/8,)
+    marks the positions decided from the channel.  k and v are the known
+    flags and bit values at the subtree's input.  The subtree owns both: it
     overwrites v with its re-encoded bits and may overwrite k, so no node
-    allocates an output.  Width-8 subtrees are decoded by table lookup.
+    allocates an output.  Width-16 subtrees are decoded in one step of two
+    leaf lookups, width-8 ones (codes of N <= 8 only) in one.
     """
-    width = k.shape[1]
+    width = len(k)
     if width == 1:
-        return _leaf(u, unresolved, decide, k, v)
-    if not np.count_nonzero(k):
+        v[0] = _leaf(u[0], unresolved[0], decide[0], k[0], v[0])
+        return
+    if width == 2:
+        return _pair(u, unresolved, decide, k, v)
+    nonzero = np.count_nonzero(k)
+    if not nonzero:
         return _commit(u, unresolved, decide, v, False)
-    if k.min() == 0xFF:
+    if nonzero == k.size and k.min() == 0xFF:
         return _commit(u, unresolved, decide, v, True)
     h = width // 2
-    ka, va = k[:, :h], v[:, :h]
-    kb, vb = k[:, h:], v[:, h:]
+    ka, va = k[:h], v[:h]
+    kb, vb = k[h:], v[h:]
     left = va ^ vb
-    _descend(u[:, :h], unresolved[:, :h], decide[:h], ka & kb, left)
+    _descend(u[:h], unresolved[:h], decide[:h], ka & kb, left)
     # the right child's input, vb where known, else va ^ left, is built over
     # va and re-encoded there; then v becomes (left ^ right, right)
     va ^= left
     va ^= (va ^ vb) & kb
     kb |= ka
-    _descend(u[:, h:], unresolved[:, h:], decide[h:], kb, va)
+    _descend(u[h:], unresolved[h:], decide[h:], kb, va)
     vb[...] = va
     va ^= left
+
+
+def _pair(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
+          k: np.ndarray, v: np.ndarray) -> None:
+    """Decode a width-16 subtree (two bytes) in one step: the left byte's
+    lookup, the right byte's input, the right byte's lookup."""
+    (ka, kb), (va, vb) = k, v
+    left = _leaf(u[0], unresolved[0], decide[0], ka & kb, va ^ vb)
+    va ^= left
+    va ^= (va ^ vb) & kb
+    vb[...] = _leaf(u[1], unresolved[1], decide[1], ka | kb, va)
+    np.bitwise_xor(left, vb, out=va)
 
 
 def _commit(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
@@ -165,7 +206,7 @@ def _commit(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
         v[...] = _butterfly(u)
         return
     implied = _butterfly(v)
-    u ^= (u ^ implied) & decide
+    u ^= (u ^ implied) & decide[:, None]
     # F^(x n) is its own inverse, so u re-encodes to v unless a fixed bit differs
     if not np.array_equal(u, implied):
         v[...] = _butterfly(u)
@@ -188,19 +229,31 @@ def _sc_bits(k: np.ndarray, v: np.ndarray, f: np.ndarray, decide: np.ndarray) ->
     return np.hstack([ul, ur]), np.hstack([el, er]), np.hstack([xl ^ xr, xr])
 
 
+def _span(basis: np.ndarray) -> np.ndarray:
+    """span[..., j]: the XOR of basis[..., i] over the set bits i of j, for
+    basis (..., m) and every j < 2^m, built up one bit at a time."""
+    out = np.zeros(basis.shape[:-1] + (1 << basis.shape[-1],), dtype=basis.dtype)
+    for i in range(basis.shape[-1]):
+        out[..., 1 << i: 2 << i] = out[..., : 1 << i] ^ basis[..., i, None]
+    return out
+
+
 @functools.cache
-def _leaf_table(decide_byte: int) -> tuple:
+def _byte_tables(decide_byte: int) -> tuple:
     """Lookup tables of a width-8 subtree whose decide flags pack to decide_byte.
 
     Given the byte p of the subtree's input known flags, every flag inside
     it is fixed and every value step is an XOR or a choice by a flag, so
     its decision byte (a fixed position's implied bit, or its fill if
     erased) and its re-encoded byte are GF(2)-linear in its value byte v
-    and its fill byte f.  Returns (tables, erased): the output word
-    decisions | re-encoded << 8 is the XOR of tables[64 p + 16 g + nibble g]
-    over the four nibbles g = 0..3 of v | f << 8 (four 256 x 16 uint16
-    tables, 32 KB); erased[p] is the byte of erased leaves.  They are read
-    off one plain SC of the 16 basis words under each of the 256 patterns.
+    and its fill byte f.  Returns (tv, tf, erased): the output word
+    decisions | re-encoded << 8 is
+    tv[p << 8 | v] ^ tf[p << 5 | f & 15] ^ tf[p << 5 | 16 | f >> 4].
+    tv is byte-indexed (65,536 uint16, 128 KB); tf is nibble-indexed
+    (256 x 2 x 16 uint16, 16 KB): a byte-indexed fill table decodes about
+    1.2x faster but adds 128 KB of peak memory per decide byte.  erased[p]
+    is the byte of erased leaves.  They are read off one plain SC of the 16
+    basis words under each of the 256 patterns.
     """
     pattern = np.repeat(np.arange(256, dtype=np.uint8), 16)
     k = np.unpackbits(pattern[:, None], axis=1, bitorder="little").astype(bool)
@@ -208,25 +261,36 @@ def _leaf_table(decide_byte: int) -> tuple:
     decide = np.unpackbits(np.array([decide_byte], dtype=np.uint8), bitorder="little")
     u, unresolved, x = _sc_bits(k, basis[:, :8], basis[:, 8:], decide.astype(bool))
     # words[p, b]: the output word of basis word b under pattern p
-    words = _pack(np.hstack([u, x])).view("<u2").reshape(256, 4, 1, 4)
-    nibbles = (np.arange(16, dtype=np.uint16)[:, None] >> np.arange(4)) & 1
-    tables = np.bitwise_xor.reduce(words * nibbles, axis=-1).astype(np.uint16).ravel()
+    low, high = _pack(np.hstack([u, x])).astype(np.uint16)
+    words = (low | high << 8).reshape(256, 16)
+    tv = _span(words[:, :8]).ravel()
+    tf = _span(words[:, 8:].reshape(256, 2, 4)).ravel()
     erased = _pack(unresolved[::16]).ravel()
-    tables.flags.writeable = erased.flags.writeable = False  # shared by every decode
-    return tables, erased
+    for table in (tv, tf, erased):
+        table.flags.writeable = False  # shared by every decode
+    return tv, tf, erased
 
 
-def _leaf(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
-          k: np.ndarray, v: np.ndarray) -> None:
-    """Decode a width-8 subtree by lookup; overwrites v with its re-encoded byte."""
-    tables, erased = _leaf_table(int(decide[0]))
-    p, vb, fb = k[:, 0], v[:, 0], u[:, 0]
-    at = p.astype(np.intp) << 6
-    word = (tables.take(at | (vb & 15)) ^ tables.take(at | 16 | (vb >> 4))
-            ^ tables.take(at | 32 | (fb & 15)) ^ tables.take(at | 48 | (fb >> 4)))
-    u[:, 0] = word  # the assignment keeps the low byte: the decisions
-    unresolved[:, 0] = erased.take(p)
-    v[:, 0] = word >> 8
+# p << 8 and p << 5 for every known-flag byte p: where p's block starts in tv and in tf
+_AT_V = np.arange(256, dtype=np.intp) << 8
+_AT_F = np.arange(256, dtype=np.intp) << 5
+
+
+def _leaf(u: np.ndarray, unresolved: np.ndarray, decide_byte: int, k: np.ndarray,
+          v: np.ndarray) -> np.ndarray:
+    """Decode one byte position (a width-8 subtree) of every row by lookup:
+    writes the decisions into u and the erased flags into unresolved, and
+    returns the re-encoded byte.  u, unresolved, k and v are (rows,)."""
+    tv, tf, erased = _byte_tables(int(decide_byte))
+    p = k.astype(np.intp)
+    word = tv[_AT_V[p] | v]
+    at = _AT_F[p]
+    word ^= tf[at | (u & 15)]
+    at |= 16
+    word ^= tf[at | (u >> 4)]
+    u[...] = word  # the assignment keeps the low byte: the decisions
+    unresolved[...] = erased[p]
+    return word.view(np.uint8)[1::2]  # the high byte (little endian): re-encoded
 
 
 class ChainCodec:
@@ -268,8 +332,9 @@ class ChainCodec:
         Block 1's sink set B holds the pre-shared bits, block t+1's the
         previous block's u[E], rank-paired (the i-th smallest E index feeds
         the i-th smallest B index).  E and R positions take fresh uniform
-        bits (one draw of |E|+|R| bits per block, in block order, E filled
-        first, both in ascending index order); F is all-zero frozen.
+        bits (the bits of one |E|+|R|-bit draw per block, in block order, E
+        filled first, both in ascending index order; random_bit_rows draws
+        all T at once); F is all-zero frozen.
         """
         messages = _checked(messages, "messages")
         preshared = _checked(preshared, "chain")
@@ -280,10 +345,9 @@ class ChainCodec:
             raise ValueError(f"chain must carry {self.chain_size} bits, got {len(preshared)}")
         u = np.zeros((len(messages), self.N), dtype=np.uint8)
         u[:, self._info0] = messages
-        for row in u:
-            fresh = rng.integers(0, 2, size=len(self._e0) + len(self._r0), dtype=np.uint8)
-            row[self._e0] = fresh[: len(self._e0)]
-            row[self._r0] = fresh[len(self._e0):]
+        fresh = random_bit_rows(rng, len(u), len(self._e0) + len(self._r0))
+        u[:, self._e0] = fresh[:, : len(self._e0)]
+        u[:, self._r0] = fresh[:, len(self._e0):]
         u[:1, self._b0] = preshared
         u[1:, self._b0] = u[:-1, self._e0]
         return u
@@ -367,6 +431,7 @@ class ChainCodec:
         _descend(u, unresolved, decide, known, value)
 
         # known fixed positions hold their implied bits: compare, then restore
+        decide = decide[:, None]
         residual = (u ^ fill) & ~decide
         u ^= residual
         erased = unresolved & decide

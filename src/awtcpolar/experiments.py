@@ -28,7 +28,7 @@ from .adversary import (
     sample_action,
     write_equivalent_mask,
 )
-from .codec import ChainCodec
+from .codec import ChainCodec, random_bit_rows
 from .construction import CodeConfig, IndexPartition, InfeasibleConstruction, build_partition
 from .polar_core import realize_profile
 
@@ -220,8 +220,7 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
                 np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
             eve_rngs.append(eve_rng)
             preshared[s] = codec.preshared_state(pre_rng)
-            sent[s] = [msg_rng.integers(0, 2, size=codec.message_size, dtype=np.uint8)
-                       for _ in range(T)]
+            sent[s] = random_bit_rows(msg_rng, T, codec.message_size)
             codewords = codec.encode_session(sent[s], preshared[s], enc_rng)
             actions = [sample_action(N, config.rho_w, config.rho_r, strategy, adv_rng)
                        for _ in range(T)]
@@ -242,7 +241,7 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
         del bob_obs
         guesses = np.empty_like(eve_obs, dtype=np.uint8)
         for s, eve_rng in enumerate(eve_rngs):
-            guesses[s] = [eve_rng.integers(0, 2, size=N, dtype=np.uint8) for _ in range(T)]
+            guesses[s] = random_bit_rows(eve_rng, T, N)
         eve_msgs, _ = codec.decode_session(eve_obs, None, guess_bits=guesses)
         bob_errors = np.count_nonzero(bob_msgs.reshape(sent.shape) != sent,
                                       axis=(1, 2)).tolist()

@@ -9,7 +9,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from awtcpolar.adversary import Strategy, apply_read, apply_write, sample_action
-from awtcpolar.codec import ChainCodec, Trit, polar_transform
+from awtcpolar import codec as codec_module
+from awtcpolar.codec import ChainCodec, Trit, polar_transform, random_bit_rows
 from awtcpolar.construction import (
     CodeConfig,
     IndexPartition,
@@ -717,6 +718,91 @@ class TestLeafTables:
                 np.testing.assert_array_equal(np.flatnonzero(res.erased[r]) + 1, guessed)
                 np.testing.assert_array_equal(np.flatnonzero(res.residual[r]) + 1,
                                               contradicted)
+
+    def test_every_known_pattern_pair_under_sampled_decide_pairs(self):
+        """N=16 blocks, one fused width-16 step each, under 40 sampled pairs
+        of decide bytes.  The input known bytes (ka, kb) run over (p, p),
+        (p, ~p) and (p, random) for every p, so each leaf byte meets every
+        known pattern (the left one ka & kb, the right one ka | kb); values
+        and guesses are random.  Every 7th row, at an offset that moves with
+        the pair, is checked against the plain recursion."""
+        rng = np.random.default_rng(16)
+        perm = bit_reversal_permutation(4)
+        pattern = np.arange(256, dtype=np.uint8)
+        ka = np.tile(pattern, 3)
+        kb = np.concatenate([pattern, ~pattern, rng.integers(0, 256, 256, dtype=np.uint8)])
+        # known flags in decoding order, then in observation order
+        known = np.unpackbits(np.stack([ka, kb], axis=1), axis=1, bitorder="little")
+        known = known.astype(bool)[:, perm]
+        for pair, decide_bytes in enumerate(rng.integers(0, 256, (40, 2), dtype=np.uint8)):
+            decided = np.unpackbits(decide_bytes, bitorder="little").astype(bool)
+            codec = ChainCodec(flat_partition(16, info=np.flatnonzero(decided) + 1,
+                                              frozen=np.flatnonzero(~decided) + 1))
+            y = rng.integers(0, 2, known.shape).astype(np.int8)
+            y[~known] = Trit.ERASED
+            guess = rng.integers(0, 2, known.shape, dtype=np.uint8)
+            res = codec.sc_decode_block(y, np.array([], dtype=np.uint8), guess_bits=guess)
+            for r in range(pair % 7, len(y), 7):
+                u, guessed, contradicted = plain_sc_decode(
+                    codec, y[r], np.array([], dtype=np.uint8), guess[r])
+                np.testing.assert_array_equal(res.u[r], u)
+                np.testing.assert_array_equal(np.flatnonzero(res.erased[r]) + 1, guessed)
+                np.testing.assert_array_equal(np.flatnonzero(res.residual[r]) + 1,
+                                              contradicted)
+
+    def test_leaf_lookup_equals_plain_sc_on_every_word(self):
+        """One mixed decide byte's leaf lookup against plain SC on all 65,536
+        (pattern, value) words with a zero fill and all 65,536 (pattern,
+        fill) words with zero values; the value and fill lookups are XORed,
+        so this covers every table entry."""
+        decide_byte = 0b10110100
+        decide = np.unpackbits(np.array([decide_byte], dtype=np.uint8),
+                               bitorder="little").astype(bool)
+        word = np.arange(1 << 16)
+        p, low = (word >> 8).astype(np.uint8), (word & 0xFF).astype(np.uint8)
+        k = np.unpackbits(p[:, None], axis=1, bitorder="little").astype(bool)
+        bits = np.unpackbits(low[:, None], axis=1, bitorder="little")
+        zero = np.zeros_like(bits)
+        for v, f in ((bits, zero), (zero, bits)):
+            u, unresolved, x = codec_module._sc_bits(k, v, f, decide)
+            decisions = np.packbits(f, axis=1, bitorder="little").ravel()
+            erased = np.zeros_like(decisions)
+            encoded = codec_module._leaf(decisions, erased, decide_byte, p,
+                                         np.packbits(v, axis=1, bitorder="little").ravel())
+            for got, want in ((decisions, u), (encoded, x), (erased, unresolved)):
+                np.testing.assert_array_equal(
+                    got, np.packbits(want, axis=1, bitorder="little").ravel())
+
+    def test_tables_of_the_used_decide_bytes_are_read_only_and_small(self):
+        """The decide bytes of every cell n = 8..14 x beta = 0.20, 0.26, 0.32
+        at rho_w = 0.2, rho_r = 0.4, for Bob (B fixed) and Eve (B decided):
+        their tables are shared by every decode, so each is read-only, and
+        together they stay within 2.5 MB of memory."""
+        used = set()
+        for n, beta in itertools.product(range(8, 15), (0.20, 0.26, 0.32)):
+            part = build_partition(CodeConfig(n=n, beta=beta, rho_w=0.2, rho_r=0.4))
+            decided = np.ones(part.N, dtype=bool)
+            decided[part.frozen - 1] = False
+            used |= set(np.packbits(decided, bitorder="little").tolist())
+            decided[part.chain_sink - 1] = False
+            used |= set(np.packbits(decided, bitorder="little").tolist())
+        assert len(used) == 9
+        tables = [t for d in sorted(used) for t in codec_module._byte_tables(d)]
+        assert not any(t.flags.writeable for t in tables)
+        assert sum(t.nbytes for t in tables) <= 2.5e6
+
+
+class TestRandomBitRows:
+    def test_padded_draw_equals_row_draws(self):
+        """One padded draw equals T per-row draws of K bits, and leaves the
+        generator where they leave it, for K = 0..9 and T = 1..5."""
+        for K, T, seed in itertools.product(range(10), range(1, 6), range(3)):
+            ours, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_bit_rows(ours, T, K)
+            want = [rows.integers(0, 2, size=K, dtype=np.uint8) for _ in range(T)]
+            assert got.shape == (T, K) and got.dtype == np.uint8
+            np.testing.assert_array_equal(got, np.reshape(want, (T, K)))
+            np.testing.assert_array_equal(ours.integers(0, 2**32, 4), rows.integers(0, 2**32, 4))
 
 
 class TestExhaustive:
