@@ -4,26 +4,32 @@ Encoding computes x = u R F^(x n) (bit-reversal then butterfly).  Decoding
 runs successive cancellation over the alphabet {0, 1, erased}: a check node
 knows its bit only if both inputs are known, a variable node prefers the
 direct look and otherwise corrects the crossed look with the partial sum.
-A subtree whose inputs are all known or all erased is committed in one step
-(the Rate-1 and Rate-0 nodes of fast SC decoders); every other subtree
-splits.  The recursion runs on stacked rows of independent blocks at once
-(inter-frame decoding), all through the same node sequence: a node commits
-only when every row is all known or all erased there, else every row
-splits.  Every row is packed 8 positions per byte, little endian, in u
-order (known flags, values, fill and decisions, erased flags), and the
-stack is stored position-major, (N/8, rows): each byte position's rows
-are contiguous, so every half a node takes is a contiguous block and a
-node's XORs and masked copies move one bit per position.  A commit
-re-encodes with one byte table (F^(x 3) inside a byte) and byte-level
-stages.  Every width-8 subtree, one byte, is decoded by table lookup
-instead (see _byte_tables): one byte-indexed lookup of its values, two
-nibble-indexed ones of its fill.  Every width-16 subtree is decoded in one
-step of two such leaves, without the commit checks; a code shorter than 8
-is decoded as the last N inputs of one width-8 subtree whose other inputs
-are frozen and erased.  Each node works in place: it overwrites its input
-bits with its re-encoded bits, so the recursion allocates no outputs.
-Chain bits carried between blocks are plain uint8 arrays: they occupy the
-sink set B and are decoded by substitution, never from the channel.
+Which inputs are known depends on the erasure pattern alone, never on the
+bit values, so a decode runs in two passes over stacked rows of
+independent blocks (inter-frame decoding), every row through the same node
+sequence.  Every row is packed 8 positions per byte, little endian, in u
+order, and the stack is stored position-major, (N/8, rows): each byte
+position's rows are contiguous, so every half a node takes is a contiguous
+block and a node's XORs and masked copies move one bit per position.
+
+The flag pass (_flag_pass) pairs the known flags level by level, a node's
+halves (a, b) giving its children (a & b, a | b): realize_profile's
+butterfly on known instead of noise flags, in one vectorized step per
+level.  From the levels it reads every node's commit decision (a subtree
+whose inputs are all known or all erased in every row is committed in one
+step, the Rate-1 and Rate-0 nodes of fast SC decoders, else every row
+splits), every leaf's erased byte and so the whole erased output, and for
+every width-8 leaf its value-table offset and its fill word (see
+_byte_tables).  The value pass (_descend) then moves values only: a split
+node XORs and selects by its precomputed flags, a commit re-encodes with
+one byte table (F^(x 3) inside a byte) and byte-level stages, a leaf is
+one value-table gather XORed with its fill word, and a width-16 subtree is
+one step of two leaves.  A code shorter than 8 is decoded as the last N
+inputs of one width-8 subtree whose other inputs are frozen and erased.
+Each node works in place: it overwrites its input bits with its re-encoded
+bits, so the value pass allocates no outputs.  Chain bits carried between
+blocks are plain uint8 arrays: they occupy the sink set B and are decoded
+by substitution, never from the channel.
 """
 
 from __future__ import annotations
@@ -139,62 +145,117 @@ class DecodeResult:
         return int(np.count_nonzero(self.erased))
 
 
-def _descend(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
-             k: np.ndarray, v: np.ndarray) -> None:
-    """Decode one subtree for every row of the stack, in place.
+def _flag_levels(known: np.ndarray) -> list:
+    """The input known flags of every node of the recursion, from the root's
+    known (N/8, rows), packed as it is: level d holds the nodes of width
+    N/8 >> d bytes in order, and level d + 1 pairs each node's halves (a, b)
+    into its children's inputs (a & b, a | b), which is realize_profile's
+    OR/AND pairing on known rather than noise flags.  The last level holds
+    every leaf's known byte."""
+    levels = [known]
+    width, rows = known.shape
+    while width > 1:
+        nodes = len(known) // width
+        width //= 2
+        pairs = known.reshape(nodes, 2, width, rows)
+        known = np.empty_like(known)
+        children = known.reshape(nodes, 2, width, rows)
+        np.bitwise_and(pairs[:, 0], pairs[:, 1], out=children[:, 0])
+        np.bitwise_or(pairs[:, 0], pairs[:, 1], out=children[:, 1])
+        levels.append(known)
+    return levels
 
-    Every array is packed 8 positions per byte, little endian, in u order,
-    position-major (one byte position per line, the rows of the stack
-    contiguous along it), and covers the subtree only: u (width/8, rows)
-    holds the fill (guesses, or 0, where decided; the fixed bits elsewhere)
-    until decisions, and implied bits at fixed positions, overwrite it;
-    unresolved (width/8, rows) receives the erased leaves; decide (width/8,)
-    marks the positions decided from the channel.  k and v are the known
-    flags and bit values at the subtree's input.  The subtree owns both: it
-    overwrites v with its re-encoded bits and may overwrite k, so no node
-    allocates an output.  Width-16 subtrees are decoded in one step of two
-    leaf lookups, width-8 ones (codes of N <= 8 only) in one.
+
+def _flag_pass(known: np.ndarray, fill: np.ndarray, decide: np.ndarray,
+               groups: list, tvs: list) -> tuple:
+    """The first pass of a decode: everything that depends on the known
+    flags alone, before any value moves.  known and fill are the packed
+    (N/8, rows) stack, decide the packed (N/8,) decided positions, groups
+    and tvs the leaf schedule (ChainCodec._schedule).  Returns the value
+    pass's _Values, u holding the fill, and the erased decisions: each
+    leaf's erased byte under its known byte, on the decided positions.
     """
-    width = len(k)
-    if width == 1:
-        v[0] = _leaf(u[0], unresolved[0], decide[0], k[0], v[0])
-        return
+    levels = _flag_levels(known)
+    leaf = levels[-1]
+    fw = np.zeros(leaf.shape, dtype=np.uint16)
+    if fill.any():  # a zero fill (Bob's decodes without a chain) has zero fill words
+        for tf, where in groups:
+            fw[where] = _fill_words(tf, leaf[where], fill[where])
+    erased_at = known_at = ()  # nodes under 4 bytes (32 positions) never commit
+    if len(leaf) >= 4:
+        erased_at = (leaf.max(axis=1, initial=0) == 0).tolist()
+        known_at = (leaf.min(axis=1, initial=0xFF) == 0xFF).tolist()
+    plan = _Values(fill.copy(), decide, {len(leaf) >> d: k for d, k in enumerate(levels)},
+                   erased_at, known_at, tvs, np.left_shift(leaf, 8, dtype=np.intp), fw)
+    return plan, _LEAF_ERASED.take(leaf) & decide[:, None]
+
+
+@dataclass(eq=False, slots=True)
+class _Values:
+    """What the value pass reads, each packed and position-major like u.
+
+    A node of width w bytes at byte offset lo commits its subtree when every
+    row is erased there (erased_at[lo + w - 1]) or known (known_at[lo]): by
+    the flag pairing, a node's last leaf byte is the OR of its input bytes
+    and its first leaf byte their AND.
+    """
+
+    u: np.ndarray  # (N/8, rows): the fill, then the decisions and implied bits
+    decide: np.ndarray  # (N/8,): the positions decided from the channel
+    flags: dict  # width w in bytes: the input known flags of the nodes of width w
+    erased_at: list  # leaf byte j is 0 in every row
+    known_at: list  # leaf byte j is 0xFF in every row
+    tvs: list  # leaf byte j's value table (of its decide byte)
+    at: np.ndarray  # (N/8, rows) intp: where each leaf's pattern p starts in tv, p << 8
+    fw: np.ndarray  # (N/8, rows) uint16: each leaf's fill word
+
+
+def _descend(plan: _Values, lo: int, v: np.ndarray) -> None:
+    """Decode the subtree at byte offset lo whose input bits are v, for every
+    row of the stack, in place: v (width/8, rows) holds the subtree's input
+    values and receives its re-encoded bits, and the decisions go into
+    plan.u.  The known flags come from the flag pass (plan), so only values
+    move here.  Width-16 subtrees are decoded in one step of two leaf
+    lookups, width-8 ones (codes of N <= 8 only) in one.
+    """
+    width = len(v)
     if width == 2:
-        return _pair(u, unresolved, decide, k, v)
-    nonzero = np.count_nonzero(k)
-    if not nonzero:
-        return _commit(u, unresolved, decide, v, False)
-    if nonzero == k.size and k.min() == 0xFF:
-        return _commit(u, unresolved, decide, v, True)
+        return _pair(plan, lo, v)
+    if width == 1:
+        v[0] = _leaf(plan.u[lo], plan.tvs[lo], plan.at[lo], plan.fw[lo], v[0])
+        return
+    hi = lo + width
+    if plan.erased_at[hi - 1]:
+        return _commit(plan.u[lo:hi], plan.decide[lo:hi], v, False)
+    if plan.known_at[lo]:
+        return _commit(plan.u[lo:hi], plan.decide[lo:hi], v, True)
     h = width // 2
-    ka, va = k[:h], v[:h]
-    kb, vb = k[h:], v[h:]
+    va, vb = v[:h], v[h:]
     left = va ^ vb
-    _descend(u[:h], unresolved[:h], decide[:h], ka & kb, left)
+    _descend(plan, lo, left)
     # the right child's input, vb where known, else va ^ left, is built over
     # va and re-encoded there; then v becomes (left ^ right, right)
     va ^= left
-    va ^= (va ^ vb) & kb
-    kb |= ka
-    _descend(u[h:], unresolved[h:], decide[h:], kb, va)
+    va ^= (va ^ vb) & plan.flags[width][lo + h: hi]
+    _descend(plan, lo + h, va)
     vb[...] = va
     va ^= left
 
 
-def _pair(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
-          k: np.ndarray, v: np.ndarray) -> None:
-    """Decode a width-16 subtree (two bytes) in one step: the left byte's
-    lookup, the right byte's input, the right byte's lookup."""
-    (ka, kb), (va, vb) = k, v
-    left = _leaf(u[0], unresolved[0], decide[0], ka & kb, va ^ vb)
+def _pair(plan: _Values, j: int, v: np.ndarray) -> None:
+    """Decode the width-16 subtree of leaf bytes j and j + 1 in one step: the
+    left byte's lookup, the right byte's input, the right byte's lookup."""
+    u, tvs, at, fw = plan.u, plan.tvs, plan.at, plan.fw
+    va, vb = v[0], v[1]  # indexing: unpacking iterates, several times slower
+    left = _leaf(u[j], tvs[j], at[j], fw[j], va ^ vb)
     va ^= left
-    va ^= (va ^ vb) & kb
-    vb[...] = _leaf(u[1], unresolved[1], decide[1], ka | kb, va)
+    va ^= (va ^ vb) & plan.flags[2][j + 1]
+    j += 1
+    vb[...] = _leaf(u[j], tvs[j], at[j], fw[j], va)
     np.bitwise_xor(left, vb, out=va)
 
 
-def _commit(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
-            v: np.ndarray, known: bool) -> None:
+def _commit(u: np.ndarray, decide: np.ndarray, v: np.ndarray, known: bool) -> None:
     """Commit a subtree whose every row is all known (v holds their input
     bits) or all erased (the fill stands); overwrites v with its re-encoded bits.
 
@@ -202,7 +263,6 @@ def _commit(u: np.ndarray, unresolved: np.ndarray, decide: np.ndarray,
     sc_decode_block to compare with the fill, but re-encodes the fixed bits.
     """
     if not known:
-        unresolved[...] = 0xFF
         v[...] = _butterfly(u)
         return
     implied = _butterfly(v)
@@ -246,50 +306,65 @@ def _byte_tables(decide_byte: int) -> tuple:
     it is fixed and every value step is an XOR or a choice by a flag, so
     its decision byte (a fixed position's implied bit, or its fill if
     erased) and its re-encoded byte are GF(2)-linear in its value byte v
-    and its fill byte f.  Returns (tv, tf, erased): the output word
+    and its fill byte f.  Returns (tv, tf): the output word
     decisions | re-encoded << 8 is
     tv[p << 8 | v] ^ tf[p << 5 | f & 15] ^ tf[p << 5 | 16 | f >> 4].
     tv is byte-indexed (65,536 uint16, 128 KB); tf is nibble-indexed
-    (256 x 2 x 16 uint16, 16 KB): a byte-indexed fill table decodes about
-    1.2x faster but adds 128 KB of peak memory per decide byte.  erased[p]
-    is the byte of erased leaves.  They are read off one plain SC of the 16
-    basis words under each of the 256 patterns.
+    (256 x 2 x 16 uint16, 16 KB): a byte-indexed fill table would add
+    128 KB of peak memory per decide byte, and the fill part of every leaf
+    is looked up once per decode anyway (_fill_words).  They are read off
+    one plain SC of the 16 basis words under each of the 256 patterns.
     """
     pattern = np.repeat(np.arange(256, dtype=np.uint8), 16)
     k = np.unpackbits(pattern[:, None], axis=1, bitorder="little").astype(bool)
     basis = np.tile(np.eye(16, dtype=np.uint8), (256, 1))
     decide = np.unpackbits(np.array([decide_byte], dtype=np.uint8), bitorder="little")
-    u, unresolved, x = _sc_bits(k, basis[:, :8], basis[:, 8:], decide.astype(bool))
+    u, _, x = _sc_bits(k, basis[:, :8], basis[:, 8:], decide.astype(bool))
     # words[p, b]: the output word of basis word b under pattern p
     low, high = _pack(np.hstack([u, x])).astype(np.uint16)
     words = (low | high << 8).reshape(256, 16)
     tv = _span(words[:, :8]).ravel()
     tf = _span(words[:, 8:].reshape(256, 2, 4)).ravel()
-    erased = _pack(unresolved[::16]).ravel()
-    for table in (tv, tf, erased):
+    for table in (tv, tf):
         table.flags.writeable = False  # shared by every decode
-    return tv, tf, erased
+    return tv, tf
 
 
-# p << 8 and p << 5 for every known-flag byte p: where p's block starts in tv and in tf
-_AT_V = np.arange(256, dtype=np.intp) << 8
-_AT_F = np.arange(256, dtype=np.intp) << 5
+def _byte_flags(k: np.ndarray) -> np.ndarray:
+    """The leaf known flags of width-8 subtrees whose input known flags pack
+    to the bytes k: the flag pairing (a, b) -> (a & b, a | b) of
+    _flag_levels, run on the halves, quarters and pairs inside each byte."""
+    for h, low in ((4, 0x0F), (2, 0x33), (1, 0x55)):
+        a, b = k & low, (k >> h) & low
+        k = (a & b) | (a | b) << h
+    return k
 
 
-def _leaf(u: np.ndarray, unresolved: np.ndarray, decide_byte: int, k: np.ndarray,
+# the erased leaves of a width-8 subtree under each input known byte
+_LEAF_ERASED = ~_byte_flags(np.arange(256, dtype=np.uint8))
+
+
+def _fill_words(tf: np.ndarray, p: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """The fill part of the output words of leaves whose known bytes are p
+    and fill bytes f, under the fill table tf of their decide byte:
+    tf[p << 5 | f & 15] ^ tf[p << 5 | 16 | f >> 4]."""
+    at = p.astype(np.uint16)
+    at <<= 5
+    word = tf[at | (f & 15)]
+    at |= 16
+    word ^= tf[at | (f >> 4)]
+    return word
+
+
+def _leaf(u: np.ndarray, tv: np.ndarray, at: np.ndarray, fw: np.ndarray,
           v: np.ndarray) -> np.ndarray:
     """Decode one byte position (a width-8 subtree) of every row by lookup:
-    writes the decisions into u and the erased flags into unresolved, and
-    returns the re-encoded byte.  u, unresolved, k and v are (rows,)."""
-    tv, tf, erased = _byte_tables(int(decide_byte))
-    p = k.astype(np.intp)
-    word = tv[_AT_V[p] | v]
-    at = _AT_F[p]
-    word ^= tf[at | (u & 15)]
-    at |= 16
-    word ^= tf[at | (u >> 4)]
+    writes the decisions into u and returns the re-encoded byte.  u and v
+    are (rows,) bytes; at holds each row's p << 8 (intp), where its known
+    byte p starts in tv, and fw its fill word."""
+    word = tv[at | v]
+    word ^= fw
     u[...] = word  # the assignment keeps the low byte: the decisions
-    unresolved[...] = erased[p]
     return word.view(np.uint8)[1::2]  # the high byte (little endian): re-encoded
 
 
@@ -311,6 +386,7 @@ class ChainCodec:
         decide[self._b0] = False
         decide.flags.writeable = False
         self._decide = decide
+        self._schedules = {}
 
     @property
     def message_size(self) -> int:
@@ -401,11 +477,8 @@ class ChainCodec:
             guess_bits = guess_bits.reshape(-1, self.N)
         obs = y.reshape(-1, self.N)
 
-        decide = self._decide
-        if chain is None:
-            decide = decide.copy()
-            decide[self._b0] = True
-        else:
+        decide, packed_decide, groups, tvs = self._schedule(chain is None)
+        if chain is not None:
             chain = _checked(chain, "chain")
             if chain.shape not in ((self.chain_size,), (len(obs), self.chain_size)):
                 raise ValueError(f"chain shape {chain.shape} fits neither "
@@ -419,25 +492,45 @@ class ChainCodec:
         if chain is not None:
             fill[:, self._b0] = chain
         fill = _pack(fill, pad)
-        decide = _pack(decide, pad)
-        u = fill.copy()
-        unresolved = np.zeros_like(fill)
         # one permuted copy; a trit's low bit is its value where it is known
         # (an erasure's is 0)
         value = np.take(obs, self._perm, axis=1)
         known = _pack(value != Trit.ERASED, pad)
         value &= 1
         value = _pack(value, pad)
-        _descend(u, unresolved, decide, known, value)
+
+        plan, erased = _flag_pass(known, fill, packed_decide, groups, tvs)
+        _descend(plan, 0, value)
 
         # known fixed positions hold their implied bits: compare, then restore
-        decide = decide[:, None]
-        residual = (u ^ fill) & ~decide
+        u = plan.u
+        residual = (u ^ fill) & ~packed_decide[:, None]
         u ^= residual
-        erased = unresolved & decide
         return DecodeResult(_unpack(u, self.N, pad).reshape(y.shape),
                             *(_unpack(a, self.N, pad).view(bool).reshape(y.shape)
                               for a in (erased, residual)))
+
+    def _schedule(self, chain_free: bool) -> tuple:
+        """The decide flags of a decode with chain bits (B fixed) or without
+        them (B decided), unpacked and packed, and its leaf schedule: the
+        leaf bytes grouped by decide byte, with each group's fill table, and
+        each leaf byte's value table.  Built at the first such decode."""
+        schedule = self._schedules.get(chain_free)
+        if schedule is None:
+            decide = self._decide
+            if chain_free:
+                decide = decide.copy()
+                decide[self._b0] = True
+            packed = _pack(decide, max(0, 8 - self.N))
+            groups, tvs = [], [None] * len(packed)
+            for byte in sorted(set(packed.tolist())):
+                tv, tf = _byte_tables(byte)
+                where = np.flatnonzero(packed == byte)
+                groups.append((tf, where))
+                for j in where.tolist():
+                    tvs[j] = tv
+            schedule = self._schedules[chain_free] = (decide, packed, groups, tvs)
+        return schedule
 
     def extract_message(self, u: np.ndarray) -> np.ndarray:
         """The information bits of a decoded u, or of each row of stacked ones."""

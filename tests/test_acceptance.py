@@ -93,17 +93,20 @@ def test_criterion_03_bernoulli_oracle():
 def test_criterion_04_round_trip():
     t0 = time.perf_counter()
     ok = True
-    # exhaustive inputs through encode/decode at every N <= 16
+    # exhaustive inputs through encode/decode at every N <= 16: all 2^N
+    # inputs as one stack, plus one of them decoded as a single row
     for n in range(1, 5):
         N = 1 << n
         codec = ChainCodec(all_info_partition(N))
         chain = np.array([], dtype=np.uint8)
-        for bits in itertools.product((0, 1), repeat=N):
-            u = np.array(bits, dtype=np.uint8)
-            res = codec.sc_decode_block(polar_transform(u).astype(np.int8), chain)
-            if res.erased_decisions or not np.array_equal(res.u, u):
-                ok = False
-                break
+        u = np.array(list(itertools.product((0, 1), repeat=N)), dtype=np.uint8)
+        res = codec.sc_decode_block(polar_transform(u).astype(np.int8), chain)
+        spot = u[len(u) // 3]
+        one = codec.sc_decode_block(polar_transform(spot).astype(np.int8), chain)
+        if (res.erased_decisions or not np.array_equal(res.u, u)
+                or one.erased_decisions or not np.array_equal(one.u, spot)):
+            ok = False
+            break
     # random multi-block sessions with a silent adversary decode exactly
     rng = np.random.default_rng(ACCEPTANCE_SEED)
     sessions = 0

@@ -588,6 +588,32 @@ class TestStacked:
             np.testing.assert_array_equal(np.flatnonzero(res.erased[r]) + 1, guessed)
             np.testing.assert_array_equal(np.flatnonzero(res.residual[r]) + 1, contradicted)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @given(n=st.integers(0, 12), rows=st.integers(0, 6), with_chain=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_erased_is_the_realized_noise_on_decided_positions(
+            self, n, rows, with_chain, seed):
+        """The flag pass alone sets erased: on every row it is the boolean
+        polarization of the row's erasures (realize_profile) on the decided
+        positions, B among them when no chain bits are given.  Rows are all
+        known, all erased or erased at a random share of their own."""
+        rng = np.random.default_rng(seed)
+        N = 1 << n
+        part = random_partition(N, rng)
+        y = rng.integers(0, 2, (rows, N)).astype(np.int8)
+        share = rng.choice([0.0, 1.0, rng.random()], size=(rows, 1))
+        y[rng.random((rows, N)) < share] = Trit.ERASED
+        chain = rng.integers(0, 2, len(part.chain_sink), dtype=np.uint8) if with_chain else None
+        decided = np.ones(N, dtype=bool)
+        decided[part.frozen - 1] = False
+        if with_chain:
+            decided[part.chain_sink - 1] = False
+        res = ChainCodec(part).sc_decode_block(y, chain)
+        realized = realize_profile(y == Trit.ERASED)
+        assert res.erased.shape == (rows, N)
+        for r in range(rows):
+            np.testing.assert_array_equal(res.erased[r], realized[r] & decided)
+
     def test_one_row_stack_keeps_the_row_shape(self):
         codec = ChainCodec(flat_partition(4))
         chain = np.array([], dtype=np.uint8)
@@ -751,13 +777,15 @@ class TestLeafTables:
                                               contradicted)
 
     def test_leaf_lookup_equals_plain_sc_on_every_word(self):
-        """One mixed decide byte's leaf lookup against plain SC on all 65,536
-        (pattern, value) words with a zero fill and all 65,536 (pattern,
-        fill) words with zero values; the value and fill lookups are XORed,
-        so this covers every table entry."""
+        """One mixed decide byte's leaf entry points against plain SC on all
+        65,536 (pattern, value) words with a zero fill and all 65,536
+        (pattern, fill) words with zero values: the value gather at the
+        offset p << 8, the fill word and the erased byte of the pattern.
+        The value and fill parts are XORed, so this covers every table entry."""
         decide_byte = 0b10110100
         decide = np.unpackbits(np.array([decide_byte], dtype=np.uint8),
                                bitorder="little").astype(bool)
+        tv, tf = codec_module._byte_tables(decide_byte)
         word = np.arange(1 << 16)
         p, low = (word >> 8).astype(np.uint8), (word & 0xFF).astype(np.uint8)
         k = np.unpackbits(p[:, None], axis=1, bitorder="little").astype(bool)
@@ -765,10 +793,12 @@ class TestLeafTables:
         zero = np.zeros_like(bits)
         for v, f in ((bits, zero), (zero, bits)):
             u, unresolved, x = codec_module._sc_bits(k, v, f, decide)
-            decisions = np.packbits(f, axis=1, bitorder="little").ravel()
-            erased = np.zeros_like(decisions)
-            encoded = codec_module._leaf(decisions, erased, decide_byte, p,
+            fill = np.packbits(f, axis=1, bitorder="little").ravel()
+            decisions = fill.copy()
+            encoded = codec_module._leaf(decisions, tv, p.astype(np.intp) << 8,
+                                         codec_module._fill_words(tf, p, fill),
                                          np.packbits(v, axis=1, bitorder="little").ravel())
+            erased = codec_module._LEAF_ERASED[p]
             for got, want in ((decisions, u), (encoded, x), (erased, unresolved)):
                 np.testing.assert_array_equal(
                     got, np.packbits(want, axis=1, bitorder="little").ravel())

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from awtcpolar.construction import (
     MAX_N,
@@ -135,6 +137,42 @@ class TestBuildPartition:
         e_worst = prof.log_eps[part.chain_source - 1].max()
         others = np.setdiff1d(full_i, part.chain_source)
         assert (prof.log_eps[others - 1] >= e_worst).all()
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(n=st.integers(0, 12), beta=st.floats(0.01, 0.49), rho_w=st.floats(0.0, 0.98),
+           share=st.floats(0.0, 1.0))
+    @example(n=5, beta=0.4, rho_w=0.2, share=0.4 / 0.79)  # infeasible
+    @example(n=8, beta=0.35, rho_w=0.3, share=0.3 / 0.69)  # a live chain
+    def test_property_partition_meets_its_definitions(self, n, beta, rho_w, share):
+        """With L_w = {i : P_w,i <= delta} and H_r = {i : P_r,i >= 1 - delta}
+        (P_w the write profile at rho_w, P_r the read profile at 1 - rho_r,
+        delta = 2^(-N^beta)): I = L_w & H_r, R = L_w - H_r, F = H_r - L_w,
+        B the rest; E is the |B| most reliable indices of I (smallest P_w,
+        ties to the smaller index); the build fails exactly when |I| < |B|."""
+        cfg = CodeConfig(n=n, beta=beta, rho_w=rho_w, rho_r=share * (0.99 - rho_w))
+        log_delta = delta_threshold(cfg.N, beta)
+        write = bec_profile(cfg.rho_w, n)
+        low_w = set((np.flatnonzero(write.log_eps <= log_delta) + 1).tolist())
+        high_r = set((np.flatnonzero(
+            bec_profile(1.0 - cfg.rho_r, n).log_one_minus_eps <= log_delta) + 1).tolist())
+        i_set = low_w & high_r
+        b_set = set(range(1, cfg.N + 1)) - low_w - high_r
+        try:
+            part = build_partition(cfg)
+        except InfeasibleConstruction as err:
+            assert len(i_set) < len(b_set)
+            assert (err.i_size, err.b_size) == (len(i_set), len(b_set))
+            return
+        assert len(i_set) >= len(b_set)
+        e_set = set(part.chain_source.tolist())
+        assert set(part.info.tolist()) | e_set == i_set
+        assert set(part.random.tolist()) == low_w - high_r
+        assert set(part.frozen.tolist()) == high_r - low_w
+        assert set(part.chain_sink.tolist()) == b_set
+        assert len(e_set) == len(b_set) and e_set <= i_set
+        rank = {i: (write.log_eps[i - 1], i) for i in i_set}
+        if e_set and i_set - e_set:
+            assert max(rank[i] for i in e_set) < min(rank[i] for i in i_set - e_set)
 
     def test_determinism(self):
         cfg = CodeConfig(n=9, beta=0.3, rho_w=0.2, rho_r=0.4)
