@@ -17,8 +17,6 @@ from enum import Enum
 
 import numpy as np
 
-from .codec import Trit
-
 
 class Strategy(Enum):
     UNIFORM = "uniform"
@@ -85,24 +83,32 @@ def sample_action(
     return AdversaryAction(write=write, read=read)
 
 
-def _checked_block(x, mask) -> np.ndarray:
-    """x as int8, once mask is a boolean mask of its shape."""
-    x = np.asarray(x, dtype=np.int8)
+def _checked_block(x, mask) -> tuple:
+    """x's bytes as uint8, and mask's, once mask is a boolean mask of x's
+    shape; x of any dtype but int8 and uint8 is cast to int8 first."""
+    if not (isinstance(x, np.ndarray) and x.dtype in (np.int8, np.uint8)):
+        x = np.asarray(x, dtype=np.int8)
     if not _is_mask(mask, x.shape):
         raise ValueError(f"need a boolean mask of shape {x.shape}, one entry per position")
-    return x
+    return x.view(np.uint8), mask.view(np.uint8)
 
 
 def apply_write(x, write) -> np.ndarray:
     """Bob's observation: x with every written position erased.  x is one
-    block (N,) or a stacked session (T, N); write is a mask of its shape."""
-    return np.where(write, np.int8(Trit.ERASED), _checked_block(x, write))
+    block (N,) or a stacked session (T, N); write is a mask of its shape.
+    Returns int8 trits."""
+    x, w = _checked_block(x, write)
+    # w - 1 is 0xFF where x is kept and 0 where written; w << 1 is Trit.ERASED (2)
+    return (x & (w - 1) | w << 1).view(np.int8)
 
 
 def apply_read(x, read) -> np.ndarray:
     """Eve's observation: x erased everywhere except the positions she reads.
-    x is one block (N,) or a stacked session (T, N); read is a mask of its shape."""
-    return np.where(read, _checked_block(x, read), np.int8(Trit.ERASED))
+    x is one block (N,) or a stacked session (T, N); read is a mask of its
+    shape.  Returns int8 trits."""
+    x, r = _checked_block(x, read)
+    # -r is 0xFF where x is read and 0 elsewhere; (r ^ 1) << 1 is Trit.ERASED there
+    return (x & -r | (r ^ 1) << 1).view(np.int8)
 
 
 def write_equivalent_mask(actions) -> np.ndarray:

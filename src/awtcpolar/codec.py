@@ -54,8 +54,13 @@ def _checked(a, name: str, top: int = 1) -> np.ndarray:
     """a as uint8 bits (top 1) or trits (top 2), rejecting every other value,
     which the cast alone would wrap (257 to a one, 258 to an erasure)."""
     a = np.asarray(a)
-    out = a.astype(np.uint8, copy=False)
-    if not np.array_equal(out, a) or (out > top).any():
+    if a.dtype in (np.int8, np.uint8):
+        out = a.view(np.uint8)  # a negative int8 views as 128 or more
+        bad = (out > top).any()
+    else:
+        out = a.astype(np.uint8, copy=False)
+        bad = not np.array_equal(out, a) or (out > top).any()
+    if bad:
         kind = "bits: 0 or 1" if top == 1 else "trits: 0, 1 or 2 (erased)"
         raise ValueError(f"{name} must be {kind}")
     return out

@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .polar_core import PolarizationProfile, bec_profile, delta_threshold
+from .polar_core import (
+    PolarizationProfile,
+    bec_profile,
+    bit_reversal_permutation,
+    check_block_length,
+    delta_threshold,
+    pack_rows,
+)
 
 
 class InfeasibleConstruction(Exception):
@@ -105,11 +112,14 @@ class IndexPartition:
         }
 
     @functools.cached_property
-    def bound_masks(self) -> tuple:
-        """Read-only boolean masks over the N positions of the sets the bound
-        sums count: (I union R, E, I union F).
+    def bound_masks(self) -> np.ndarray:
+        """Read-only packed masks of the sets the bound sums count, one row
+        each: (I union R, E, I union F), I meaning the full information set,
+        chain source E included.
 
-        I is the full information set, chain source E included.
+        The rows are bit-reversed and packed as pack_rows packs them: bit j
+        is position rev(j), where realize_packed leaves decision rev(j)'s
+        noise indicator.
         """
         i_full = (self.info, self.chain_source)
         masks = np.zeros((3, self.N), dtype=bool)
@@ -117,8 +127,9 @@ class IndexPartition:
                                       i_full + (self.frozen,))):
             for idx in sets:
                 mask[idx - 1] = True
-        masks.flags.writeable = False
-        return tuple(masks)
+        words = pack_rows(masks[:, bit_reversal_permutation(check_block_length(self.N))])
+        words.flags.writeable = False
+        return words
 
     def classes(self) -> np.ndarray:
         """Class label of every index, position i-1 holding index i's label."""

@@ -30,7 +30,14 @@ from .adversary import (
 )
 from .codec import ChainCodec, random_bit_rows
 from .construction import CodeConfig, IndexPartition, InfeasibleConstruction, build_partition
-from .polar_core import realize_profile
+# realize_profile is not called here; the name stays for tools that wrap it
+from .polar_core import (  # noqa: F401
+    check_block_length,
+    count_bits,
+    pack_rows,
+    realize_packed,
+    realize_profile,
+)
 
 CELL_COLUMNS = ["kind", "N", "n", "beta", "rho_w", "rho_r", "T", "strategy"]
 
@@ -79,9 +86,16 @@ def _seed_key(x: float) -> int:
     return int(round(x * 1e9))
 
 
-def derive_trial_seed(base_seed: int, cell: Cell, trial: int) -> int:
-    """Deterministic 64-bit seed from the base seed, the cell and the trial index."""
-    key = (
+# numpy's SeedSequence constants (pool of four 32-bit words)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _seed_prefix(base_seed: int, cell: Cell) -> tuple:
+    """The entropy of a cell's trial seeds before the trial index."""
+    return (
         int(base_seed),
         KINDS.index(cell.kind),
         int(cell.n),
@@ -90,12 +104,54 @@ def derive_trial_seed(base_seed: int, cell: Cell, trial: int) -> int:
         _seed_key(cell.rho_r),
         int(cell.T),
         list(Strategy).index(Strategy(cell.strategy)),
-        int(trial),
     )
-    return int(np.random.SeedSequence(key).generate_state(1, dtype=np.uint64)[0])
 
 
-# rows x N bits realized per realize_profile call.  It bounds the working set
+def _xorshift(v: np.ndarray) -> np.ndarray:
+    return v ^ (v >> 16)
+
+
+def derive_trial_seeds(base_seed: int, cell: Cell, trials) -> list:
+    """Deterministic 64-bit seeds of the given trial indices of one cell:
+    trial t's seed is SeedSequence(prefix + (t,)).generate_state(1, uint64)[0].
+
+    The prefix's pool is built once; each trial index, one 32-bit word
+    below 2^32, is then mixed into the pool's first two words (the only
+    ones the 64-bit state reads) and the state generated, on uint32 arrays
+    for all trials at once.
+    """
+    prefix = _seed_prefix(base_seed, cell)
+    pool = np.random.SeedSequence(prefix).pool
+    trials = np.asarray(trials, dtype=np.int64)
+    if trials.size and not 0 <= trials.min() <= trials.max() <= _MASK32:
+        raise ValueError("trial indices must lie in [0, 2^32)")
+    t = trials.astype(np.uint32)
+    # the hash constant after the prefix (at least 8 words): 4 pool words,
+    # 12 all-pairs mixes, then 4 per entropy word past the pool's
+    words = sum(max(1, -(-v.bit_length() // 32)) for v in prefix)
+    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 1 << 32) & _MASK32
+    hash_b = _INIT_B
+    state = []
+    for word in pool[:2].tolist():
+        # mix_entropy: hashmix the trial word, then mix it into this pool word
+        next_a = hash_a * _MULT_A & _MASK32
+        mixed = _xorshift((t ^ np.uint32(hash_a)) * np.uint32(next_a))
+        mixed = _xorshift(np.uint32(_MIX_MULT_L * word & _MASK32)
+                          - np.uint32(_MIX_MULT_R) * mixed)
+        # generate_state: hash the pool word into one state word
+        next_b = hash_b * _MULT_B & _MASK32
+        state.append(_xorshift((mixed ^ np.uint32(hash_b)) * np.uint32(next_b)))
+        hash_a, hash_b = next_a, next_b
+    low, high = (half.astype(np.uint64) for half in state)
+    return (low | high << np.uint64(32)).tolist()
+
+
+def derive_trial_seed(base_seed: int, cell: Cell, trial: int) -> int:
+    """Deterministic 64-bit seed from the base seed, the cell and the trial index."""
+    return derive_trial_seeds(base_seed, cell, [trial])[0]
+
+
+# rows x N bits realized per realize_packed call.  It bounds the working set
 # of a stacked bound evaluation whatever the number of actions: a slice's
 # actions and boolean masks (64 KiB each) stay cache-sized, and slices of 2^18
 # bits ran no faster while raising peak memory by about 2.5 MB.
@@ -114,23 +170,24 @@ def block_bound_counts(partition: IndexPartition, actions) -> tuple:
     third every block.
 
     actions is any iterable of actions.  It is consumed in slices of at
-    most _SLICE_BITS // N actions, each realized in one stacked call, so
-    only one slice's actions are held at a time.  Returns three integer
+    most _SLICE_BITS // N actions, each side's masks packed and realized in
+    one realize_packed call, so only one slice's actions are held at a
+    time.  Each term is the popcount of the realized words ANDed with the
+    partition's bit-reversed packed set masks.  Returns three integer
     arrays (ir, e, leak), one entry per action in order.
     """
-    ir, e, i_f = partition.bound_masks
-    i_f_size = np.count_nonzero(i_f)
+    masks = partition.bound_masks
+    i_f_size = count_bits(masks[2])
+    n = check_block_length(partition.N)
     slice_rows = max(1, _SLICE_BITS // partition.N)
     actions = iter(actions)
     counts = [np.zeros((3, 0), dtype=np.intp)]
     while batch := list(itertools.islice(actions, slice_rows)):
-        zw = realize_profile(write_equivalent_mask(batch))
-        zr = realize_profile(read_equivalent_mask(batch))
-        counts.append(np.stack([
-            np.count_nonzero(zw & ir, axis=1),
-            np.count_nonzero(zw & e, axis=1),
-            i_f_size - np.count_nonzero(zr & i_f, axis=1),
-        ]))
+        zw = realize_packed(pack_rows(write_equivalent_mask(batch)), n)
+        zr = realize_packed(pack_rows(read_equivalent_mask(batch)), n)
+        hits = count_bits(np.stack([zw & masks[0], zw & masks[1], zr & masks[2]]))
+        hits[2] = i_f_size - hits[2]
+        counts.append(hits)
     return tuple(np.concatenate(counts, axis=1))
 
 
@@ -306,6 +363,8 @@ class SweepSpec:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.base_seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.base_seed}")
         if not self.n_list or not self.beta_list:
             raise ValueError("n and beta grids must be non-empty")
         cells = len(self.n_list) * len(self.beta_list)
@@ -417,8 +476,8 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> SweepResult:
             )
             continue
         cell = Cell.of(spec.kind, config, spec.strategy)
-        trial_seeds = [(t, derive_trial_seed(spec.base_seed, cell, t))
-                       for t in range(spec.trials)]
+        trial_seeds = list(enumerate(derive_trial_seeds(spec.base_seed, cell,
+                                                        range(spec.trials))))
         chunk = -(-spec.trials // workers)
         for lo in range(0, spec.trials, chunk):
             tasks.append(

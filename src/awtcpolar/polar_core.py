@@ -3,7 +3,10 @@
 Erasure probabilities are kept as (log eps, log(1-eps)) array pairs and the
 threshold 2^(-N^beta) as its log, so that polarized values far below 1e-300
 stay representable.  Boolean adversary realizations are propagated exactly
-with OR/AND logic instead of floats.
+with OR/AND logic instead of floats: one butterfly, realize_packed, runs on
+natural-order rows packed into 64-bit words and leaves each decision's
+indicator at its bit-reversed position; realize_profile unpacks that and
+reverses it, and callers that only count bits (count_bits) skip both.
 """
 
 from __future__ import annotations
@@ -137,6 +140,63 @@ _LOW_HALF = {
     16: np.uint64(0x0000FFFF0000FFFF),
     32: np.uint64(0x00000000FFFFFFFF),
 }
+# set bits of every byte value, for counting bits without numpy 2's bitwise_count
+_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def pack_rows(bits) -> np.ndarray:
+    """Boolean rows (rows, N) packed little-endian into 64-bit words, shape
+    (rows, max(1, N/64)); a row shorter than a word is zero-padded."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    if packed.shape[-1] < _WORD // 8:
+        packed = np.pad(packed, ((0, 0), (0, _WORD // 8 - packed.shape[-1])))
+    return np.ascontiguousarray(packed).view("<u8")
+
+
+def count_bits(words: np.ndarray) -> np.ndarray:
+    """Set bits of each row of C-contiguous 64-bit words, summed over the
+    last axis."""
+    return _BYTE_POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.intp)
+
+
+def realize_packed(words: np.ndarray, n: int) -> np.ndarray:
+    """The OR/AND butterfly of realize_profile on packed rows, in place.
+
+    words holds rows of N = 2^n mask bits in natural order, packed by
+    pack_rows (C-contiguous, shape (rows, max(1, N/64))).  For h = 1, 2,
+    ..., N/2, within every block of 2h, (z[i], z[i+h]) -> (z[i] | z[i+h],
+    z[i] & z[i+h]).  Afterwards bit j of a row holds the noise indicator of
+    decision rev(j), rev being bit_reversal_permutation(n).  Stages with
+    h < 64 pair the bits inside each word by masked shifts; the others pair
+    whole words.  The padding of a row shorter than a word is never paired
+    with its bits.  Returns words.
+    """
+    N = 1 << n
+    rows = words.shape[0]
+    h = 1
+    t, u = np.empty_like(words), np.empty_like(words)
+    while h < min(N, _WORD):
+        keep, shift = _LOW_HALF[h], np.uint64(h)
+        # t marks the pairs (0, 1), the only ones OR/AND changes: to (1, 0)
+        np.right_shift(words, shift, out=t)
+        np.bitwise_and(t, keep, out=t)
+        np.invert(words, out=u)
+        np.bitwise_and(t, u, out=t)
+        # flip both bits of each marked pair: t * (2^h + 1) is t | t << h,
+        # since t has no bit in any high half
+        np.multiply(t, np.uint64((1 << h) + 1), out=t)
+        np.bitwise_xor(words, t, out=words)
+        h *= 2
+    spare = np.empty(words.size // 2, dtype=words.dtype)
+    while h < N:
+        pairs = words.reshape(rows, N // (2 * h), 2, h // _WORD)
+        low, high = pairs[:, :, 0], pairs[:, :, 1]
+        both = spare.reshape(low.shape)
+        np.bitwise_and(low, high, out=both)
+        np.bitwise_or(low, high, out=low)
+        high[...] = both
+        h *= 2
+    return words
 
 
 def realize_profile(mask) -> np.ndarray:
@@ -147,48 +207,18 @@ def realize_profile(mask) -> np.ndarray:
     shape, output position i holding the i-th decoder decision's channel.
 
     The non-stationary pairing (at stage q the block entries (i, i+2^q) map
-    to (i OR i+2^q, i AND i+2^q) interleaved) equals a bit reversal followed
-    by an in-place OR/AND butterfly: for h = N/2, N/4, ..., 1, within every
-    block of 2h, (z[i], z[i+h]) -> (z[i] | z[i+h], z[i] & z[i+h]).  The
-    butterfly runs on the rows packed little-endian into 64-bit words:
-    stages with h >= 64 pair whole words, the others pair the bits inside
-    each word by masked shifts.
+    to (i OR i+2^q, i AND i+2^q) interleaved) equals the in-place OR/AND
+    butterfly of realize_packed on the natural-order mask, followed by a
+    bit reversal of its output.
     """
     z = np.asarray(mask, dtype=bool)
     if z.ndim not in (1, 2):
         raise ValueError(f"mask must be (N,) or stacked (rows, N), got shape {z.shape}")
     N = z.shape[-1]
     n = check_block_length(N)
-    bits = np.take(z.reshape(-1, N), bit_reversal_permutation(n), axis=1)
-    if N < _WORD:  # one zero-padded word per row; stages never reach the padding
-        bits = np.pad(bits, ((0, 0), (0, _WORD - N)))
-    rows, width = bits.shape
-    words = np.packbits(bits, bitorder="little").view("<u8").reshape(rows, width // _WORD)
-
-    h = N // 2
-    spare = np.empty(words.size // 2, dtype=words.dtype)
-    while h >= _WORD:
-        pairs = words.reshape(rows, N // (2 * h), 2, h // _WORD)
-        low, high = pairs[:, :, 0], pairs[:, :, 1]
-        both = spare.reshape(low.shape)
-        np.bitwise_and(low, high, out=both)
-        np.bitwise_or(low, high, out=low)
-        high[...] = both
-        h //= 2
-    low, high = np.empty_like(words), np.empty_like(words)
-    while h:
-        keep, shift = _LOW_HALF[h], np.uint64(h)
-        np.bitwise_and(words, keep, out=low)
-        np.right_shift(words, shift, out=high)
-        np.bitwise_and(high, keep, out=high)
-        np.bitwise_or(low, high, out=words)  # OR into the low halves
-        np.bitwise_and(low, high, out=low)
-        np.left_shift(low, shift, out=low)
-        np.bitwise_or(words, low, out=words)  # AND into the high halves
-        h //= 2
-
-    out = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
-    return out.reshape(rows, width)[:, :N].reshape(z.shape)
+    words = realize_packed(pack_rows(z.reshape(-1, N)), n)
+    bits = np.unpackbits(words.view(np.uint8), axis=-1, count=N, bitorder="little")
+    return bits.view(bool)[:, bit_reversal_permutation(n)].reshape(z.shape)
 
 
 def delta_threshold(N: int, beta: float) -> float:

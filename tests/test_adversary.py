@@ -142,6 +142,25 @@ class TestObservations:
             for row, block, mask in zip(stacked, x, masks):
                 np.testing.assert_array_equal(row, apply_fn(block, mask))
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=100)
+    @given(shape=st.sampled_from([(16,), (1, 8), (5, 16)]),
+           dtype=st.sampled_from([np.int8, np.uint8]), seed=st.integers(0, 2**32 - 1))
+    def test_property_bit_ops_equal_where_form(self, shape, dtype, seed):
+        """Every int8 or uint8 input, bits or not, gives the bytes of the
+        np.where form on an int8 copy, for one block and a stacked session."""
+        rng = np.random.default_rng(seed)
+        x = rng.integers(0, 256, shape).astype(np.uint8).view(dtype)
+        mask = rng.random(shape) < rng.random()
+        before = x.copy()
+        as_int8 = x.astype(np.int8)
+        erased = np.int8(2)
+        for apply_fn, expected in ((apply_write, np.where(mask, erased, as_int8)),
+                                   (apply_read, np.where(mask, as_int8, erased))):
+            got = apply_fn(x, mask)
+            assert got.dtype == np.int8 and got.shape == shape
+            np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(x, before)
+
     def test_rejects_index_sets_and_wrong_shapes(self):
         # an index array would read as a truthy mask and erase everything
         x = np.array([1, 0, 1, 0], dtype=np.int8)

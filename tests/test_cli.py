@@ -101,9 +101,29 @@ def test_huge_trial_count_exits_one_before_building(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(experiments, "build_partition", refuse)
     monkeypatch.setattr(experiments, "derive_trial_seed", refuse)
+    monkeypatch.setattr(experiments, "derive_trial_seeds", refuse)
     assert run("bounds", "--n", 4, "--trials", 10**12, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MAX_TRIALS" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["bounds", "simulate"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_negative_seed_exits_one_before_building(tmp_path, monkeypatch, capsys, command,
+                                                  source):
+    """A negative base seed, which SeedSequence cannot take, is an error: exit
+    1 before any cell is built, from the flag or from a config file."""
+    def refuse(*args):
+        raise AssertionError("built a partition")
+
+    monkeypatch.setattr(experiments, "build_partition", refuse)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"seed": -5}))
+    seed = ["--seed", -5] if source == "flag" else ["--config", "cfg.json"]
+    assert run(command, "--n", 4, "--trials", 1, "--blocks", 2, *seed) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed" in err
     assert not (tmp_path / "out").exists()
 
 

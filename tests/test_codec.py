@@ -460,6 +460,23 @@ class TestScDecodeBlock:
                     fn()
 
 
+    @pytest.mark.parametrize("dtype,bad", [(np.int8, -1), (np.int8, -128), (np.uint8, 3)])
+    def test_rejects_out_of_range_bytes(self, dtype, bad):
+        """int8 and uint8 inputs are checked on their bytes: a negative int8
+        reads as 128 or more, and neither is a bit nor a trit."""
+        codec = ChainCodec(flat_partition(4))
+        row = np.array([0, 1, bad, 0], dtype=dtype)
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="trits"):
+            codec.sc_decode_block(row, None)
+        with pytest.raises(ValueError, match="u must be bits"):
+            polar_transform(row)
+        with pytest.raises(ValueError, match="guess_bits must be bits"):
+            codec.sc_decode_block(np.zeros(4, dtype=np.int8), None, guess_bits=row)
+        with pytest.raises(ValueError, match="messages must be bits"):
+            codec.encode_session(row[None, :codec.message_size], [], rng)
+
+
 @st.composite
 def stacked_cases(draw):
     """A random five-way partition at N <= 64 and 1..4 stacked observations

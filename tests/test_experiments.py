@@ -146,7 +146,10 @@ class TestStackedBoundCounts:
     STRATEGIES = (Strategy.UNIFORM, Strategy.PREFIX, Strategy.BERNOULLI)
 
     @pytest.mark.parametrize("cfg", [
+        CodeConfig(n=1, beta=0.3, rho_w=0.2, rho_r=0.4),
+        CodeConfig(n=2, beta=0.3, rho_w=0.2, rho_r=0.4),
         CodeConfig(n=3, beta=0.3, rho_w=0.2, rho_r=0.4),
+        CodeConfig(n=5, beta=0.3, rho_w=0.2, rho_r=0.4),
         CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4),
         CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3),  # live chain, |E| = 2
         CodeConfig(n=10, beta=0.26, rho_w=0.2, rho_r=0.4),
@@ -169,11 +172,11 @@ class TestStackedBoundCounts:
         part = build_partition(cfg)
         monkeypatch.setattr(experiments, "_SLICE_BITS", 4 * cfg.N)
         drawn, seen = [], []
-        realize = experiments.realize_profile
+        realize = experiments.realize_packed
 
-        def recording_realize(masks):
-            seen.append((len(masks), len(drawn)))
-            return realize(masks)
+        def recording_realize(words, n):
+            seen.append((len(words), len(drawn)))
+            return realize(words, n)
 
         def actions():
             rng = np.random.default_rng(0)
@@ -181,7 +184,7 @@ class TestStackedBoundCounts:
                 drawn.append(1)
                 yield sample_action(cfg.N, cfg.rho_w, cfg.rho_r, Strategy.UNIFORM, rng)
 
-        monkeypatch.setattr(experiments, "realize_profile", recording_realize)
+        monkeypatch.setattr(experiments, "realize_packed", recording_realize)
         counts = block_bound_counts(part, actions())
         assert [len(c) for c in counts] == [10, 10, 10]
         # write and read realizations per slice, each slice drawn just before
@@ -420,6 +423,28 @@ class TestSeeds:
         assert len(seeds) == 100
         other = derive_trial_seed(2, cell, 0)
         assert other != s0
+
+    @pytest.mark.parametrize("base_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1])
+    def test_seed_pass_equals_seed_sequence(self, base_seed):
+        """One cell's seeds, derived in one pass, equal one SeedSequence per
+        trial over the whole key, for every kind and strategy, at base seeds
+        of one to three 32-bit words and at the first and last trial."""
+        trials = [0, 1, 2**20 - 1]
+        for kind in experiments.KINDS:
+            for strategy in Strategy:
+                cell = Cell(kind, 9, 0.26, 0.2, 0.4, 50, strategy.value)
+                key = (base_seed, experiments.KINDS.index(kind), 9, 260_000_000,
+                       200_000_000, 400_000_000, 50, list(Strategy).index(strategy))
+                expected = [int(np.random.SeedSequence(key + (t,))
+                                .generate_state(1, np.uint64)[0]) for t in trials]
+                assert experiments.derive_trial_seeds(base_seed, cell, trials) == expected
+                assert [derive_trial_seed(base_seed, cell, t) for t in trials] == expected
+
+    def test_seed_pass_rejects_trials_past_one_word(self):
+        cell = Cell("bounds", 8, 0.25, 0.2, 0.4, 10, Strategy.UNIFORM.value)
+        for bad in (-1, 2**32):
+            with pytest.raises(ValueError, match="trial indices"):
+                experiments.derive_trial_seeds(0, cell, [0, bad])
 
 
 class TestSweep:

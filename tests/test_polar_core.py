@@ -16,7 +16,11 @@ from awtcpolar.polar_core import (
     _next_level,
     bec_profile,
     bec_profile_stages,
+    bit_reversal_permutation,
+    count_bits,
     delta_threshold,
+    pack_rows,
+    realize_packed,
     realize_profile,
 )
 
@@ -225,6 +229,33 @@ class TestRealizeProfile:
             np.testing.assert_array_equal(got, realize_profile(mask))
             np.testing.assert_array_equal(got, stage_loop_realize(mask))
         np.testing.assert_array_equal(stacked.sum(axis=1), masks.sum(axis=1))
+
+
+class TestPackedCore:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(n=st.integers(0, 12), rows=st.integers(0, 5), seed=st.integers(0, 2**32 - 1),
+           density=st.floats(0.0, 1.0))
+    def test_property_core_then_reversal_equals_stage_loop(self, n, rows, seed, density):
+        """The packed core on natural-order rows leaves decision rev(j) at
+        bit j: unpacked and bit-reversed, each row equals the stage loop.  A
+        row shorter than a word keeps its zero padding."""
+        N = 1 << n
+        masks = np.random.default_rng(seed).random((rows, N)) < density
+        words = pack_rows(masks)
+        assert words.shape == (rows, max(1, N // 64)) and words.dtype == np.uint64
+        assert realize_packed(words, n) is words
+        bits = np.unpackbits(words.view(np.uint8), axis=-1, bitorder="little").view(bool)
+        assert not bits[:, N:].any()
+        realized = bits[:, :N][:, bit_reversal_permutation(n)]
+        for mask, got in zip(masks, realized):
+            np.testing.assert_array_equal(got, stage_loop_realize(mask))
+        np.testing.assert_array_equal(count_bits(words), masks.sum(axis=1))
+
+    def test_count_bits_counts_every_byte_value(self):
+        words = np.arange(256, dtype=np.uint8).reshape(4, 64).view(np.uint64)
+        expected = [sum(bin(b).count("1") for b in range(lo, lo + 64))
+                    for lo in range(0, 256, 64)]
+        assert count_bits(words).tolist() == expected
 
 
 class TestDeltaThreshold:
