@@ -140,8 +140,6 @@ _LOW_HALF = {
     16: np.uint64(0x0000FFFF0000FFFF),
     32: np.uint64(0x00000000FFFFFFFF),
 }
-# set bits of every byte value, for counting bits without numpy 2's bitwise_count
-_BYTE_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 
 def pack_rows(bits) -> np.ndarray:
@@ -153,10 +151,17 @@ def pack_rows(bits) -> np.ndarray:
     return np.ascontiguousarray(packed).view("<u8")
 
 
+@functools.lru_cache(maxsize=None)
+def _byte_popcount() -> np.ndarray:
+    """Set bits of every byte value: numpy 2's bitwise_count, for numpy 1."""
+    return np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
+        axis=1, dtype=np.uint8)
+
+
 def count_bits(words: np.ndarray) -> np.ndarray:
     """Set bits of each row of C-contiguous 64-bit words, summed over the
     last axis."""
-    return _BYTE_POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.intp)
+    return _byte_popcount()[words.view(np.uint8)].sum(axis=-1, dtype=np.intp)
 
 
 def realize_packed(words: np.ndarray, n: int) -> np.ndarray:
