@@ -459,7 +459,6 @@ class TestScDecodeBlock:
                 with pytest.raises(ValueError, match=f"{name} must be bits"):
                     fn()
 
-
     @pytest.mark.parametrize("dtype,bad", [(np.int8, -1), (np.int8, -128), (np.uint8, 3)])
     def test_rejects_out_of_range_bytes(self, dtype, bad):
         """int8 and uint8 inputs are checked on their bytes: a negative int8
