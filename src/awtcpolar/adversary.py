@@ -73,7 +73,7 @@ def sample_action(
     rng: np.random.Generator,
 ) -> AdversaryAction:
     """Draw S_w then S_r (in that order, independently) from one rng stream."""
-    if rho_w < 0.0 or rho_r < 0.0 or rho_w + rho_r >= 1.0:
+    if not (rho_w >= 0.0 and rho_r >= 0.0 and rho_w + rho_r < 1.0):  # False for NaN
         raise ValueError(
             f"fractions must be non-negative with rho_w + rho_r < 1, "
             f"got {rho_w} + {rho_r}"
@@ -84,13 +84,16 @@ def sample_action(
 
 
 def _checked_block(x, mask) -> tuple:
-    """x's bytes as uint8, and mask's, once mask is a boolean mask of x's
-    shape; x of any dtype but int8 and uint8 is cast to int8 first."""
+    """x's bytes as uint8, and mask's, once x holds bits and mask is a boolean
+    mask of x's shape; x of any dtype but int8 and uint8 is cast to int8 first."""
     if not (isinstance(x, np.ndarray) and x.dtype in (np.int8, np.uint8)):
         x = np.asarray(x, dtype=np.int8)
     if not _is_mask(mask, x.shape):
         raise ValueError(f"need a boolean mask of shape {x.shape}, one entry per position")
-    return x.view(np.uint8), mask.view(np.uint8)
+    x = x.view(np.uint8)  # a negative int8 views as 128 or more
+    if x.max(initial=0) > 1:
+        raise ValueError("codeword must be bits: 0 or 1")
+    return x, mask.view(np.uint8)
 
 
 def apply_write(x, write) -> np.ndarray:

@@ -259,17 +259,19 @@ _CHART_SPECS = {
 
 
 def write_charts(aggregates, out: Path) -> list:
-    written = []
+    """Render a chart of every metric the aggregates hold, then write them
+    into out (made here): a chart that fails to render leaves nothing."""
+    charts = {}
     for metric, (title, y_label, log_y) in _CHART_SPECS.items():
         series = _chart_series(aggregates, metric)
-        if not series:
-            continue
-        svg = render_line_chart(series, title=title, x_label="log2 N",
-                                y_label=y_label, log_y=log_y)
-        path = out / f"{metric}.svg"
+        if series:
+            charts[out / f"{metric}.svg"] = render_line_chart(
+                series, title=title, x_label="log2 N", y_label=y_label, log_y=log_y)
+    if charts:
+        out.mkdir(parents=True, exist_ok=True)
+    for path, svg in charts.items():
         path.write_text(svg)
-        written.append(path)
-    return written
+    return list(charts)
 
 
 def _run_sweep_cmd(args, kind: str) -> int:
@@ -307,8 +309,10 @@ def cmd_plot(args) -> int:
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read aggregates: {exc}")
     out = Path(resolved["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    charts = write_charts(aggregates, out)
+    try:
+        charts = write_charts(aggregates, out)
+    except ValueError as exc:
+        raise ValidationError(f"cannot plot {args.aggregates}: {exc}")
     if not charts:
         raise ValidationError("no plottable metrics found in the aggregate CSV")
     print(f"wrote {len(charts)} chart(s) to {out}")

@@ -56,10 +56,10 @@ def _checked(a, name: str, top: int = 1) -> np.ndarray:
     a = np.asarray(a)
     if a.dtype in (np.int8, np.uint8):
         out = a.view(np.uint8)  # a negative int8 views as 128 or more
-        bad = (out > top).any()
+        bad = out.max(initial=0) > top  # max allocates no mask of a's size
     else:
         out = a.astype(np.uint8, copy=False)
-        bad = not np.array_equal(out, a) or (out > top).any()
+        bad = not np.array_equal(out, a) or out.max(initial=0) > top
     if bad:
         kind = "bits: 0 or 1" if top == 1 else "trits: 0, 1 or 2 (erased)"
         raise ValueError(f"{name} must be {kind}")
@@ -90,10 +90,15 @@ def _xor_stages(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _byte_table(stages) -> np.ndarray:
+    """stages run on the eight positions (axis 0) of every byte value,
+    unpacked little endian, then packed back: a 256-entry byte table."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0, bitorder="little")
+    return np.packbits(stages(bits), axis=0, bitorder="little").ravel()
+
+
 # F^(x 3) on the eight positions packed in a byte (little endian)
-_BYTE_BUTTERFLY = np.packbits(
-    _xor_stages(np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0,
-                              bitorder="little")), axis=0, bitorder="little").ravel()
+_BYTE_BUTTERFLY = _byte_table(_xor_stages)
 
 
 def _butterfly(packed: np.ndarray) -> np.ndarray:
@@ -169,6 +174,11 @@ def _flag_levels(known: np.ndarray) -> list:
         np.bitwise_or(pairs[:, 0], pairs[:, 1], out=children[:, 1])
         levels.append(known)
     return levels
+
+
+# the erased leaves of a width-8 subtree under each input known byte: the
+# flag pass run on its eight positions, its last level complemented
+_LEAF_ERASED = ~_byte_table(lambda known: _flag_levels(known)[-1])
 
 
 def _flag_pass(known: np.ndarray, fill: np.ndarray, decide: np.ndarray,
@@ -333,20 +343,6 @@ def _byte_tables(decide_byte: int) -> tuple:
     for table in (tv, tf):
         table.flags.writeable = False  # shared by every decode
     return tv, tf
-
-
-def _byte_flags(k: np.ndarray) -> np.ndarray:
-    """The leaf known flags of width-8 subtrees whose input known flags pack
-    to the bytes k: the flag pairing (a, b) -> (a & b, a | b) of
-    _flag_levels, run on the halves, quarters and pairs inside each byte."""
-    for h, low in ((4, 0x0F), (2, 0x33), (1, 0x55)):
-        a, b = k & low, (k >> h) & low
-        k = (a & b) | (a | b) << h
-    return k
-
-
-# the erased leaves of a width-8 subtree under each input known byte
-_LEAF_ERASED = ~_byte_flags(np.arange(256, dtype=np.uint8))
 
 
 def _fill_words(tf: np.ndarray, p: np.ndarray, f: np.ndarray) -> np.ndarray:

@@ -61,9 +61,9 @@ class CodeConfig:
             raise ValueError(f"n must be <= {MAX_N} (N = 2^{MAX_N}), got {self.n}")
         if not 0.0 < self.beta < 0.5:
             raise ValueError(f"beta must lie in (0, 0.5), got {self.beta}")
-        if self.rho_w < 0.0 or self.rho_r < 0.0:
-            raise ValueError("fractions must be non-negative")
-        if self.rho_w + self.rho_r >= 1.0:
+        if not (self.rho_w >= 0.0 and self.rho_r >= 0.0):  # False for NaN too
+            raise ValueError(f"rho_w and rho_r must be >= 0, got {self.rho_w}, {self.rho_r}")
+        if not self.rho_w + self.rho_r < 1.0:
             raise ValueError(
                 f"rho_w + rho_r must be < 1, got {self.rho_w} + {self.rho_r}"
             )

@@ -146,11 +146,6 @@ def derive_trial_seeds(base_seed: int, cell: Cell, trials) -> list:
     return (low | high << np.uint64(32)).tolist()
 
 
-def derive_trial_seed(base_seed: int, cell: Cell, trial: int) -> int:
-    """Deterministic 64-bit seed from the base seed, the cell and the trial index."""
-    return derive_trial_seeds(base_seed, cell, [trial])[0]
-
-
 # rows x N bits realized per realize_packed call.  It bounds the working set
 # of a stacked bound evaluation whatever the number of actions: a slice's
 # actions and boolean masks (64 KiB each) stay cache-sized, and slices of 2^18
@@ -248,14 +243,15 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
     group's working set small.  The recorded bound values are the
     per-realization sums over the actual per-block draws.
 
-    Bob decodes only the blocks with a forced guess, or with a live chain
-    only the sessions holding one; every other block keeps its sent message
-    and 0 erased decisions.  This is exact: SC forces a guess exactly on the
-    decided positions of the write realization's noisy channels (acceptance
-    criterion 5), which block_bound_counts already counts as the block's ir
-    term, and with no forced guess and correct chain bits SC on the BEC
-    returns the sent u, chain source E included.  So every block of a session
-    before its first damaged block hands the next block correct chain bits.
+    SC forces Bob's guesses exactly on the decided positions of the write
+    realization's noisy channels (acceptance criterion 5), which
+    block_bound_counts already counts as each block's ir term, so a trial's
+    erased decisions are the sum of its ir terms.  Bob decodes only the
+    blocks with a forced guess, or with a live chain only the sessions
+    holding one; every other block keeps its sent message.  This is exact:
+    with no forced guess and correct chain bits SC on the BEC returns the
+    sent u, chain source E included.  So every block of a session before its
+    first damaged block hands the next block correct chain bits.
     """
     codec = ChainCodec(partition)
     T, N = config.blocks, config.N
@@ -270,7 +266,7 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
         eve_obs = np.empty_like(bob_obs)
         preshared = np.empty((len(batch), codec.chain_size), dtype=np.uint8)
         sent = np.empty((len(batch), T, codec.message_size), dtype=np.uint8)
-        damaged = np.empty((len(batch), T), dtype=bool)
+        forced = np.empty((len(batch), T), dtype=np.intp)
         bounds, eve_rngs = [], []
         for s, (_, seed) in enumerate(batch):
             msg_rng, enc_rng, pre_rng, adv_rng, eve_rng = map(
@@ -282,19 +278,18 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
             actions = [sample_action(N, config.rho_w, config.rho_r, strategy, adv_rng)
                        for _ in range(T)]
             ir, e, leak = block_bound_counts(partition, actions)
-            damaged[s] = ir > 0
+            forced[s] = ir
             bounds.append((float(ir.sum() + e[:-1].sum()), float(leak.sum())))
             bob_obs[s] = apply_write(codewords, write_equivalent_mask(actions))
             eve_obs[s] = apply_read(codewords, ~read_equivalent_mask(actions))
         del codewords, actions
 
-        dirty = damaged.reshape(-1, unit).any(axis=1)
+        dirty = forced.reshape(-1, unit).any(axis=1)
         bob_msgs = sent.reshape(-1, unit, codec.message_size).copy()
-        erased = np.zeros((len(dirty), unit), dtype=int)
         if dirty.any():
             chains = np.repeat(preshared, T // unit, axis=0)
-            bob_msgs[dirty], erased[dirty] = codec.decode_session(
-                bob_obs.reshape(-1, unit, N)[dirty], chains[dirty])
+            bob_msgs[dirty] = codec.decode_session(
+                bob_obs.reshape(-1, unit, N)[dirty], chains[dirty])[0]
         del bob_obs
         guesses = np.empty_like(eve_obs, dtype=np.uint8)
         for s, eve_rng in enumerate(eve_rngs):
@@ -302,7 +297,7 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
         eve_msgs, _ = codec.decode_session(eve_obs, None, guess_bits=guesses)
         bob_errors = np.count_nonzero(bob_msgs.reshape(sent.shape) != sent,
                                       axis=(1, 2)).tolist()
-        erased = erased.reshape(len(batch), T).sum(axis=1).tolist()
+        erased = forced.sum(axis=1).tolist()
         eve_errors = np.count_nonzero(eve_msgs != sent, axis=(1, 2)).tolist()
         for s, (trial, seed) in enumerate(batch):
             results.append(TrialResult(
@@ -376,11 +371,11 @@ class SweepSpec:
         for name, grid in (("n", self.n_list), ("beta", self.beta_list)):
             if len(set(grid)) != len(grid):
                 raise ValueError(f"{name} grid repeats a value: {list(grid)}")
+        tuple(self.configs())  # every cell must be a valid CodeConfig (no NaN) before its seed key
         if len({_seed_key(b) for b in self.beta_list}) != len(self.beta_list):
             raise ValueError(
                 f"beta grid values closer than 1e-9 would share trial seeds: "
                 f"{list(self.beta_list)}")
-        tuple(self.configs())  # every cell must be a valid CodeConfig
         bits = self.blocks * (1 << max(self.n_list))
         if self.kind == "end_to_end" and bits > MAX_SESSION_BITS:
             raise ValueError(

@@ -3,7 +3,8 @@
 Everything is emitted by hand (axes, ticks, polylines, legend) so the output
 is a plain-text artifact that diffs cleanly and needs no plotting stack.
 On a log axis, non-positive values are clamped to one decade below the
-smallest positive value and drawn hollow.
+smallest positive value and drawn hollow.  NaN and infinite values are
+rejected: no axis can place them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ _ML, _MR, _MT, _MB = 70, 160, 40, 55
 
 
 def _fmt(v: float) -> str:
-    return f"{v:.2f}".rstrip("0").rstrip(".") if v == v else "nan"
+    return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
 def _nice_ticks(lo: float, hi: float, count: int = 5):
@@ -52,11 +53,13 @@ def render_line_chart(
 ) -> str:
     """Render labelled (x, y) series to an SVG document string.
 
-    series: list of (label, points) with points a list of (x, y) pairs.
+    series: list of (label, points) with points a list of finite (x, y) pairs.
     """
     pts_all = [(x, y) for _, pts in series for x, y in pts]
     if not pts_all:
         raise ValueError("nothing to plot")
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts_all):
+        raise ValueError(f"{title}: cannot plot a non-finite value")
     xs = sorted({x for x, _ in pts_all})
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:

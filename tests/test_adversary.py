@@ -59,6 +59,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_action(8, -0.1, 0.2, Strategy.UNIFORM, rng)
 
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_rejects_nan_fractions(self, strategy):
+        """Every range comparison with NaN is False, so a NaN fraction must
+        fail the check rather than reach a draw."""
+        rng = np.random.default_rng(5)
+        for rho_w, rho_r in ((float("nan"), 0.2), (0.2, float("nan"))):
+            with pytest.raises(ValueError, match="fractions"):
+                sample_action(8, rho_w, rho_r, strategy, rng)
+
     def test_strategy_parse(self):
         assert Strategy.parse("Uniform") is Strategy.UNIFORM
         with pytest.raises(ValueError):
@@ -146,10 +155,10 @@ class TestObservations:
     @given(shape=st.sampled_from([(16,), (1, 8), (5, 16)]),
            dtype=st.sampled_from([np.int8, np.uint8]), seed=st.integers(0, 2**32 - 1))
     def test_property_bit_ops_equal_where_form(self, shape, dtype, seed):
-        """Every int8 or uint8 input, bits or not, gives the bytes of the
+        """Every int8 or uint8 codeword of bits gives the bytes of the
         np.where form on an int8 copy, for one block and a stacked session."""
         rng = np.random.default_rng(seed)
-        x = rng.integers(0, 256, shape).astype(np.uint8).view(dtype)
+        x = rng.integers(0, 2, shape).astype(np.uint8).view(dtype)
         mask = rng.random(shape) < rng.random()
         before = x.copy()
         as_int8 = x.astype(np.int8)
@@ -160,6 +169,15 @@ class TestObservations:
             assert got.dtype == np.int8 and got.shape == shape
             np.testing.assert_array_equal(got, expected)
         np.testing.assert_array_equal(x, before)
+
+    def test_rejects_non_bits(self):
+        """A codeword value other than 0 or 1 is an error, not an erasure."""
+        mask = np.zeros(2, dtype=bool)
+        for bad in (np.array([2, 1]), np.array([3, 0]), np.array([255, 1], dtype=np.uint8),
+                    np.array([-1, 0], dtype=np.int8), [2, 1]):
+            for apply_fn in (apply_write, apply_read):
+                with pytest.raises(ValueError, match="codeword must be bits"):
+                    apply_fn(bad, mask)
 
     def test_rejects_index_sets_and_wrong_shapes(self):
         # an index array would read as a truthy mask and erase everything

@@ -100,7 +100,6 @@ def test_huge_trial_count_exits_one_before_building(tmp_path, monkeypatch, capsy
         raise AssertionError("derived trial seeds or built a partition")
 
     monkeypatch.setattr(experiments, "build_partition", refuse)
-    monkeypatch.setattr(experiments, "derive_trial_seed", refuse)
     monkeypatch.setattr(experiments, "derive_trial_seeds", refuse)
     assert run("bounds", "--n", 4, "--trials", 10**12, "--out-dir", tmp_path / "out") == 1
     err = capsys.readouterr().err
@@ -125,6 +124,20 @@ def test_negative_seed_exits_one_before_building(tmp_path, monkeypatch, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "seed" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "bounds", "simulate"])
+@pytest.mark.parametrize("param", ["rho_w", "rho_r", "beta"])
+def test_nan_fraction_exits_one(tmp_path, capsys, command, param):
+    """A NaN fraction, which every range comparison lets through, is an
+    error naming the parameter: exit 1 and no output directory."""
+    out = tmp_path / "out"
+    trials = [] if command == "construct" else ["--trials", 1]
+    assert run(command, "--n", 4, "--" + param.replace("_", "-"), "nan", *trials,
+               "--out-dir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and param in err
+    assert not out.exists()
 
 
 class TestConfigFile:
@@ -277,6 +290,19 @@ class TestPlotCommand:
         assert run("plot", "--aggregates", tmp_path / "empty.csv",
                    "--out-dir", tmp_path) == 1
 
+    @pytest.mark.parametrize("mean", ["nan", "inf"])
+    def test_non_finite_mean_exits_one(self, tmp_path, capsys, mean):
+        """An aggregate CSV may hold a non-finite mean (it reads back), but no
+        chart can place it: exit 1 with an error and no output directory."""
+        header = "kind,N,n,beta,rho_w,rho_r,T,strategy,metric,mean,stderr,trials"
+        rows = [f"bounds,{1 << n},{n},0.3,0.2,0.4,1,uniform,ber_bound,{value},0.0,2"
+                for n, value in ((5, 0.5), (6, mean))]
+        (tmp_path / "agg.csv").write_text("\n".join([header, *rows]) + "\n")
+        out = tmp_path / "charts"
+        assert run("plot", "--aggregates", tmp_path / "agg.csv", "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith("error: cannot plot ")
+        assert not out.exists()
+
     def test_short_row_exits_one(self, tmp_path, capsys):
         header = "kind,N,n,beta,rho_w,rho_r,T,strategy,metric,mean,stderr,trials"
         (tmp_path / "short.csv").write_text(header + "\nbounds,32,5,0.3\n")
@@ -308,3 +334,11 @@ class TestSvg:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             render_line_chart([], title="t", x_label="x", y_label="y")
+
+    @pytest.mark.parametrize("log_y", [False, True])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_values_rejected(self, log_y, bad):
+        for pts in ([(1.0, 0.5), (2.0, bad)], [(1.0, 0.5), (bad, 0.5)]):
+            with pytest.raises(ValueError, match="non-finite"):
+                render_line_chart([("a", pts)], title="t", x_label="x", y_label="y",
+                                  log_y=log_y)

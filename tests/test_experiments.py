@@ -19,7 +19,7 @@ from awtcpolar.experiments import (
     aggregate,
     block_bound_counts,
     bounds_trial,
-    derive_trial_seed,
+    derive_trial_seeds,
     end_to_end_trial,
     read_aggregates_csv,
     run_sweep,
@@ -417,11 +417,11 @@ class TestEndToEndChunks:
 class TestSeeds:
     def test_deterministic_and_distinct(self):
         cell = Cell("bounds", 8, 0.25, 0.2, 0.4, 10, Strategy.UNIFORM.value)
-        s0 = derive_trial_seed(1, cell, 0)
-        assert s0 == derive_trial_seed(1, cell, 0)
-        seeds = {derive_trial_seed(1, cell, t) for t in range(100)}
+        [s0] = derive_trial_seeds(1, cell, [0])
+        assert derive_trial_seeds(1, cell, [0]) == [s0]
+        seeds = set(derive_trial_seeds(1, cell, range(100)))
         assert len(seeds) == 100
-        other = derive_trial_seed(2, cell, 0)
+        [other] = derive_trial_seeds(2, cell, [0])
         assert other != s0
 
     @pytest.mark.parametrize("base_seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1])
@@ -437,8 +437,8 @@ class TestSeeds:
                        200_000_000, 400_000_000, 50, list(Strategy).index(strategy))
                 expected = [int(np.random.SeedSequence(key + (t,))
                                 .generate_state(1, np.uint64)[0]) for t in trials]
-                assert experiments.derive_trial_seeds(base_seed, cell, trials) == expected
-                assert [derive_trial_seed(base_seed, cell, t) for t in trials] == expected
+                assert derive_trial_seeds(base_seed, cell, trials) == expected
+                assert [derive_trial_seeds(base_seed, cell, [t])[0] for t in trials] == expected
 
     def test_seed_pass_rejects_trials_past_one_word(self):
         cell = Cell("bounds", 8, 0.25, 0.2, 0.4, 10, Strategy.UNIFORM.value)
@@ -463,7 +463,7 @@ class TestSweep:
         cfg = CodeConfig(n=5, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
         expected = bounds_trial(
             cfg, build_partition(cfg), Strategy.UNIFORM,
-            seed=derive_trial_seed(42, Cell.of("bounds", cfg, Strategy.UNIFORM), 0),
+            seed=derive_trial_seeds(42, Cell.of("bounds", cfg, Strategy.UNIFORM), [0])[0],
             trial=0,
         )
         assert row == expected
