@@ -17,6 +17,8 @@ from enum import Enum
 
 import numpy as np
 
+from .polar_core import check_fractions, checked_bits
+
 
 class Strategy(Enum):
     UNIFORM = "uniform"
@@ -73,26 +75,18 @@ def sample_action(
     rng: np.random.Generator,
 ) -> AdversaryAction:
     """Draw S_w then S_r (in that order, independently) from one rng stream."""
-    if not (rho_w >= 0.0 and rho_r >= 0.0 and rho_w + rho_r < 1.0):  # False for NaN
-        raise ValueError(
-            f"fractions must be non-negative with rho_w + rho_r < 1, "
-            f"got {rho_w} + {rho_r}"
-        )
+    check_fractions(rho_w, rho_r)
     write = _draw_mask(N, rho_w, strategy, rng)
     read = _draw_mask(N, rho_r, strategy, rng)
     return AdversaryAction(write=write, read=read)
 
 
 def _checked_block(x, mask) -> tuple:
-    """x's bytes as uint8, and mask's, once x holds bits and mask is a boolean
-    mask of x's shape; x of any dtype but int8 and uint8 is cast to int8 first."""
-    if not (isinstance(x, np.ndarray) and x.dtype in (np.int8, np.uint8)):
-        x = np.asarray(x, dtype=np.int8)
+    """x as uint8 bits and mask's bytes, once x holds bits and mask is a
+    boolean mask of x's shape."""
+    x = checked_bits(x, "codeword")
     if not _is_mask(mask, x.shape):
         raise ValueError(f"need a boolean mask of shape {x.shape}, one entry per position")
-    x = x.view(np.uint8)  # a negative int8 views as 128 or more
-    if x.max(initial=0) > 1:
-        raise ValueError("codeword must be bits: 0 or 1")
     return x, mask.view(np.uint8)
 
 

@@ -41,29 +41,13 @@ from enum import IntEnum
 import numpy as np
 
 from .construction import IndexPartition
-from .polar_core import bit_reversal_permutation, check_block_length
+from .polar_core import bit_reversal_permutation, check_block_length, checked_bits
 
 
 class Trit(IntEnum):
     ZERO = 0
     ONE = 1
     ERASED = 2
-
-
-def _checked(a, name: str, top: int = 1) -> np.ndarray:
-    """a as uint8 bits (top 1) or trits (top 2), rejecting every other value,
-    which the cast alone would wrap (257 to a one, 258 to an erasure)."""
-    a = np.asarray(a)
-    if a.dtype in (np.int8, np.uint8):
-        out = a.view(np.uint8)  # a negative int8 views as 128 or more
-        bad = out.max(initial=0) > top  # max allocates no mask of a's size
-    else:
-        out = a.astype(np.uint8, copy=False)
-        bad = not np.array_equal(out, a) or out.max(initial=0) > top
-    if bad:
-        kind = "bits: 0 or 1" if top == 1 else "trits: 0, 1 or 2 (erased)"
-        raise ValueError(f"{name} must be {kind}")
-    return out
 
 
 def random_bit_rows(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
@@ -135,7 +119,7 @@ def polar_transform(u) -> np.ndarray:
 
     u is one block, shape (N,), or independent blocks stacked as (rows, N).
     """
-    u = _checked(u, "u")
+    u = checked_bits(u, "u")
     if u.ndim not in (1, 2):
         raise ValueError(f"u must be (N,) or stacked (rows, N), got shape {u.shape}")
     n = check_block_length(u.shape[-1])
@@ -413,8 +397,8 @@ class ChainCodec:
         filled first, both in ascending index order; random_bit_rows draws
         all T at once); F is all-zero frozen.
         """
-        messages = _checked(messages, "messages")
-        preshared = _checked(preshared, "chain")
+        messages = checked_bits(messages, "messages")
+        preshared = checked_bits(preshared, "chain")
         if messages.ndim != 2 or messages.shape[1] != self.message_size:
             raise ValueError(f"messages must have {self.message_size} bits each, "
                              f"got shape {messages.shape}")
@@ -466,13 +450,13 @@ class ChainCodec:
         chain bits and guesses leave no residual; a wrong guess or chain bit
         corrupts later partial sums and can leave one legitimately.
         """
-        y = _checked(y, "observations", Trit.ERASED)
+        y = checked_bits(y, "observations", Trit.ERASED)
         if y.ndim not in (1, 2):
             raise ValueError(f"observations must be (N,) or (rows, N), got shape {y.shape}")
         if y.shape[-1] != self.N:
             raise ValueError(f"observation length {y.shape[-1]} != N={self.N}")
         if guess_bits is not None:
-            guess_bits = _checked(guess_bits, "guess_bits")
+            guess_bits = checked_bits(guess_bits, "guess_bits")
             if guess_bits.shape != y.shape:
                 raise ValueError(f"guess_bits shape {guess_bits.shape} != {y.shape}")
             guess_bits = guess_bits.reshape(-1, self.N)
@@ -480,7 +464,7 @@ class ChainCodec:
 
         decide, packed_decide, groups, tvs = self._schedule(chain is None)
         if chain is not None:
-            chain = _checked(chain, "chain")
+            chain = checked_bits(chain, "chain")
             if chain.shape not in ((self.chain_size,), (len(obs), self.chain_size)):
                 raise ValueError(f"chain shape {chain.shape} fits neither "
                                  f"({self.chain_size},) nor ({len(obs)}, {self.chain_size})")

@@ -19,6 +19,8 @@ from .polar_core import (
     bec_profile,
     bit_reversal_permutation,
     check_block_length,
+    check_fractions,
+    checked_int,
     delta_threshold,
     pack_rows,
 )
@@ -55,18 +57,15 @@ class CodeConfig:
     blocks: int = 1  # T, the number of chained blocks
 
     def __post_init__(self):
+        for name in ("n", "blocks"):
+            object.__setattr__(self, name, checked_int(getattr(self, name), name))
         if self.n < 0:
             raise ValueError(f"n must be >= 0, got {self.n}")
         if self.n > MAX_N:
             raise ValueError(f"n must be <= {MAX_N} (N = 2^{MAX_N}), got {self.n}")
         if not 0.0 < self.beta < 0.5:
             raise ValueError(f"beta must lie in (0, 0.5), got {self.beta}")
-        if not (self.rho_w >= 0.0 and self.rho_r >= 0.0):  # False for NaN too
-            raise ValueError(f"rho_w and rho_r must be >= 0, got {self.rho_w}, {self.rho_r}")
-        if not self.rho_w + self.rho_r < 1.0:
-            raise ValueError(
-                f"rho_w + rho_r must be < 1, got {self.rho_w} + {self.rho_r}"
-            )
+        check_fractions(self.rho_w, self.rho_r)
         if self.blocks < 1:
             raise ValueError(f"block count must be >= 1, got {self.blocks}")
 

@@ -33,6 +33,7 @@ from .construction import CodeConfig, IndexPartition, InfeasibleConstruction, bu
 # realize_profile is not called here; the name stays for tools that wrap it
 from .polar_core import (  # noqa: F401
     check_block_length,
+    checked_int,
     count_bits,
     pack_rows,
     realize_packed,
@@ -356,6 +357,8 @@ class SweepSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        for name in ("trials", "base_seed"):  # CodeConfig checks blocks
+            object.__setattr__(self, name, checked_int(getattr(self, name), name))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.base_seed < 0:
@@ -366,7 +369,7 @@ class SweepSpec:
         if self.trials * cells > MAX_TRIALS:
             raise ValueError(f"{self.trials} trials x {cells} cells is more than "
                              f"MAX_TRIALS = {MAX_TRIALS}")
-        object.__setattr__(self, "n_list", tuple(int(v) for v in self.n_list))
+        object.__setattr__(self, "n_list", tuple(checked_int(v, "n") for v in self.n_list))
         object.__setattr__(self, "beta_list", tuple(float(v) for v in self.beta_list))
         for name, grid in (("n", self.n_list), ("beta", self.beta_list)):
             if len(set(grid)) != len(grid):
@@ -498,14 +501,6 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> SweepResult:
     )
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _columns(record_type) -> list:
     """CSV header: the cell columns, then the record's own fields in order."""
     return CELL_COLUMNS + [f.name for f in fields(record_type) if f.name != "cell"]
@@ -515,11 +510,10 @@ def _write_records(record_type, records, file) -> None:
     columns = _columns(record_type)
     writer = csv.writer(file)
     writer.writerow(columns)
+    # csv writes None as an empty field, a float by its repr, an int by str
     for r in records:
-        writer.writerow(
-            [_fmt(getattr(r.cell, c)) for c in CELL_COLUMNS]
-            + [_fmt(getattr(r, c)) for c in columns[len(CELL_COLUMNS):]]
-        )
+        writer.writerow([getattr(r.cell, c) for c in CELL_COLUMNS]
+                        + [getattr(r, c) for c in columns[len(CELL_COLUMNS):]])
 
 
 def write_trials_csv(results, file) -> None:

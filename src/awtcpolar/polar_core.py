@@ -7,12 +7,16 @@ with OR/AND logic instead of floats: one butterfly, realize_packed, runs on
 natural-order rows packed into 64-bit words and leaves each decision's
 indicator at its bit-reversed position; realize_profile unpacks that and
 reverses it, and callers that only count bits (count_bits) skip both.
+
+The package's input checks live here too, one per rule: checked_bits,
+check_fractions and checked_int.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -111,6 +115,40 @@ def bec_profile(rho: float, n: int) -> PolarizationProfile:
     for profile in bec_profile_stages(rho, n):
         pass
     return profile
+
+
+def checked_bits(a, name: str, top: int = 1) -> np.ndarray:
+    """a as uint8 bits (top 1) or trits (top 2), rejecting every other value,
+    which the cast alone would wrap (257 to a one, 258 to an erasure)."""
+    a = np.asarray(a)
+    if a.dtype in (np.int8, np.uint8):
+        out = a.view(np.uint8)  # a negative int8 views as 128 or more
+        bad = out.max(initial=0) > top  # max allocates no mask of a's size
+    else:
+        with np.errstate(invalid="ignore"):  # NaN casts to garbage, then fails the compare
+            out = a.astype(np.uint8, copy=False)
+        bad = not np.array_equal(out, a) or out.max(initial=0) > top
+    if bad:
+        kind = "bits: 0 or 1" if top == 1 else "trits: 0, 1 or 2 (erased)"
+        raise ValueError(f"{name} must be {kind}")
+    return out
+
+
+def check_fractions(rho_w: float, rho_r: float) -> None:
+    """Reject a write/read budget outside rho_w, rho_r >= 0, rho_w + rho_r < 1;
+    every comparison with NaN is False, so NaN fails too."""
+    if not (rho_w >= 0.0 and rho_r >= 0.0 and rho_w + rho_r < 1.0):
+        raise ValueError("fractions must be non-negative with rho_w + rho_r < 1, "
+                         f"got {rho_w} + {rho_r}")
+
+
+def checked_int(value, name: str) -> int:
+    """value as an int if it is a Python or numpy integer; a float would
+    truncate (4.7 to 4) or pass a range check unnoticed, so it fails."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def check_block_length(length: int) -> int:
@@ -214,9 +252,9 @@ def realize_profile(mask) -> np.ndarray:
     The non-stationary pairing (at stage q the block entries (i, i+2^q) map
     to (i OR i+2^q, i AND i+2^q) interleaved) equals the in-place OR/AND
     butterfly of realize_packed on the natural-order mask, followed by a
-    bit reversal of its output.
+    bit reversal of its output.  mask holds bools or 0/1 values.
     """
-    z = np.asarray(mask, dtype=bool)
+    z = checked_bits(mask, "mask")
     if z.ndim not in (1, 2):
         raise ValueError(f"mask must be (N,) or stacked (rows, N), got shape {z.shape}")
     N = z.shape[-1]

@@ -43,6 +43,18 @@ class TestCodeConfig:
         with pytest.raises(ValueError):
             CodeConfig(**kwargs)
 
+    @pytest.mark.parametrize("field,value", [("n", 3.5), ("n", 4.0), ("blocks", 2.5)])
+    def test_rejects_non_integral_fields(self, field, value):
+        kwargs = dict(n=4, beta=0.25, rho_w=0.1, rho_r=0.1, blocks=2)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            CodeConfig(**kwargs)
+
+    def test_numpy_integer_fields_pass_as_ints(self):
+        cfg = CodeConfig(n=np.int64(4), beta=0.25, rho_w=0.1, rho_r=0.1, blocks=np.uint8(2))
+        assert cfg == CodeConfig(n=4, beta=0.25, rho_w=0.1, rho_r=0.1, blocks=2)
+        assert type(cfg.n) is int and type(cfg.blocks) is int
+
     def test_stage_ceiling(self):
         assert CodeConfig(n=MAX_N, beta=0.25, rho_w=0.1, rho_r=0.1).N == 1 << MAX_N
         for n in (MAX_N + 1, 64):

@@ -581,6 +581,21 @@ class TestSweep:
         with pytest.raises(ValueError, match="would share trial seeds"):
             self._spec(beta_list=(0.3, 0.3000000001))
 
+    @pytest.mark.parametrize("field,value", [("n_list", (4.7,)), ("blocks", 2.5),
+                                             ("trials", 2.5), ("base_seed", 1.5)])
+    def test_rejects_non_integral_fields(self, field, value):
+        """A float would truncate (n 4.7 runs n=4, seed 1.5 draws seed 1's
+        trials) or reach the CSVs and the decoder as a float."""
+        name = "n" if field == "n_list" else field
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            self._spec(**{field: value})
+
+    def test_numpy_integer_fields_pass_as_ints(self):
+        spec = self._spec(n_list=(np.int64(5),), blocks=np.int32(3), trials=np.uint8(6),
+                          base_seed=np.int64(42))
+        assert spec == self._spec(n_list=(5,))
+        assert all(type(v) is int for v in (*spec.n_list, spec.trials, spec.base_seed))
+
     def test_session_size_limit(self):
         """An end-to-end session of more than MAX_SESSION_BITS bits at the
         grid's largest n is refused when the spec is built, before anything
