@@ -398,12 +398,11 @@ class ChainCodec:
         all T at once); F is all-zero frozen.
         """
         messages = checked_bits(messages, "messages")
-        preshared = checked_bits(preshared, "chain")
         if messages.ndim != 2 or messages.shape[1] != self.message_size:
             raise ValueError(f"messages must have {self.message_size} bits each, "
                              f"got shape {messages.shape}")
         if len(preshared) != self.chain_size:
-            raise ValueError(f"chain must carry {self.chain_size} bits, got {len(preshared)}")
+            raise ValueError(f"B needs {self.chain_size} chain bits, got {len(preshared)}")
         u = np.zeros((len(messages), self.N), dtype=np.uint8)
         u[:, self._info0] = messages
         fresh = random_bit_rows(rng, len(u), len(self._e0) + len(self._r0))
@@ -418,7 +417,7 @@ class ChainCodec:
 
         chain holds the bits for the sink set B (see _session_u).
         """
-        u = self._session_u(np.asarray(msg)[None], chain, rng)[0]
+        u = self._session_u(np.asarray(msg)[None], checked_bits(chain, "chain"), rng)[0]
         return polar_transform(u), u[self._e0]
 
     def encode_session(self, messages, preshared, rng: np.random.Generator) -> np.ndarray:
@@ -428,7 +427,8 @@ class ChainCodec:
         block is transformed, so all T blocks take one stacked transform.
         The bits equal T chained encode_block calls on the same rng.
         """
-        return polar_transform(self._session_u(messages, preshared, rng))
+        return polar_transform(
+            self._session_u(messages, checked_bits(preshared, "preshared"), rng))
 
     # -- decoding --------------------------------------------------------
 
@@ -530,8 +530,9 @@ class ChainCodec:
         (S, |B|), or None to decode as a receiver without the pre-shared
         bits.  Erased decisions resolve to guess_bits (the observations'
         shape; default 0).  Block t of every session is decoded in one
-        sc_decode_block call, t = 1..T, which checks the values; without a
-        chain (|B| = 0) the blocks are independent and all S·T are one call.
+        sc_decode_block call, t = 1..T, which checks the observations and
+        guesses; without a chain (|B| = 0) the blocks are independent and all
+        S·T are one call.
         Returns the message estimates, an array of shape (T, K) or (S, T, K),
         and the erased-decision counts as a list of T ints, or S such lists.
         """
@@ -542,9 +543,11 @@ class ChainCodec:
         lead = obs.shape[:-1]  # (T,) or (S, T)
         if guess_bits is not None and np.shape(guess_bits) != obs.shape:
             raise ValueError(f"guess_bits shape {np.shape(guess_bits)} != {obs.shape}")
-        if preshared is not None and np.shape(preshared) != lead[:-1] + (self.chain_size,):
-            raise ValueError(f"preshared shape {np.shape(preshared)} != "
-                             f"{lead[:-1] + (self.chain_size,)}")
+        if preshared is not None:
+            preshared = checked_bits(preshared, "preshared")
+            if preshared.shape != lead[:-1] + (self.chain_size,):
+                raise ValueError(f"preshared shape {preshared.shape} != "
+                                 f"{lead[:-1] + (self.chain_size,)}")
         # without a chain (|B| = 0) the blocks are independent: one call decodes all
         T = lead[-1] if self.chain_size else 1
         sessions = obs.reshape(-1, T, self.N)

@@ -13,7 +13,6 @@ so serial and parallel sweeps produce bit-identical results.
 from __future__ import annotations
 
 import csv
-import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -154,57 +153,56 @@ def derive_trial_seeds(base_seed: int, cell: Cell, trials) -> list:
 _SLICE_BITS = 1 << 16
 
 
-def block_bound_counts(partition: IndexPartition, actions) -> tuple:
-    """Per-block terms of both bound values for each adversary action.
+def block_bound_counts(partition: IndexPartition, write, noise) -> np.ndarray:
+    """Per-block terms of both bound values for each row of the equivalent
+    channel blocks: write and noise are Bob's and Eve's (rows, N) boolean
+    full-noise indicators, as write_equivalent_mask and read_equivalent_mask
+    stack them for the same actions.
 
-    With the exact boolean noise indicators Z of an action's writing
-    realization and the exact noiseless indicators of its reading
-    realization, the terms are (sum of Z over I union R, sum of Z over E,
-    noiseless count over I union F), I meaning the full set including E.
-    Over T blocks the decoding-error bound adds the first term every block
-    and the second in all blocks but the last; the leakage bound adds the
-    third every block.
+    With the exact noise indicators Z of a row's writing realization and the
+    exact noiseless indicators of its reading realization, the terms are
+    (sum of Z over I union R, sum of Z over E, noiseless count over I union
+    F), I meaning the full set including E.  Over T blocks the decoding-error
+    bound adds the first term every block and the second in all blocks but
+    the last; the leakage bound adds the third every block.
 
-    actions is any iterable of actions.  It is consumed in slices of at
-    most _SLICE_BITS // N actions, each side's masks packed and realized in
-    one realize_packed call, so only one slice's actions are held at a
-    time.  Each term is the popcount of the realized words ANDed with the
-    partition's bit-reversed packed set masks.  Returns three integer
-    arrays (ir, e, leak), one entry per action in order.
+    Each side is realized in one realize_packed call; each term is the
+    popcount of the realized words ANDed with the partition's bit-reversed
+    packed set masks.  Returns a (3, rows) integer array of rows (ir, e, leak).
     """
+    if not all(isinstance(m, np.ndarray) and m.dtype == bool and m.ndim == 2
+               and m.shape == (len(write), partition.N) for m in (write, noise)):
+        raise ValueError(f"write and noise must be boolean stacks of one shape "
+                         f"(rows, {partition.N})")
     masks = partition.bound_masks
-    i_f_size = count_bits(masks[2])
     n = check_block_length(partition.N)
-    slice_rows = max(1, _SLICE_BITS // partition.N)
-    actions = iter(actions)
-    counts = [np.zeros((3, 0), dtype=np.intp)]
-    while batch := list(itertools.islice(actions, slice_rows)):
-        zw = realize_packed(pack_rows(write_equivalent_mask(batch)), n)
-        zr = realize_packed(pack_rows(read_equivalent_mask(batch)), n)
-        hits = count_bits(np.stack([zw & masks[0], zw & masks[1], zr & masks[2]]))
-        hits[2] = i_f_size - hits[2]
-        counts.append(hits)
-    return tuple(np.concatenate(counts, axis=1))
+    zw = realize_packed(pack_rows(write), n)
+    zr = realize_packed(pack_rows(noise), n)
+    hits = count_bits(np.stack([zw & masks[0], zw & masks[1], zr & masks[2]]))
+    hits[2] = count_bits(masks[2]) - hits[2]
+    return hits
 
 
 def _bounds_trials(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
                    trial_seeds) -> list:
     """Both T-block bound values of every (trial, seed): each trial draws one
-    adversary action from its own default_rng(seed), in order, and the
-    actions are realized together."""
-    actions = (
-        sample_action(config.N, config.rho_w, config.rho_r, strategy,
-                      np.random.default_rng(seed))
-        for _, seed in trial_seeds
-    )
-    ir, e, leak = block_bound_counts(partition, actions)
+    adversary action from its own default_rng(seed), in order.  The actions
+    are drawn, stacked and realized in slices of at most _SLICE_BITS // N, so
+    only one slice's actions are held at a time."""
+    counts = np.empty((3, len(trial_seeds)), dtype=np.intp)
+    step = max(1, _SLICE_BITS // config.N)
+    for lo in range(0, len(trial_seeds), step):
+        actions = [sample_action(config.N, config.rho_w, config.rho_r, strategy,
+                                 np.random.default_rng(seed))
+                   for _, seed in trial_seeds[lo: lo + step]]
+        counts[:, lo: lo + step] = block_bound_counts(
+            partition, write_equivalent_mask(actions), read_equivalent_mask(actions))
     T = config.blocks
     cell = Cell.of("bounds", config, strategy)
     return [
         TrialResult(cell=cell, trial=trial, seed=seed,
                     ber_bound=float(T * w + (T - 1) * c), leak_bound=float(T * r))
-        for (trial, seed), w, c, r in zip(trial_seeds, ir.tolist(), e.tolist(),
-                                          leak.tolist())
+        for (trial, seed), (w, c, r) in zip(trial_seeds, counts.T.tolist())
     ]
 
 
@@ -278,12 +276,13 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
             codewords = codec.encode_session(sent[s], preshared[s], enc_rng)
             actions = [sample_action(N, config.rho_w, config.rho_r, strategy, adv_rng)
                        for _ in range(T)]
-            ir, e, leak = block_bound_counts(partition, actions)
+            write, noise = write_equivalent_mask(actions), read_equivalent_mask(actions)
+            ir, e, leak = block_bound_counts(partition, write, noise)
             forced[s] = ir
             bounds.append((float(ir.sum() + e[:-1].sum()), float(leak.sum())))
-            bob_obs[s] = apply_write(codewords, write_equivalent_mask(actions))
-            eve_obs[s] = apply_read(codewords, ~read_equivalent_mask(actions))
-        del codewords, actions
+            bob_obs[s] = apply_write(codewords, write)
+            eve_obs[s] = apply_read(codewords, ~noise)
+        del codewords, actions, write, noise
 
         dirty = forced.reshape(-1, unit).any(axis=1)
         bob_msgs = sent.reshape(-1, unit, codec.message_size).copy()
@@ -435,8 +434,9 @@ def aggregate(results) -> tuple:
     rows = []
     for key in sorted(cells):
         group = sorted(cells[key], key=lambda r: r.trial)
-        for metric in _trial_metrics(group[0]):
-            vals = np.array([_trial_metrics(r)[metric] for r in group], dtype=float)
+        metrics = [_trial_metrics(r) for r in group]
+        for metric in metrics[0]:
+            vals = np.array([m[metric] for m in metrics], dtype=float)
             stderr = float(vals.std(ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
             rows.append(
                 AggregateRow(

@@ -439,17 +439,18 @@ class TestScDecodeBlock:
 
     @pytest.mark.parametrize("bad", [2, 257, -1, 0.5])
     def test_rejects_non_bits_before_any_cast(self, bad):
-        """Messages, chain bits, guesses and transform inputs must be 0 or 1;
-        257 would wrap to 1."""
+        """Messages, chain and pre-shared bits, guesses and transform inputs
+        must be 0 or 1; 257 would wrap to 1.  Each error names the argument."""
         codec = ChainCodec(flat_partition(4, chain_source=[4], chain_sink=[1]))
         rng = np.random.default_rng(0)
         ok, y = np.zeros(2), np.zeros((1, 4), dtype=np.int8)
         calls = {
             "messages": [lambda: codec.encode_session([[bad, 0]], [0], rng),
                          lambda: codec.encode_block([0, bad], [0], rng)],
-            "chain": [lambda: codec.encode_session([ok], [bad], rng),
-                      lambda: codec.sc_decode_block(y, [bad]),
-                      lambda: codec.decode_session(y, [bad])],
+            "chain": [lambda: codec.encode_block([0, 0], [bad], rng),
+                      lambda: codec.sc_decode_block(y, [bad])],
+            "preshared": [lambda: codec.encode_session([ok], [bad], rng),
+                          lambda: codec.decode_session(y, [bad])],
             "guess_bits": [lambda: codec.sc_decode_block(y, None, guess_bits=[[0, 0, 0, bad]]),
                            lambda: codec.decode_session(y, None, guess_bits=[[0, bad, 0, 0]])],
             "u": [lambda: polar_transform([bad, 0]), lambda: polar_transform(np.array([bad, 0]))],

@@ -9,7 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from awtcpolar import experiments
-from awtcpolar.adversary import AdversaryAction, Strategy, apply_read, sample_action
+from awtcpolar.adversary import (
+    AdversaryAction,
+    Strategy,
+    apply_read,
+    read_equivalent_mask,
+    sample_action,
+    write_equivalent_mask,
+)
 from awtcpolar.codec import ChainCodec
 from awtcpolar.construction import CodeConfig, IndexPartition, build_partition
 from awtcpolar.experiments import (
@@ -43,9 +50,15 @@ def single_info_partition(N, info_index):
     )
 
 
+def stack_counts(part, actions):
+    """block_bound_counts over the stacked equivalent blocks of the actions."""
+    return block_bound_counts(part, write_equivalent_mask(actions),
+                              read_equivalent_mask(actions))
+
+
 def counts_of(part, action):
     """Row 0 of block_bound_counts over a one-action stack: (ir, e, leak)."""
-    return tuple(int(c[0]) for c in block_bound_counts(part, [action]))
+    return tuple(int(c[0]) for c in stack_counts(part, [action]))
 
 
 def action_of(N, write=(), read=()):
@@ -83,7 +96,7 @@ class TestBerBound:
         cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=7)
         part = build_partition(cfg)
         actions = [sample_action(64, 0.2, 0.4, Strategy.UNIFORM, rng) for _ in range(20)]
-        counts = block_bound_counts(part, actions)
+        counts = stack_counts(part, actions)
         assert all(c.shape == (20,) and np.issubdtype(c.dtype, np.integer) for c in counts)
         for ir, e, leak in zip(*counts):
             assert 0 <= e <= ir and leak >= 0
@@ -131,14 +144,14 @@ class TestLeakBound:
             assert counts_of(part, action)[2] == expected
 
 
-def reference_counts(part, action):
-    """The bound terms of one action from the stage-loop realization,
-    summed over each set's index positions."""
+def reference_counts(part, write, noise):
+    """The bound terms of one row of the equivalent blocks from the
+    stage-loop realization, summed over each set's index positions."""
     i_full = np.concatenate([part.info, part.chain_source])
     ir0 = np.concatenate([i_full, part.random]) - 1
     i_f0 = np.concatenate([i_full, part.frozen]) - 1
-    zw = stage_loop_realize(action.write)
-    zr = stage_loop_realize(~action.read)
+    zw = stage_loop_realize(write)
+    zr = stage_loop_realize(noise)
     return int(zw[ir0].sum()), int(zw[part.chain_source - 1].sum()), int((~zr[i_f0]).sum())
 
 
@@ -154,46 +167,86 @@ class TestStackedBoundCounts:
         CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3),  # live chain, |E| = 2
         CodeConfig(n=10, beta=0.26, rho_w=0.2, rho_r=0.4),
     ])
-    def test_mixed_strategies_equal_reference_counts(self, monkeypatch, cfg):
+    def test_mixed_strategies_equal_reference_counts(self, cfg):
         part = build_partition(cfg)
         rng = np.random.default_rng(cfg.n)
         actions = [sample_action(cfg.N, cfg.rho_w, cfg.rho_r, self.STRATEGIES[k % 3], rng)
                    for k in range(13)]
-        expected = np.array([reference_counts(part, a) for a in actions]).T
-        whole = block_bound_counts(part, actions)
-        np.testing.assert_array_equal(np.array(whole), expected)
-        # three rows per realization: slice boundaries inside the stack
-        monkeypatch.setattr(experiments, "_SLICE_BITS", 3 * cfg.N)
-        np.testing.assert_array_equal(np.array(block_bound_counts(part, iter(actions))),
-                                      expected)
+        expected = np.array([reference_counts(part, a.write, ~a.read) for a in actions]).T
+        np.testing.assert_array_equal(stack_counts(part, actions), expected)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(st.integers(0, 8), st.integers(0, 5), st.integers(0, 2**32 - 1))
+    def test_property_random_stacks_equal_reference_counts(self, n, rows, seed):
+        """Any (rows, N) stacks on any partition, N < 64 included, where
+        pack_rows pads each row's word."""
+        N = 1 << n
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(np.arange(1, N + 1))
+        pairs = rng.integers(0, N // 2 + 1)
+        labels = rng.integers(0, 3, N - 2 * pairs)
+        rest = order[2 * pairs:]
+        part = IndexPartition(N=N, info=np.sort(rest[labels == 0]),
+                              chain_source=np.sort(order[:pairs]),
+                              random=np.sort(rest[labels == 1]),
+                              frozen=np.sort(rest[labels == 2]),
+                              chain_sink=np.sort(order[pairs: 2 * pairs]))
+        write, noise = rng.random((2, rows, N)) < rng.random((2, 1, 1))
+        expected = np.array([reference_counts(part, w, z)
+                             for w, z in zip(write, noise)], dtype=np.intp).reshape(rows, 3)
+        np.testing.assert_array_equal(block_bound_counts(part, write, noise), expected.T)
 
     def test_streams_one_slice_at_a_time(self, monkeypatch):
-        cfg = CodeConfig(n=5, beta=0.3, rho_w=0.2, rho_r=0.4)
+        """_bounds_trials draws each slice of _SLICE_BITS // N actions just
+        before it realizes them, and the rows equal the reference counts of
+        the drawn actions."""
+        cfg = CodeConfig(n=5, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
         part = build_partition(cfg)
         monkeypatch.setattr(experiments, "_SLICE_BITS", 4 * cfg.N)
         drawn, seen = [], []
-        realize = experiments.realize_packed
+        sample, realize = experiments.sample_action, experiments.realize_packed
+
+        def sampling(*args):
+            drawn.append(sample(*args))
+            return drawn[-1]
 
         def recording_realize(words, n):
             seen.append((len(words), len(drawn)))
             return realize(words, n)
 
-        def actions():
-            rng = np.random.default_rng(0)
-            for _ in range(10):
-                drawn.append(1)
-                yield sample_action(cfg.N, cfg.rho_w, cfg.rho_r, Strategy.UNIFORM, rng)
-
+        monkeypatch.setattr(experiments, "sample_action", sampling)
         monkeypatch.setattr(experiments, "realize_packed", recording_realize)
-        counts = block_bound_counts(part, actions())
-        assert [len(c) for c in counts] == [10, 10, 10]
+        rows = experiments._bounds_trials(cfg, part, Strategy.UNIFORM,
+                                          [(t, 40 + t) for t in range(10)])
         # write and read realizations per slice, each slice drawn just before
         assert seen == [(4, 4), (4, 4), (4, 8), (4, 8), (2, 10), (2, 10)]
+        for row, action in zip(rows, drawn, strict=True):
+            ir, e, leak = reference_counts(part, action.write, ~action.read)
+            assert (row.ber_bound, row.leak_bound) == (3 * ir + 2 * e, 3 * leak)
 
     def test_no_actions(self):
         part = build_partition(CodeConfig(n=4, beta=0.3, rho_w=0.2, rho_r=0.4))
-        counts = block_bound_counts(part, [])
+        empty = np.zeros((0, 16), dtype=bool)
+        counts = block_bound_counts(part, empty, empty)
         assert len(counts) == 3 and all(c.shape == (0,) for c in counts)
+
+    @pytest.mark.parametrize("n,N", [(4, 32), (4, 8), (7, 256)])
+    def test_rejects_masks_of_another_length(self, n, N):
+        """Rows of any other length than the partition's N are refused, also
+        when they fit one packed word as the partition's rows do."""
+        part = build_partition(CodeConfig(n=n, beta=0.3, rho_w=0.2, rho_r=0.4))
+        rng = np.random.default_rng(n)
+        actions = [sample_action(N, 0.2, 0.4, Strategy.UNIFORM, rng) for _ in range(3)]
+        with pytest.raises(ValueError, match=f"\\(rows, {part.N}\\)"):
+            stack_counts(part, actions)
+
+    def test_rejects_stacks_that_are_not_one_boolean_shape(self):
+        part = build_partition(CodeConfig(n=4, beta=0.3, rho_w=0.2, rho_r=0.4))
+        masks = np.zeros((2, 16), dtype=bool)
+        for write, noise in ((masks, masks[:1]), (masks[0], masks[0]),
+                             (masks.astype(np.uint8), masks), (masks, masks.tolist())):
+            with pytest.raises(ValueError, match="boolean stacks of one shape"):
+                block_bound_counts(part, write, noise)
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_chunk_equals_one_seed_trials(self, strategy):
@@ -339,8 +392,8 @@ class TestEndToEndChunks:
             calls.append((side, len(y), res.erased.any(axis=1)))
             return res
 
-        def recording_counts(partition, actions):
-            counts = bound_counts(partition, actions)
+        def recording_counts(partition, write, noise):
+            counts = bound_counts(partition, write, noise)
             irs.append(counts[0])  # one call per trial, its T blocks' terms
             return counts
 
@@ -361,6 +414,21 @@ class TestEndToEndChunks:
         for trial in (9, 10, 39):
             assert chunk[trial] == end_to_end_trial(cfg, part, Strategy.UNIFORM,
                                                     500 + trial, trial)
+
+    def test_masks_stacked_once_per_trial(self, monkeypatch):
+        """Each trial stacks its T actions' write and read masks once; the
+        same two stacks give its bound terms and both sides' observations."""
+        cfg = CHUNK_CELLS[1]
+        stacked = dict.fromkeys(("write_equivalent_mask", "read_equivalent_mask"), 0)
+        for name in stacked:
+            def counting(actions, name=name, stack=getattr(experiments, name)):
+                stacked[name] += 1
+                return stack(actions)
+            monkeypatch.setattr(experiments, name, counting)
+        trial_seeds = [(t, 70 + t) for t in range(4)]
+        experiments._run_chunk(("end_to_end", cfg, self.PARTITIONS[cfg], Strategy.UNIFORM,
+                                trial_seeds))
+        assert stacked == {"write_equivalent_mask": 4, "read_equivalent_mask": 4}
 
     def test_skipped_blocks_change_no_row(self, monkeypatch):
         """Every trial's erased_decisions is the sum over its blocks of the

@@ -31,7 +31,7 @@ ENTRIES = {
     "polar_transform": ("u", 1, BITS, polar_transform),
     "encode_session.messages": ("messages", 1, BITS[:, :3],
                                 lambda v: _encode(v, [1])),
-    "encode_session.preshared": ("chain", 1, BITS[0, :1],
+    "encode_session.preshared": ("preshared", 1, BITS[0, :1],
                                  lambda v: _encode(BITS[:, :3], v)),
     "sc_decode_block.y": ("observations", 2, TRITS,
                           lambda v: _decode(v, [1], BITS)),
@@ -41,6 +41,8 @@ ENTRIES = {
                               lambda v: _decode(TRITS, v, None)),
     "decode_session": ("observations", 2, TRITS,
                        lambda v: CODEC.decode_session(v, [1], guess_bits=BITS)),
+    "decode_session.preshared": ("preshared", 1, BITS[0, :1],
+                                 lambda v: CODEC.decode_session(TRITS, v, guess_bits=BITS)),
     "apply_write": ("codeword", 1, BITS, lambda v: apply_write(v, MASK)),
     "apply_read": ("codeword", 1, BITS, lambda v: apply_read(v, MASK)),
     "realize_profile": ("mask", 1, BITS, realize_profile),
