@@ -18,18 +18,22 @@ butterfly on known instead of noise flags, in one vectorized step per
 level.  From the levels it reads every node's commit decision (a subtree
 whose inputs are all known or all erased in every row is committed in one
 step, the Rate-1 and Rate-0 nodes of fast SC decoders, else every row
-splits), every leaf's erased byte and so the whole erased output, and for
-every width-8 leaf its value-table offset and its fill word (see
-_byte_tables).  The value pass (_descend) then moves values only: a split
-node XORs and selects by its precomputed flags, a commit re-encodes with
-one byte table (F^(x 3) inside a byte) and byte-level stages, a leaf is
-one value-table gather XORed with its fill word, and a width-16 subtree is
-one step of two leaves.  A code shorter than 8 is decoded as the last N
-inputs of one width-8 subtree whose other inputs are frozen and erased.
-Each node works in place: it overwrites its input bits with its re-encoded
-bits, so the value pass allocates no outputs.  Chain bits carried between
-blocks are plain uint8 arrays: they occupy the sink set B and are decoded
-by substitution, never from the channel.
+splits), every leaf's erased byte and so the whole erased output, and
+every width-8 leaf's value-table offset (_value_table).  The value pass
+(_descend) then moves values only: a split node XORs and selects by its
+flags, a commit re-encodes with one byte table (F^(x 3) inside a byte) and
+byte-level stages, a leaf is one table gather, and a width-16 subtree is
+one step of two leaves.  Each node works in place, overwriting its input
+bits with its re-encoded bits.  A code shorter than 8 is decoded as the
+last N inputs of one width-8 subtree whose other inputs are frozen and
+erased.
+
+Both passes run with a zero fill: erased decisions and fixed positions
+re-encode as 0.  The fill f (guesses where decided, chain bits on B, else
+0) is a coset shift: with the erasure pattern fixed every SC step is an
+XOR or a choice by a known flag, so SC(y, f) = SC(y + fG, 0) + f on the
+decided positions, with the same residual.  Chain bits carried between
+blocks are plain uint8 arrays on the sink set B, decoded by substitution.
 """
 
 from __future__ import annotations
@@ -165,27 +169,23 @@ def _flag_levels(known: np.ndarray) -> list:
 _LEAF_ERASED = ~_byte_table(lambda known: _flag_levels(known)[-1])
 
 
-def _flag_pass(known: np.ndarray, fill: np.ndarray, decide: np.ndarray,
-               groups: list, tvs: list) -> tuple:
+def _flag_pass(known: np.ndarray, decide: np.ndarray, tvs: list) -> tuple:
     """The first pass of a decode: everything that depends on the known
-    flags alone, before any value moves.  known and fill are the packed
-    (N/8, rows) stack, decide the packed (N/8,) decided positions, groups
-    and tvs the leaf schedule (ChainCodec._schedule).  Returns the value
-    pass's _Values, u holding the fill, and the erased decisions: each
-    leaf's erased byte under its known byte, on the decided positions.
+    flags alone, before any value moves.  known is the packed (N/8, rows)
+    stack, decide the packed (N/8,) decided positions, tvs each leaf byte's
+    value table (ChainCodec._schedule).  Returns the value pass's _Values,
+    u all zero, and the erased decisions: each leaf's erased byte under its
+    known byte, on the decided positions.
     """
     levels = _flag_levels(known)
     leaf = levels[-1]
-    fw = np.zeros(leaf.shape, dtype=np.uint16)
-    if fill.any():  # a zero fill (Bob's decodes without a chain) has zero fill words
-        for tf, where in groups:
-            fw[where] = _fill_words(tf, leaf[where], fill[where])
     erased_at = known_at = ()  # nodes under 4 bytes (32 positions) never commit
     if len(leaf) >= 4:
         erased_at = (leaf.max(axis=1, initial=0) == 0).tolist()
         known_at = (leaf.min(axis=1, initial=0xFF) == 0xFF).tolist()
-    plan = _Values(fill.copy(), decide, {len(leaf) >> d: k for d, k in enumerate(levels)},
-                   erased_at, known_at, tvs, np.left_shift(leaf, 8, dtype=np.intp), fw)
+    plan = _Values(np.zeros_like(leaf), decide,
+                   {len(leaf) >> d: k for d, k in enumerate(levels)},
+                   erased_at, known_at, tvs, np.left_shift(leaf, 8, dtype=np.intp))
     return plan, _LEAF_ERASED.take(leaf) & decide[:, None]
 
 
@@ -199,14 +199,13 @@ class _Values:
     and its first leaf byte their AND.
     """
 
-    u: np.ndarray  # (N/8, rows): the fill, then the decisions and implied bits
+    u: np.ndarray  # (N/8, rows): zero, then the decisions and implied bits
     decide: np.ndarray  # (N/8,): the positions decided from the channel
     flags: dict  # width w in bytes: the input known flags of the nodes of width w
     erased_at: list  # leaf byte j is 0 in every row
     known_at: list  # leaf byte j is 0xFF in every row
     tvs: list  # leaf byte j's value table (of its decide byte)
     at: np.ndarray  # (N/8, rows) intp: where each leaf's pattern p starts in tv, p << 8
-    fw: np.ndarray  # (N/8, rows) uint16: each leaf's fill word
 
 
 def _descend(plan: _Values, lo: int, v: np.ndarray) -> None:
@@ -221,7 +220,7 @@ def _descend(plan: _Values, lo: int, v: np.ndarray) -> None:
     if width == 2:
         return _pair(plan, lo, v)
     if width == 1:
-        v[0] = _leaf(plan.u[lo], plan.tvs[lo], plan.at[lo], plan.fw[lo], v[0])
+        v[0] = _leaf(plan.u[lo], plan.tvs[lo], plan.at[lo], v[0])
         return
     hi = lo + width
     if plan.erased_at[hi - 1]:
@@ -244,47 +243,48 @@ def _descend(plan: _Values, lo: int, v: np.ndarray) -> None:
 def _pair(plan: _Values, j: int, v: np.ndarray) -> None:
     """Decode the width-16 subtree of leaf bytes j and j + 1 in one step: the
     left byte's lookup, the right byte's input, the right byte's lookup."""
-    u, tvs, at, fw = plan.u, plan.tvs, plan.at, plan.fw
+    u, tvs, at = plan.u, plan.tvs, plan.at
     va, vb = v[0], v[1]  # indexing: unpacking iterates, several times slower
-    left = _leaf(u[j], tvs[j], at[j], fw[j], va ^ vb)
+    left = _leaf(u[j], tvs[j], at[j], va ^ vb)
     va ^= left
     va ^= (va ^ vb) & plan.flags[2][j + 1]
     j += 1
-    vb[...] = _leaf(u[j], tvs[j], at[j], fw[j], va)
+    vb[...] = _leaf(u[j], tvs[j], at[j], va)
     np.bitwise_xor(left, vb, out=va)
 
 
 def _commit(u: np.ndarray, decide: np.ndarray, v: np.ndarray, known: bool) -> None:
     """Commit a subtree whose every row is all known (v holds their input
-    bits) or all erased (the fill stands); overwrites v with its re-encoded bits.
-
-    A known subtree stores its implied bits in u at fixed positions too, for
-    sc_decode_block to compare with the fill, but re-encodes the fixed bits.
+    bits) or all erased (its decisions stay 0); overwrites v with its
+    re-encoded bits.  A known subtree stores its implied bits in u at fixed
+    positions too, for sc_decode_block to read as the residual, but
+    re-encodes the fixed bits as 0.
     """
     if not known:
-        v[...] = _butterfly(u)
+        v[...] = 0
         return
     implied = _butterfly(v)
-    u ^= (u ^ implied) & decide[:, None]
-    # F^(x n) is its own inverse, so u re-encodes to v unless a fixed bit differs
-    if not np.array_equal(u, implied):
-        v[...] = _butterfly(u)
     u[...] = implied
+    # F^(x n) is its own inverse, so the decisions re-encode to v unless a
+    # fixed position implies 1
+    fixed = implied & ~decide[:, None]
+    if fixed.any():
+        v ^= _butterfly(fixed)
 
 
-def _sc_bits(k: np.ndarray, v: np.ndarray, f: np.ndarray, decide: np.ndarray) -> tuple:
-    """Plain SC of unpacked rows (known flags k, values v, fill f), without
+def _sc_bits(k: np.ndarray, v: np.ndarray, decide: np.ndarray) -> tuple:
+    """Plain zero-fill SC of unpacked rows (known flags k, values v), without
     shortcuts; returns (u, unresolved, re-encoded bits), each of k's shape.
 
     A known leaf's u is its implied bit, and it re-encodes its decision if
-    decided, else its fixed bit (the fill); an erased leaf takes the fill.
+    decided, else 0; an erased leaf decides and re-encodes 0.
     """
     if k.shape[1] == 1:
-        return np.where(k, v, f), ~k, np.where(k & decide, v, f)
+        return v & k, ~k, v & (k & decide)
     h = k.shape[1] // 2
     ka, kb, va, vb = k[:, :h], k[:, h:], v[:, :h], v[:, h:]
-    ul, el, xl = _sc_bits(ka & kb, va ^ vb, f[:, :h], decide[:h])
-    ur, er, xr = _sc_bits(ka | kb, np.where(kb, vb, va ^ xl), f[:, h:], decide[h:])
+    ul, el, xl = _sc_bits(ka & kb, va ^ vb, decide[:h])
+    ur, er, xr = _sc_bits(ka | kb, np.where(kb, vb, va ^ xl), decide[h:])
     return np.hstack([ul, ur]), np.hstack([el, er]), np.hstack([xl ^ xr, xr])
 
 
@@ -298,57 +298,36 @@ def _span(basis: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _byte_tables(decide_byte: int) -> tuple:
-    """Lookup tables of a width-8 subtree whose decide flags pack to decide_byte.
+def _value_table(decide_byte: int) -> np.ndarray:
+    """The lookup table of a width-8 subtree whose decide flags pack to
+    decide_byte, decoded with a zero fill.
 
     Given the byte p of the subtree's input known flags, every flag inside
     it is fixed and every value step is an XOR or a choice by a flag, so
-    its decision byte (a fixed position's implied bit, or its fill if
-    erased) and its re-encoded byte are GF(2)-linear in its value byte v
-    and its fill byte f.  Returns (tv, tf): the output word
-    decisions | re-encoded << 8 is
-    tv[p << 8 | v] ^ tf[p << 5 | f & 15] ^ tf[p << 5 | 16 | f >> 4].
-    tv is byte-indexed (65,536 uint16, 128 KB); tf is nibble-indexed
-    (256 x 2 x 16 uint16, 16 KB): a byte-indexed fill table would add
-    128 KB of peak memory per decide byte, and the fill part of every leaf
-    is looked up once per decode anyway (_fill_words).  They are read off
-    one plain SC of the 16 basis words under each of the 256 patterns.
+    its decision byte (a fixed position's implied bit, or 0 if erased) and
+    its re-encoded byte are GF(2)-linear in its value byte v: the output
+    word decisions | re-encoded << 8 is tv[p << 8 | v] (65,536 uint16,
+    128 KB).  Read off one plain SC of the 8 basis bytes under each of the
+    256 patterns.
     """
-    pattern = np.repeat(np.arange(256, dtype=np.uint8), 16)
+    pattern = np.repeat(np.arange(256, dtype=np.uint8), 8)
     k = np.unpackbits(pattern[:, None], axis=1, bitorder="little").astype(bool)
-    basis = np.tile(np.eye(16, dtype=np.uint8), (256, 1))
+    basis = np.tile(np.eye(8, dtype=np.uint8), (256, 1))
     decide = np.unpackbits(np.array([decide_byte], dtype=np.uint8), bitorder="little")
-    u, _, x = _sc_bits(k, basis[:, :8], basis[:, 8:], decide.astype(bool))
-    # words[p, b]: the output word of basis word b under pattern p
+    u, _, x = _sc_bits(k, basis, decide.astype(bool))
+    # words[p, b]: the output word of basis byte b under pattern p
     low, high = _pack(np.hstack([u, x])).astype(np.uint16)
-    words = (low | high << 8).reshape(256, 16)
-    tv = _span(words[:, :8]).ravel()
-    tf = _span(words[:, 8:].reshape(256, 2, 4)).ravel()
-    for table in (tv, tf):
-        table.flags.writeable = False  # shared by every decode
-    return tv, tf
+    tv = _span((low | high << 8).reshape(256, 8)).ravel()
+    tv.flags.writeable = False  # shared by every decode
+    return tv
 
 
-def _fill_words(tf: np.ndarray, p: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """The fill part of the output words of leaves whose known bytes are p
-    and fill bytes f, under the fill table tf of their decide byte:
-    tf[p << 5 | f & 15] ^ tf[p << 5 | 16 | f >> 4]."""
-    at = p.astype(np.uint16)
-    at <<= 5
-    word = tf[at | (f & 15)]
-    at |= 16
-    word ^= tf[at | (f >> 4)]
-    return word
-
-
-def _leaf(u: np.ndarray, tv: np.ndarray, at: np.ndarray, fw: np.ndarray,
-          v: np.ndarray) -> np.ndarray:
+def _leaf(u: np.ndarray, tv: np.ndarray, at: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Decode one byte position (a width-8 subtree) of every row by lookup:
     writes the decisions into u and returns the re-encoded byte.  u and v
     are (rows,) bytes; at holds each row's p << 8 (intp), where its known
-    byte p starts in tv, and fw its fill word."""
+    byte p starts in tv."""
     word = tv[at | v]
-    word ^= fw
     u[...] = word  # the assignment keeps the low byte: the decisions
     return word.view(np.uint8)[1::2]  # the high byte (little endian): re-encoded
 
@@ -448,7 +427,8 @@ class ChainCodec:
         (frozen, or B when chain is given) that are known and imply the
         other bit; u holds the fixed bit there.  Pure erasures with correct
         chain bits and guesses leave no residual; a wrong guess or chain bit
-        corrupts later partial sums and can leave one legitimately.
+        corrupts later partial sums and can leave one legitimately.  Guesses
+        and chain bits enter as a coset shift of one zero-fill decode.
         """
         y = checked_bits(y, "observations", Trit.ERASED)
         if y.ndim not in (1, 2):
@@ -462,16 +442,16 @@ class ChainCodec:
             guess_bits = guess_bits.reshape(-1, self.N)
         obs = y.reshape(-1, self.N)
 
-        decide, packed_decide, groups, tvs = self._schedule(chain is None)
+        decide, packed_decide, tvs = self._schedule(chain is None)
         if chain is not None:
             chain = checked_bits(chain, "chain")
             if chain.shape not in ((self.chain_size,), (len(obs), self.chain_size)):
                 raise ValueError(f"chain shape {chain.shape} fits neither "
                                  f"({self.chain_size},) nor ({len(obs)}, {self.chain_size})")
-        # u starts as the fill: the guesses (or 0) where decided, the fixed
-        # bits elsewhere; decisions overwrite it.  A code shorter than a byte
-        # is decoded as the last N inputs of a width-8 subtree whose first
-        # 8 - N positions are frozen and erased.
+        # the fill: the guesses (or 0) where decided, the fixed bits
+        # elsewhere.  A code shorter than a byte is decoded as the last N
+        # inputs of a width-8 subtree whose first 8 - N positions are frozen
+        # and erased.
         pad = max(0, 8 - self.N)
         fill = np.zeros(obs.shape, dtype=np.uint8) if guess_bits is None else guess_bits * decide
         if chain is not None:
@@ -483,23 +463,27 @@ class ChainCodec:
         known = _pack(value != Trit.ERASED, pad)
         value &= 1
         value = _pack(value, pad)
+        # the coset shift: the values are u F^(x n) in this order, so the
+        # fill's codeword is its butterfly; erased values are never read
+        value ^= _butterfly(fill)
 
-        plan, erased = _flag_pass(known, fill, packed_decide, groups, tvs)
+        plan, erased = _flag_pass(known, packed_decide, tvs)
         _descend(plan, 0, value)
 
-        # known fixed positions hold their implied bits: compare, then restore
+        # known fixed positions hold their shifted implied bits, the residual:
+        # clear them, then shift every position back by the fill
         u = plan.u
-        residual = (u ^ fill) & ~packed_decide[:, None]
+        residual = u & ~packed_decide[:, None]
         u ^= residual
+        u ^= fill
         return DecodeResult(_unpack(u, self.N, pad).reshape(y.shape),
                             *(_unpack(a, self.N, pad).view(bool).reshape(y.shape)
                               for a in (erased, residual)))
 
     def _schedule(self, chain_free: bool) -> tuple:
         """The decide flags of a decode with chain bits (B fixed) or without
-        them (B decided), unpacked and packed, and its leaf schedule: the
-        leaf bytes grouped by decide byte, with each group's fill table, and
-        each leaf byte's value table.  Built at the first such decode."""
+        them (B decided), unpacked and packed, and each leaf byte's value
+        table.  Built at the first such decode."""
         schedule = self._schedules.get(chain_free)
         if schedule is None:
             decide = self._decide
@@ -507,14 +491,8 @@ class ChainCodec:
                 decide = decide.copy()
                 decide[self._b0] = True
             packed = _pack(decide, max(0, 8 - self.N))
-            groups, tvs = [], [None] * len(packed)
-            for byte in sorted(set(packed.tolist())):
-                tv, tf = _byte_tables(byte)
-                where = np.flatnonzero(packed == byte)
-                groups.append((tf, where))
-                for j in where.tolist():
-                    tvs[j] = tv
-            schedule = self._schedules[chain_free] = (decide, packed, groups, tvs)
+            tvs = [_value_table(byte) for byte in packed.tolist()]
+            schedule = self._schedules[chain_free] = (decide, packed, tvs)
         return schedule
 
     def extract_message(self, u: np.ndarray) -> np.ndarray:

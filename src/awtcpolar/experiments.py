@@ -285,7 +285,7 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
         del codewords, actions, write, noise
 
         dirty = forced.reshape(-1, unit).any(axis=1)
-        bob_msgs = sent.reshape(-1, unit, codec.message_size).copy()
+        bob_msgs = sent.reshape(len(dirty), unit, codec.message_size).copy()
         if dirty.any():
             chains = np.repeat(preshared, T // unit, axis=0)
             bob_msgs[dirty] = codec.decode_session(

@@ -224,6 +224,27 @@ class TestSweepCommands:
         assert (tmp_path / "bob_ber.svg").exists()
         assert (tmp_path / "eve_ber.svg").exists()
 
+    @pytest.mark.parametrize("strategy", ["uniform", "prefix", "bernoulli"])
+    @pytest.mark.parametrize("cells", [
+        ["--n", 2, "--beta", 0.45, "--rho-w", 0.2, "--rho-r", 0.4],
+        ["--n-list", "1,3,6", "--beta", 0.25, "--rho-w", 0.3, "--rho-r", 0.3],
+    ])
+    def test_simulate_cells_without_information_bits(self, tmp_path, cells, strategy):
+        """Feasible cells with |I| = 0 (n = 2 in the first grid, n = 1 and 3
+        in the second) are simulated like any other: their rows carry no
+        message bits and no bit errors, and their BERs read 0."""
+        code = run("simulate", *cells, "--strategy", strategy, "--blocks", 3,
+                   "--trials", 3, "--no-plot", "--out-dir", tmp_path)
+        assert code == 0
+        with open(tmp_path / "trials.csv", newline="") as fh:
+            empty = [r for r in csv.DictReader(fh) if r["message_bits"] == "0"]
+        assert len(empty) == 3 * (1 if "--n" in cells else 2)
+        assert all(r["bob_bit_errors"] == r["eve_bit_errors"] == "0" for r in empty)
+        with open(tmp_path / "aggregates.csv", newline="") as fh:
+            bers = [a.mean for a in read_aggregates_csv(fh)
+                    if a.metric in ("bob_ber", "eve_ber") and a.cell.n in (1, 2, 3)]
+        assert bers and not any(bers)
+
     def test_no_plot_suppresses_svg(self, tmp_path):
         code = run("bounds", "--n", 5, "--beta", 0.3, "--trials", 2,
                    "--no-plot", "--out-dir", tmp_path)

@@ -794,37 +794,32 @@ class TestLeafTables:
                                               contradicted)
 
     def test_leaf_lookup_equals_plain_sc_on_every_word(self):
-        """One mixed decide byte's leaf entry points against plain SC on all
-        65,536 (pattern, value) words with a zero fill and all 65,536
-        (pattern, fill) words with zero values: the value gather at the
-        offset p << 8, the fill word and the erased byte of the pattern.
-        The value and fill parts are XORed, so this covers every table entry."""
+        """One mixed decide byte's leaf entry points against zero-fill plain
+        SC on all 65,536 (pattern, value) words: the value gather at the
+        offset p << 8 and the erased byte of the pattern.  This covers every
+        table entry; fills are checked end to end by the plain-recursion
+        tests with random guesses and chains."""
         decide_byte = 0b10110100
         decide = np.unpackbits(np.array([decide_byte], dtype=np.uint8),
                                bitorder="little").astype(bool)
-        tv, tf = codec_module._byte_tables(decide_byte)
+        tv = codec_module._value_table(decide_byte)
         word = np.arange(1 << 16)
         p, low = (word >> 8).astype(np.uint8), (word & 0xFF).astype(np.uint8)
         k = np.unpackbits(p[:, None], axis=1, bitorder="little").astype(bool)
-        bits = np.unpackbits(low[:, None], axis=1, bitorder="little")
-        zero = np.zeros_like(bits)
-        for v, f in ((bits, zero), (zero, bits)):
-            u, unresolved, x = codec_module._sc_bits(k, v, f, decide)
-            fill = np.packbits(f, axis=1, bitorder="little").ravel()
-            decisions = fill.copy()
-            encoded = codec_module._leaf(decisions, tv, p.astype(np.intp) << 8,
-                                         codec_module._fill_words(tf, p, fill),
-                                         np.packbits(v, axis=1, bitorder="little").ravel())
-            erased = codec_module._LEAF_ERASED[p]
-            for got, want in ((decisions, u), (encoded, x), (erased, unresolved)):
-                np.testing.assert_array_equal(
-                    got, np.packbits(want, axis=1, bitorder="little").ravel())
+        v = np.unpackbits(low[:, None], axis=1, bitorder="little")
+        u, unresolved, x = codec_module._sc_bits(k, v, decide)
+        decisions = np.zeros_like(low)
+        encoded = codec_module._leaf(decisions, tv, p.astype(np.intp) << 8, low)
+        erased = codec_module._LEAF_ERASED[p]
+        for got, want in ((decisions, u), (encoded, x), (erased, unresolved)):
+            np.testing.assert_array_equal(
+                got, np.packbits(want, axis=1, bitorder="little").ravel())
 
     def test_tables_of_the_used_decide_bytes_are_read_only_and_small(self):
         """The decide bytes of every cell n = 8..14 x beta = 0.20, 0.26, 0.32
         at rho_w = 0.2, rho_r = 0.4, for Bob (B fixed) and Eve (B decided):
-        their tables are shared by every decode, so each is read-only, and
-        together they stay within 2.5 MB of memory."""
+        their value tables are shared by every decode, so each is read-only,
+        and together they stay within 2.5 MB of memory."""
         used = set()
         for n, beta in itertools.product(range(8, 15), (0.20, 0.26, 0.32)):
             part = build_partition(CodeConfig(n=n, beta=beta, rho_w=0.2, rho_r=0.4))
@@ -834,9 +829,41 @@ class TestLeafTables:
             decided[part.chain_sink - 1] = False
             used |= set(np.packbits(decided, bitorder="little").tolist())
         assert len(used) == 9
-        tables = [t for d in sorted(used) for t in codec_module._byte_tables(d)]
+        tables = [codec_module._value_table(d) for d in sorted(used)]
         assert not any(t.flags.writeable for t in tables)
         assert sum(t.nbytes for t in tables) <= 2.5e6
+
+
+class TestCosetShift:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(trit_cases(0, 8), st.integers(0, 2**32 - 1))
+    def test_property_fill_is_a_coset_shift(self, case, seed):
+        """SC commutes with adding a codeword: with the fill f (the guesses
+        where decided, the chain bits on B, 0 elsewhere), a decode of y
+        equals, row by row, the zero-fill decode of y + fG on its known
+        positions with f added to u, and the same erased and residual
+        flags.  The decoder rests on this identity, and so would
+        superposing chain-bit rows and ML decoding by inactivation (ROADMAP
+        directions 2 and 5)."""
+        part, y, guess, chain = case
+        codec = ChainCodec(part)
+        if guess is None:
+            guess = np.random.default_rng(seed).integers(0, 2, y.shape, dtype=np.uint8)
+        sink = part.chain_sink - 1
+        decided = np.ones(part.N, dtype=bool)
+        decided[part.frozen - 1] = False
+        if chain is not None:
+            decided[sink] = False
+        fill = guess * decided
+        if chain is not None:
+            fill[:, sink] = chain
+        shifted = np.where(y == Trit.ERASED, y, y ^ polar_transform(fill)).astype(np.int8)
+        zero = None if chain is None else np.zeros_like(chain)
+        res0 = codec.sc_decode_block(shifted, zero, guess_bits=np.zeros_like(guess))
+        res = codec.sc_decode_block(y, chain, guess_bits=guess)
+        np.testing.assert_array_equal(res.u, res0.u ^ fill)
+        np.testing.assert_array_equal(res.erased, res0.erased)
+        np.testing.assert_array_equal(res.residual, res0.residual)
 
 
 class TestRandomBitRows:
