@@ -3,10 +3,10 @@
 An action is two boolean masks over the N 0-based codeword positions, True on
 the written set S_w and on the read set S_r.  The adversary erases the bits it
 writes (Bob sees '?') and captures the bits it reads (Eve sees everything else
-as '?').  The uniform and prefix samplers draw exactly floor(rho * N)
-positions.  The bernoulli sampler keeps each position independently with
-probability rho, so its set size is Binomial(N, rho) and can exceed the
-floor(rho * N) budget.  The two sets are drawn independently and may overlap.
+as '?').  With k = floor(rho * N), uniform marks where the k smallest of N
+uniform keys fall and prefix the first k positions; bernoulli keeps each
+position with probability rho, so its Binomial(N, rho) size can exceed k.
+The two sets are drawn independently and may overlap.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ def _draw_mask(N: int, rho: float, strategy: Strategy, rng: np.random.Generator)
     size = math.floor(rho * N)
     mask = np.zeros(N, dtype=bool)
     if strategy is Strategy.UNIFORM:
-        # Fisher-Yates prefix: a uniform fixed-size subset
-        mask[rng.permutation(N)[:size]] = True
+        # where the size smallest of N uniform keys fall: a uniform size-subset
+        mask[np.argpartition(rng.random(N), size - 1)[:size]] = True
     else:
         mask[:size] = True
     return mask

@@ -1,5 +1,8 @@
-"""The index-set draw that sample_action once made, kept as the reference
-for its mask draw: the same sets, from the same generator calls."""
+"""A reference index-set draw for sample_action's masks: the same sets from
+the same generator calls, computed another way.  A uniform set is the first
+floor(rho*N) positions of a full stable sort of the same N keys, where the
+sampler takes a partial selection; bernoulli and prefix are the sampler's
+index-set draws from before it drew masks."""
 
 import math
 
@@ -9,11 +12,12 @@ from awtcpolar.adversary import Strategy
 
 
 def _draw_set(N, rho, strategy, rng) -> np.ndarray:
-    """One sorted 1-based set: a uniform floor(rho*N)-subset, an independent
-    keep-with-probability-rho set, or the first floor(rho*N) positions."""
+    """One sorted 1-based set: where the floor(rho*N) smallest of N uniform
+    keys fall, an independent keep-with-probability-rho set, or the first
+    floor(rho*N) positions."""
     size = math.floor(rho * N)
     if strategy is Strategy.UNIFORM:
-        return np.sort(rng.permutation(N)[:size]) + 1
+        return np.sort(np.argsort(rng.random(N), kind="stable")[:size]) + 1
     if strategy is Strategy.BERNOULLI:
         return np.flatnonzero(rng.random(N) < rho) + 1
     return np.arange(1, size + 1, dtype=np.int64)

@@ -85,12 +85,43 @@ class TestSampling:
         chi2 = ((counts - expected) ** 2 / expected).sum()
         assert chi2 < 110  # ~99.9th percentile of chi2 with 63 dof
 
+    @pytest.mark.parametrize("N, rho, seed", [
+        (2, 0.5, 20), (4, 0.5, 21), (8, 0.375, 22), (16, 0.25, 23), (16, 0.75, 24),
+    ])
+    def test_uniform_inclusion_and_pair_frequencies(self, N, rho, seed):
+        """Over 20,000 draws at a fixed seed, every position is written with
+        frequency k/N and every pair of positions with k(k-1)/(N(N-1)), each
+        to within 5 standard errors of a mean of 20,000 Bernoulli draws.  A
+        draw that favours or avoids any position or pair fails."""
+        draws, k = 20_000, math.floor(rho * N)
+        rng = np.random.default_rng(seed)
+        masks = np.array([sample_action(N, rho, 0.0, Strategy.UNIFORM, rng).write
+                          for _ in range(draws)], dtype=np.float64)
+        assert (masks.sum(axis=1) == k).all()
+        together = masks.T @ masks / draws
+        for observed, p in ((np.diag(together), k / N),
+                            (together[~np.eye(N, dtype=bool)], k * (k - 1) / (N * (N - 1)))):
+            tolerance = 5.0 * math.sqrt(p * (1.0 - p) / draws)
+            assert np.abs(observed - p).max() <= tolerance, (p, observed)
+
+    @pytest.mark.parametrize("n", range(15))
+    def test_uniform_sizes_are_exact(self, n):
+        """Both masks hold exactly floor(rho*N) positions at every N, none
+        when rho*N < 1."""
+        N = 1 << n
+        rng = np.random.default_rng(n)
+        for rho_w, rho_r in ((0.0, 0.0), (0.5 / N, 0.2), (0.2, 0.4), (0.4, 0.5), (0.999, 0.0)):
+            action = sample_action(N, rho_w, rho_r, Strategy.UNIFORM, rng)
+            assert np.count_nonzero(action.write) == math.floor(rho_w * N)
+            assert np.count_nonzero(action.read) == math.floor(rho_r * N)
+
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(n=st.integers(0, 12), rho_w=st.floats(0.0, 0.99), share=st.floats(0.0, 0.99),
            strategy=st.sampled_from(Strategy), seed=st.integers(0, 2**32 - 1))
     def test_property_masks_equal_set_draw(self, n, rho_w, share, strategy, seed):
-        """The masks mark exactly the 1-based sets the index-set draw made,
-        and the draw leaves the generator where that draw left it."""
+        """The masks mark exactly the 1-based sets of the reference draw,
+        which fully sorts the uniform keys the sampler partially selects,
+        and the draw leaves the generator where the reference left it."""
         N = 1 << n
         rho_r = share * (1.0 - rho_w)
         rng = np.random.default_rng(seed)

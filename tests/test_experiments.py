@@ -721,11 +721,12 @@ class TestGoldenTrialCsv:
             "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,"
             "erased_decisions\r\n"
             "bounds,64,6,0.3,0.2,0.4,10,uniform,0,12991368382244676200,"
-            "20.0,0.0,,,,\r\n"
+            "0.0,0.0,,,,\r\n"
         )
 
     def test_end_to_end_trial_bytes_frozen(self):
-        # pins the end-to-end stream split, both decoders and the error counts
+        # pins the end-to-end stream split, Eve's decoder and the error counts;
+        # this trial's writes force no guess, so Bob decodes no block
         spec = SweepSpec(kind="end_to_end", n_list=(6,), beta_list=(0.3,), rho_w=0.3,
                          rho_r=0.3, blocks=3, strategy=Strategy.UNIFORM, trials=1,
                          base_seed=3)
@@ -737,7 +738,7 @@ class TestGoldenTrialCsv:
             "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,"
             "erased_decisions\r\n"
             "end_to_end,64,6,0.3,0.3,0.3,3,uniform,0,17727436766698190686,"
-            "1.0,0.0,3,10,24,1\r\n"
+            "0.0,0.0,0,10,24,0\r\n"
         )
 
     @pytest.mark.parametrize("strategy, kind, rows", [
@@ -812,8 +813,8 @@ class TestGoldenTrialCsv:
     @pytest.mark.parametrize("strategy, rows", [
         (Strategy.UNIFORM, [
             "end_to_end,512,9,0.3,0.3,0.4,5,uniform,0,6973472301746567127,0.0,0.0,0,4,5,0",
-            "end_to_end,512,9,0.3,0.3,0.4,5,uniform,1,8208341833156044171,1.0,1.0,0,2,5,1",
-            "end_to_end,512,9,0.3,0.3,0.4,5,uniform,2,1741412835885037853,2.0,2.0,0,1,5,2",
+            "end_to_end,512,9,0.3,0.3,0.4,5,uniform,1,8208341833156044171,0.0,2.0,0,2,5,0",
+            "end_to_end,512,9,0.3,0.3,0.4,5,uniform,2,1741412835885037853,0.0,0.0,0,1,5,0",
         ]),
         (Strategy.BERNOULLI, [
             "end_to_end,512,9,0.3,0.3,0.4,5,bernoulli,0,13630092718974567829,"
@@ -835,8 +836,9 @@ class TestGoldenTrialCsv:
     def test_damaged_live_chain_bytes_frozen(self, strategy, rows):
         # |B| = 4 and some sessions hold a damaged block, so Bob decodes them
         # with each block's chain taken from its predecessor's decoded u[E]:
-        # decoding every block with the pre-shared bits instead turns the
-        # uniform rows 1, 2 and bernoulli row 1 into Bob errors
+        # decoding every block with the pre-shared bits instead turns
+        # bernoulli row 1 into Bob errors.  No uniform row holds a damaged
+        # block (erased_decisions 0), so Bob decodes no uniform session
         spec = SweepSpec(kind="end_to_end", n_list=(9,), beta_list=(0.3,), rho_w=0.3,
                          rho_r=0.4, blocks=5, strategy=strategy, trials=3, base_seed=13)
         assert ChainCodec(build_partition(next(spec.configs()))).chain_size == 4
@@ -849,7 +851,8 @@ class TestGoldenTrialCsv:
         ]) + "\r\n"
 
     def test_wide_chain_free_bytes_frozen(self):
-        # N = 4096 without a chain: both sides decode through the widest nodes
+        # N = 4096 without a chain: Eve decodes through the widest nodes; no
+        # write here forces a guess, so Bob decodes no block
         spec = SweepSpec(kind="end_to_end", n_list=(12,), beta_list=(0.26,), rho_w=0.2,
                          rho_r=0.4, blocks=4, strategy=Strategy.UNIFORM, trials=2,
                          base_seed=13)
@@ -860,7 +863,7 @@ class TestGoldenTrialCsv:
             "kind,N,n,beta,rho_w,rho_r,T,strategy,trial,seed,ber_bound,"
             "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,erased_decisions",
             "end_to_end,4096,12,0.26,0.2,0.4,4,uniform,0,17917990950421138390,"
-            "1.0,1.0,131,1707,3408,1",
+            "0.0,1.0,0,1707,3408,0",
             "end_to_end,4096,12,0.26,0.2,0.4,4,uniform,1,8762620967831483339,"
             "0.0,0.0,0,1744,3408,0",
         ]) + "\r\n"
@@ -876,16 +879,16 @@ class TestGoldenTrialCsv:
         prefix6 = "end_to_end,64,6,0.3,0.3,0.3,2,uniform,"
         assert buf.getvalue() == "\r\n".join([
             "kind,N,n,beta,rho_w,rho_r,T,strategy,metric,mean,stderr,trials",
-            prefix5 + "ber_bound,0.6666666666666666,0.33333333333333337,3",
+            prefix5 + "ber_bound,0.0,0.0,3",
             prefix5 + "leak_bound,0.0,0.0,3",
-            prefix5 + "bob_ber,0.125,0.07216878364870323,3",
+            prefix5 + "bob_ber,0.0,0.0,3",
             prefix5 + "eve_ber,0.5,0.07216878364870323,3",
-            prefix5 + "erased_decisions,0.6666666666666666,0.33333333333333337,3",
-            prefix6 + "ber_bound,1.0,0.5773502691896258,3",
+            prefix5 + "erased_decisions,0.0,0.0,3",
+            prefix6 + "ber_bound,0.6666666666666666,0.33333333333333337,3",
             prefix6 + "leak_bound,0.3333333333333333,0.33333333333333337,3",
-            prefix6 + "bob_ber,0.08333333333333333,0.055119818980512304,3",
+            prefix6 + "bob_ber,0.125,0.09547032697824667,3",
             prefix6 + "eve_ber,0.5833333333333334,0.04166666666666667,3",
-            prefix6 + "erased_decisions,1.0,0.5773502691896258,3",
+            prefix6 + "erased_decisions,0.6666666666666666,0.33333333333333337,3",
         ]) + "\r\n"
 
 

@@ -43,11 +43,11 @@ def test_wrapped_parameters_exist():
         assert names <= set(inspect.signature(fn).parameters), fn.__qualname__
 
 
-def traced_decode_counts(monkeypatch, cfg, strategy=Strategy.UNIFORM):
+def traced_decode_counts(monkeypatch, cfg, strategy=Strategy.UNIFORM, seed=1):
     layertrace = load_layertrace(monkeypatch)
     part = build_partition(cfg)
     with layertrace.Tracer(layertrace.targets()) as tracer:
-        experiments.end_to_end_trial(cfg, part, strategy, seed=1)
+        experiments.end_to_end_trial(cfg, part, strategy, seed=seed)
     assert tracer.restored()
     names = Counter(span.name for span in tracer.spans)
     assert names["experiments.trial"] == 1
@@ -57,9 +57,15 @@ def traced_decode_counts(monkeypatch, cfg, strategy=Strategy.UNIFORM):
 def test_traced_trial_records_both_decode_sides(monkeypatch):
     """Decodes are traced through the ChainCodec.sc_decode_block class
     attribute and told apart by guess_bits: Bob passes none, Eve passes hers.
-    Without a chain each side's session is one stacked decode."""
+    Without a chain each side's session is one stacked decode.  Bob decodes
+    only blocks with a forced guess, so the trial is the first seed >= 1
+    whose uniform writes force one."""
     cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
-    assert traced_decode_counts(monkeypatch, cfg) == (1, 1)
+    part = build_partition(cfg)
+    seed = next((s for s in range(1, 101) if experiments.end_to_end_trial(
+        cfg, part, Strategy.UNIFORM, seed=s).erased_decisions > 0), None)
+    assert seed is not None, "no seed in 1..100 forces Bob a guess"
+    assert traced_decode_counts(monkeypatch, cfg, seed=seed) == (1, 1)
 
 
 def test_traced_live_chain_trial_records_every_block(monkeypatch):
