@@ -28,11 +28,18 @@ def bits(s: str) -> np.ndarray:
 
 class TestSampling:
     def test_uniform_sizes(self):
+        """Both masks hold exactly floor(rho*N) positions at every n = 0..14,
+        none when rho*N < 1."""
         rng = np.random.default_rng(0)
         for _ in range(50):
             action = sample_action(4, 0.5, 0.25, Strategy.UNIFORM, rng)
             assert action.write.sum() == 2
             assert action.read.sum() == 1
+        for N in (1 << n for n in range(15)):
+            for rho_w, rho_r in ((0.0, 0.0), (0.5 / N, 0.2), (0.2, 0.4), (0.4, 0.5), (0.999, 0.0)):
+                action = sample_action(N, rho_w, rho_r, Strategy.UNIFORM, rng)
+                assert np.count_nonzero(action.write) == math.floor(rho_w * N)
+                assert np.count_nonzero(action.read) == math.floor(rho_r * N)
 
     def test_zero_fraction_empty(self):
         rng = np.random.default_rng(1)
@@ -103,17 +110,6 @@ class TestSampling:
                             (together[~np.eye(N, dtype=bool)], k * (k - 1) / (N * (N - 1)))):
             tolerance = 5.0 * math.sqrt(p * (1.0 - p) / draws)
             assert np.abs(observed - p).max() <= tolerance, (p, observed)
-
-    @pytest.mark.parametrize("n", range(15))
-    def test_uniform_sizes_are_exact(self, n):
-        """Both masks hold exactly floor(rho*N) positions at every N, none
-        when rho*N < 1."""
-        N = 1 << n
-        rng = np.random.default_rng(n)
-        for rho_w, rho_r in ((0.0, 0.0), (0.5 / N, 0.2), (0.2, 0.4), (0.4, 0.5), (0.999, 0.0)):
-            action = sample_action(N, rho_w, rho_r, Strategy.UNIFORM, rng)
-            assert np.count_nonzero(action.write) == math.floor(rho_w * N)
-            assert np.count_nonzero(action.read) == math.floor(rho_r * N)
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=300)
     @given(n=st.integers(0, 12), rho_w=st.floats(0.0, 0.99), share=st.floats(0.0, 0.99),
