@@ -4,9 +4,10 @@ An action is two boolean masks over the N 0-based codeword positions, True on
 the written set S_w and on the read set S_r.  The adversary erases the bits it
 writes (Bob sees '?') and captures the bits it reads (Eve sees everything else
 as '?').  With k = floor(rho * N), uniform marks where the k smallest of N
-uniform keys fall and prefix the first k positions; bernoulli keeps each
-position with probability rho, so its Binomial(N, rho) size can exceed k.
-The two sets are drawn independently and may overlap.
+uniform keys fall, keys tied with the k-th smallest taken in position order
+(the first k of a stable sort), and prefix the first k positions; bernoulli
+keeps each position with probability rho, so its Binomial(N, rho) size can
+exceed k.  The two sets are drawn independently and may overlap.
 """
 
 from __future__ import annotations
@@ -58,12 +59,18 @@ def _draw_mask(N: int, rho: float, strategy: Strategy, rng: np.random.Generator)
     if strategy is Strategy.BERNOULLI:
         return rng.random(N) < rho
     size = math.floor(rho * N)
-    mask = np.zeros(N, dtype=bool)
-    if strategy is Strategy.UNIFORM:
-        # where the size smallest of N uniform keys fall: a uniform size-subset
-        mask[np.argpartition(rng.random(N), size - 1)[:size]] = True
-    else:
+    if strategy is Strategy.PREFIX:
+        mask = np.zeros(N, dtype=bool)
         mask[:size] = True
+        return mask
+    # where the size smallest of N uniform keys fall: a uniform size-subset
+    keys = rng.random(N)
+    cut = np.partition(keys, size - 1)[size - 1] if size else -1.0
+    mask = keys <= cut
+    excess = np.count_nonzero(mask) - size
+    if excess:
+        # keys tied with the cut are taken in position order, as a stable sort takes them
+        mask[np.flatnonzero(keys == cut)[-excess:]] = False
     return mask
 
 

@@ -13,6 +13,7 @@ so serial and parallel sweeps produce bit-identical results.
 from __future__ import annotations
 
 import csv
+import functools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -111,6 +112,27 @@ def _xorshift(v: np.ndarray) -> np.ndarray:
     return v ^ (v >> 16)
 
 
+def _hash(value: np.ndarray, init: int, mult: int, j: int) -> np.ndarray:
+    """The j-th hash, counted from 0, of SeedSequence's mix_entropy (init,
+    mult = _INIT_A, _MULT_A) or generate_state (_INIT_B, _MULT_B), applied
+    to uint32 words."""
+    const = init * pow(mult, j, 1 << 32) & _MASK32
+    return _xorshift((value ^ np.uint32(const)) * np.uint32(const * mult & _MASK32))
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return _xorshift(np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y)
+
+
+def _generate_state(pool: list, n_words: int) -> list:
+    """SeedSequence.generate_state(n_words, uint64) of every column of the
+    four pool word arrays, as n_words uint64 arrays; it reads the first
+    2 * n_words pool words."""
+    halves = [_hash(pool[i % 4], _INIT_B, _MULT_B, i).astype(np.uint64)
+              for i in range(2 * n_words)]
+    return [low | high << np.uint64(32) for low, high in zip(halves[::2], halves[1::2])]
+
+
 def derive_trial_seeds(base_seed: int, cell: Cell, trials) -> list:
     """Deterministic 64-bit seeds of the given trial indices of one cell:
     trial t's seed is SeedSequence(prefix + (t,)).generate_state(1, uint64)[0].
@@ -126,24 +148,48 @@ def derive_trial_seeds(base_seed: int, cell: Cell, trials) -> list:
     if trials.size and not 0 <= trials.min() <= trials.max() <= _MASK32:
         raise ValueError("trial indices must lie in [0, 2^32)")
     t = trials.astype(np.uint32)
-    # the hash constant after the prefix (at least 8 words): 4 pool words,
-    # 12 all-pairs mixes, then 4 per entropy word past the pool's
-    words = sum(max(1, -(-v.bit_length() // 32)) for v in prefix)
-    hash_a = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 1 << 32) & _MASK32
-    hash_b = _INIT_B
-    state = []
-    for word in pool[:2].tolist():
-        # mix_entropy: hashmix the trial word, then mix it into this pool word
-        next_a = hash_a * _MULT_A & _MASK32
-        mixed = _xorshift((t ^ np.uint32(hash_a)) * np.uint32(next_a))
-        mixed = _xorshift(np.uint32(_MIX_MULT_L * word & _MASK32)
-                          - np.uint32(_MIX_MULT_R) * mixed)
-        # generate_state: hash the pool word into one state word
-        next_b = hash_b * _MULT_B & _MASK32
-        state.append(_xorshift((mixed ^ np.uint32(hash_b)) * np.uint32(next_b)))
-        hash_a, hash_b = next_a, next_b
-    low, high = (half.astype(np.uint64) for half in state)
-    return (low | high << np.uint64(32)).tolist()
+    # the hashes before the trial word's (the prefix is at least 8 words):
+    # 4 pool words, 12 all-pairs mixes, then 4 per entropy word past the pool's
+    j = 16 + 4 * (sum(max(1, -(-v.bit_length() // 32)) for v in prefix) - 4)
+    # pool words as 1-element arrays, as uint32 scalar products warn on wraparound
+    mixed = [_mix(word, _hash(t, _INIT_A, _MULT_A, j + i))
+             for i, word in enumerate(pool[:2, None])]
+    return _generate_state(mixed, 1)[0].tolist()
+
+
+def _seed_states(seeds) -> np.ndarray:
+    """SeedSequence(seed).generate_state(4, uint64) of every seed below 2^64,
+    the words PCG64 seeds itself from: a (seeds, 4) uint64 array."""
+    seeds = [checked_int(seed, "seed") for seed in seeds]
+    if seeds and not 0 <= min(seeds) <= max(seeds) < 1 << 64:
+        raise ValueError("seeds must lie in [0, 2^64)")
+    seeds = np.array(seeds, dtype=np.uint64)
+    # a seed below 2^32 is one entropy word; it hashes as if its high word
+    # were 0, as the two pool words past the entropy do
+    zero = np.zeros(len(seeds), dtype=np.uint32)
+    words = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
+    pool = [_hash(word, _INIT_A, _MULT_A, j) for j, word in enumerate(words)]
+    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
+    for j, (src, dst) in enumerate(pairs, 4):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], _INIT_A, _MULT_A, j))
+    return np.stack(_generate_state(pool, 4), axis=1)
+
+
+@functools.cache
+def _preset_seed_type() -> type:
+    """A seed sequence type holding one row of _seed_states, all that PCG64
+    reads of its seed sequence.  It is made on first use, since importing
+    numpy.random takes about 15 ms that importing this module should not."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PresetSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32) -> np.ndarray:
+            return self.words
+
+    return PresetSeed
 
 
 # rows x N bits realized per realize_packed call.  It bounds the working set
@@ -186,15 +232,17 @@ def block_bound_counts(partition: IndexPartition, write, noise) -> np.ndarray:
 def _bounds_trials(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
                    trial_seeds) -> list:
     """Both T-block bound values of every (trial, seed): each trial draws one
-    adversary action from its own default_rng(seed), in order.  The actions
-    are drawn, stacked and realized in slices of at most _SLICE_BITS // N, so
-    only one slice's actions are held at a time."""
+    adversary action, in order, from default_rng(seed)'s stream, its PCG64
+    seeded from the trial's row of _seed_states.  The actions are drawn,
+    stacked and realized in slices of at most _SLICE_BITS // N, so only one
+    slice's actions are held at a time."""
     counts = np.empty((3, len(trial_seeds)), dtype=np.intp)
+    states, preset = _seed_states([seed for _, seed in trial_seeds]), _preset_seed_type()
     step = max(1, _SLICE_BITS // config.N)
     for lo in range(0, len(trial_seeds), step):
         actions = [sample_action(config.N, config.rho_w, config.rho_r, strategy,
-                                 np.random.default_rng(seed))
-                   for _, seed in trial_seeds[lo: lo + step]]
+                                 np.random.Generator(np.random.PCG64(preset(words))))
+                   for words in states[lo: lo + step]]
         counts[:, lo: lo + step] = block_bound_counts(
             partition, write_equivalent_mask(actions), read_equivalent_mask(actions))
     T = config.blocks

@@ -1,8 +1,10 @@
 """A reference index-set draw for sample_action's masks: the same sets from
 the same generator calls, computed another way.  A uniform set is the first
 floor(rho*N) positions of a full stable sort of the same N keys, where the
-sampler takes a partial selection; bernoulli and prefix are the sampler's
-index-set draws from before it drew masks."""
+sampler cuts at one partial selection; the stable order is the sampler's
+tie rule, so keys tied with the cut are taken in position order here too.
+bernoulli and prefix are the sampler's index-set draws from before it drew
+masks."""
 
 import math
 

@@ -129,6 +129,28 @@ class TestSampling:
         np.testing.assert_array_equal(np.flatnonzero(action.read) + 1, read_set)
         assert rng.bit_generator.state == reference.bit_generator.state
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(0, 6), values=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_property_tied_keys_taken_in_position_order(self, n, values, seed):
+        """With keys of a few distinct values, many tie with the k-th
+        smallest; the uniform masks still mark the reference draw's sets, the
+        first k positions of a stable sort, at every k = 0..N-1."""
+
+        class TiedKeys:
+            def __init__(self):
+                self.source = np.random.default_rng(seed)
+
+            def random(self, size):
+                return self.source.integers(0, values, size) / values
+
+        N = 1 << n
+        for k in range(N):
+            rho_w, rho_r = k / N, (N - 1 - k) / N
+            action = sample_action(N, rho_w, rho_r, Strategy.UNIFORM, TiedKeys())
+            write_set, read_set = set_draw(N, rho_w, rho_r, Strategy.UNIFORM, TiedKeys())
+            np.testing.assert_array_equal(np.flatnonzero(action.write) + 1, write_set)
+            np.testing.assert_array_equal(np.flatnonzero(action.read) + 1, read_set)
+
 
 class TestObservations:
     def test_write_nothing(self):

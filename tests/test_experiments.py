@@ -2,6 +2,10 @@
 
 import csv
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -514,6 +518,72 @@ class TestSeeds:
             with pytest.raises(ValueError, match="trial indices"):
                 experiments.derive_trial_seeds(0, cell, [0, bad])
 
+    EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(drawn=st.lists(st.integers(0, 2**64 - 1), max_size=20))
+    def test_state_pass_equals_default_rng(self, drawn):
+        """Every seed's state words, hashed in one pass, equal its own
+        SeedSequence's, and a generator seeded from them starts where
+        default_rng(seed) does.  Seeds below 2^32 are one entropy word,
+        the others two."""
+        seeds = self.EDGE_SEEDS + drawn
+        states = experiments._seed_states(seeds)
+        assert states.shape == (len(seeds), 4) and states.dtype == np.uint64
+        for seed, words in zip(seeds, states, strict=True):
+            np.testing.assert_array_equal(
+                words, np.random.SeedSequence(seed).generate_state(4, np.uint64))
+            rng = np.random.Generator(np.random.PCG64(experiments._preset_seed_type()(words)))
+            assert rng.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+    @pytest.mark.parametrize("bad", [-1, 2**64, 1.5])
+    def test_state_pass_rejects_seeds_not_64_bit_ints(self, bad):
+        with pytest.raises(ValueError, match="seed"):
+            experiments._seed_states([0, bad])
+
+    @pytest.mark.parametrize("count", [1, 2, 300, 700])
+    def test_bounds_trials_equal_default_rng_loop(self, count):
+        """A chunk of 1 to 700 bounds trials, over several slices at n = 8,
+        equals a loop that draws each trial's action from default_rng(seed)."""
+        cfg = CodeConfig(n=8, beta=0.26, rho_w=0.2, rho_r=0.4, blocks=7)
+        part = build_partition(cfg)
+        seeds = np.random.default_rng(count).integers(0, 2**64 - 1, count, dtype=np.uint64,
+                                                      endpoint=True).tolist()
+        seeds[:len(self.EDGE_SEEDS)] = self.EDGE_SEEDS[:count]
+        rows = experiments._bounds_trials(cfg, part, Strategy.UNIFORM, list(enumerate(seeds)))
+        assert len(rows) == count
+        for row, seed in zip(rows, seeds, strict=True):
+            action = sample_action(cfg.N, cfg.rho_w, cfg.rho_r, Strategy.UNIFORM,
+                                   np.random.default_rng(seed))
+            ir, e, leak = counts_of(part, action)
+            assert (row.seed, row.ber_bound, row.leak_bound) == (seed, 7 * ir + 6 * e, 7 * leak)
+
+    def test_bounds_chunk_builds_no_seed_sequence(self, monkeypatch):
+        """A 500-trial bounds chunk hashes its seeds in one pass and builds no
+        SeedSequence per trial.  default_rng builds its SeedSequence inside
+        numpy, past the module attribute, so both names are counted."""
+        built = dict.fromkeys(("SeedSequence", "default_rng"), 0)
+        for name in built:
+            def counting(*args, name=name, build=getattr(np.random, name), **kwargs):
+                built[name] += 1
+                return build(*args, **kwargs)
+            monkeypatch.setattr(experiments.np.random, name, counting)
+        cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=5)
+        trial_seeds = [(t, 3000 + t) for t in range(500)]
+        rows = experiments._run_chunk(("bounds", cfg, build_partition(cfg), Strategy.UNIFORM,
+                                       trial_seeds))
+        assert len(rows) == 500
+        assert built == {"SeedSequence": 0, "default_rng": 0}
+
+    def test_cli_import_leaves_numpy_random_unloaded(self):
+        """The seed-state type is made on first use: importing numpy.random
+        would add about 15 ms to every run's set-up."""
+        code = "import sys, awtcpolar.cli; print('numpy.random' in sys.modules)"
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout.strip() == "False"
+
 
 class TestSweep:
     def _spec(self, **over):
@@ -866,6 +936,24 @@ class TestGoldenTrialCsv:
             "0.0,1.0,0,1707,3408,0",
             "end_to_end,4096,12,0.26,0.2,0.4,4,uniform,1,8762620967831483339,"
             "0.0,0.0,0,1744,3408,0",
+        ]) + "\r\n"
+
+    def test_wide_damaged_bytes_frozen(self):
+        # N = 4096 without a chain, and each trial's writes force one guess,
+        # so Bob decodes a damaged block through the widest nodes and the
+        # uniform draw's sets show in his error counts
+        spec = SweepSpec(kind="end_to_end", n_list=(12,), beta_list=(0.26,), rho_w=0.2,
+                         rho_r=0.4, blocks=3, strategy=Strategy.UNIFORM, trials=2,
+                         base_seed=9)
+        buf = io.StringIO()
+        write_trials_csv(run_sweep(spec).results, buf)
+        assert buf.getvalue() == "\r\n".join([
+            "kind,N,n,beta,rho_w,rho_r,T,strategy,trial,seed,ber_bound,"
+            "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,erased_decisions",
+            "end_to_end,4096,12,0.26,0.2,0.4,3,uniform,0,12107039720501303330,"
+            "1.0,1.0,14,1258,2556,1",
+            "end_to_end,4096,12,0.26,0.2,0.4,3,uniform,1,24725391748399995,"
+            "1.0,0.0,15,1284,2556,1",
         ]) + "\r\n"
 
     def test_aggregates_bytes_frozen(self):
