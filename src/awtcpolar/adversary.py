@@ -7,7 +7,9 @@ as '?').  With k = floor(rho * N), uniform marks where the k smallest of N
 uniform keys fall, keys tied with the k-th smallest taken in position order
 (the first k of a stable sort), and prefix the first k positions; bernoulli
 keeps each position with probability rho, so its Binomial(N, rho) size can
-exceed k.  The two sets are drawn independently and may overlap.
+exceed k.  The two sets are drawn independently and may overlap.  A
+session's T actions are drawn in one pass as (T, N) masks, row t the action
+the t-th of T successive one-block draws would give.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polar_core import check_fractions, checked_bits
+from .polar_core import check_fractions, checked_bits, checked_int
 
 
 class Strategy(Enum):
@@ -44,34 +46,55 @@ def _is_mask(mask, shape) -> bool:
 @dataclass(frozen=True, eq=False)
 class AdversaryAction:
     """One adversary move as two masks over 0-based positions: write is True
-    on the written set S_w, read is True on the read set S_r."""
+    on the written set S_w, read is True on the read set S_r.  The masks are
+    one block's (N,) or a session's stacked (T, N), one row per block."""
 
     write: np.ndarray
     read: np.ndarray
 
     def __post_init__(self):
-        shape = (np.size(self.write),)
-        if not (_is_mask(self.write, shape) and _is_mask(self.read, shape)):
-            raise ValueError("write and read must be 1-D boolean masks of one length")
+        shape = np.shape(self.write)
+        if not (len(shape) in (1, 2) and _is_mask(self.write, shape)
+                and _is_mask(self.read, shape)):
+            raise ValueError("write and read must be 1-D boolean masks of one length, "
+                             "or (rows, N) stacks of them")
 
 
-def _draw_mask(N: int, rho: float, strategy: Strategy, rng: np.random.Generator) -> np.ndarray:
-    if strategy is Strategy.BERNOULLI:
-        return rng.random(N) < rho
-    size = math.floor(rho * N)
+# keys a stacked draw holds at once: one chunk (128 KiB) instead of a whole
+# session's (3.3 MB at n=12, T=50)
+_CHUNK_KEYS = 1 << 14
+
+
+def _draw_masks(N: int, rows: int, rhos: tuple, strategy: Strategy,
+                rng: np.random.Generator) -> np.ndarray:
+    """(2, rows, N) masks: [0, t] and [1, t] are the sets of rhos[0] and
+    rhos[1] the t-th of rows successive one-block draws gives, each block
+    drawing rhos[0]'s keys before rhos[1]'s."""
+    masks = np.zeros((2, rows, N), dtype=bool)
+    sizes = [math.floor(rho * N) for rho in rhos]
     if strategy is Strategy.PREFIX:
-        mask = np.zeros(N, dtype=bool)
-        mask[:size] = True
-        return mask
-    # where the size smallest of N uniform keys fall: a uniform size-subset
-    keys = rng.random(N)
-    cut = np.partition(keys, size - 1)[size - 1] if size else -1.0
-    mask = keys <= cut
-    excess = np.count_nonzero(mask) - size
-    if excess:
-        # keys tied with the cut are taken in position order, as a stable sort takes them
-        mask[np.flatnonzero(keys == cut)[-excess:]] = False
-    return mask
+        for mask, size in zip(masks, sizes):
+            mask[:, :size] = True
+        return masks
+    step = max(1, _CHUNK_KEYS // (2 * N))
+    for lo in range(0, rows, step):
+        # doubles fill in order, so a chunk's keys are its blocks' keys in turn
+        keys = rng.random((min(step, rows - lo), 2, N))
+        for side, (rho, size) in enumerate(zip(rhos, sizes)):
+            side_keys, mask = keys[:, side], masks[side, lo: lo + step]
+            if strategy is Strategy.BERNOULLI:
+                np.less(side_keys, rho, out=mask)
+                continue
+            # where the size smallest of N uniform keys fall: a uniform size-subset
+            cut = np.partition(side_keys, size - 1)[:, size - 1:size] if size else -1.0
+            np.less_equal(side_keys, cut, out=mask)
+            # every row marks at least size keys; more only where keys tie with its cut
+            if np.count_nonzero(mask) > size * len(mask):
+                counts = np.count_nonzero(mask, axis=-1)
+                for t in np.flatnonzero(counts > size):
+                    # tied keys are taken in position order, as a stable sort takes them
+                    mask[t, np.flatnonzero(side_keys[t] == cut[t])[size - counts[t]:]] = False
+    return masks
 
 
 def sample_action(
@@ -80,11 +103,16 @@ def sample_action(
     rho_r: float,
     strategy: Strategy,
     rng: np.random.Generator,
+    blocks: int | None = None,
 ) -> AdversaryAction:
-    """Draw S_w then S_r (in that order, independently) from one rng stream."""
+    """Draw S_w then S_r (in that order, independently) from one rng stream.
+    With blocks = T, draw a session's T actions in one pass as (T, N) masks:
+    row t and the generator's state afterwards are those of T successive
+    one-block calls."""
     check_fractions(rho_w, rho_r)
-    write = _draw_mask(N, rho_w, strategy, rng)
-    read = _draw_mask(N, rho_r, strategy, rng)
+    rows = 1 if blocks is None else checked_int(blocks, "blocks")
+    masks = _draw_masks(N, rows, (rho_w, rho_r), strategy, rng)
+    write, read = masks if blocks is not None else masks[:, 0]
     return AdversaryAction(write=write, read=read)
 
 
@@ -116,12 +144,13 @@ def apply_read(x, read) -> np.ndarray:
 
 
 def write_equivalent_mask(actions) -> np.ndarray:
-    """Bob's equivalent channel blocks, one row per action: True (full noise)
-    where written."""
-    return np.stack([action.write for action in actions])
+    """Bob's equivalent channel blocks, one row per block of the actions (a
+    one-block action gives one row, a session's T): True (full noise) where
+    written."""
+    return np.vstack([action.write for action in actions])
 
 
 def read_equivalent_mask(actions) -> np.ndarray:
-    """Eve's equivalent channel blocks, one row per action: True (full noise)
-    where not read."""
-    return ~np.stack([action.read for action in actions])
+    """Eve's equivalent channel blocks, one row per block of the actions:
+    True (full noise) where not read."""
+    return ~np.vstack([action.read for action in actions])

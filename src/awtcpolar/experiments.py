@@ -144,10 +144,10 @@ def derive_trial_seeds(base_seed: int, cell: Cell, trials) -> list:
     """
     prefix = _seed_prefix(base_seed, cell)
     pool = np.random.SeedSequence(prefix).pool
-    trials = np.asarray(trials, dtype=np.int64)
-    if trials.size and not 0 <= trials.min() <= trials.max() <= _MASK32:
+    trials = [checked_int(trial, "trial index") for trial in trials]
+    if trials and not 0 <= min(trials) <= max(trials) <= _MASK32:
         raise ValueError("trial indices must lie in [0, 2^32)")
-    t = trials.astype(np.uint32)
+    t = np.array(trials, dtype=np.uint32)
     # the hashes before the trial word's (the prefix is at least 8 words):
     # 4 pool words, 12 all-pairs mixes, then 4 per entropy word past the pool's
     j = 16 + 4 * (sum(max(1, -(-v.bit_length() // 32)) for v in prefix) - 4)
@@ -278,9 +278,10 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
     """Encode, attack and decode one chained session per (trial, seed).
 
     Each trial draws from five streams spawned from its seed: its messages,
-    the encoder's fresh bits, the pre-shared bits, one adversary action per
-    block (the T actions give the bound terms and both sides' observations)
-    and Eve's coin flips, one row of N per block.  Bob decodes with the
+    the encoder's fresh bits, the pre-shared bits, its T adversary actions
+    (one sample_action call gives them as (T, N) masks, equal to T one-block
+    draws; they give the bound terms and both sides' observations) and Eve's
+    coin flips, one row of N per block.  Bob decodes with the
     pre-shared bits; Eve decodes without them, her erased decisions resolving
     to her coin flips.  The trials are decoded in groups of at most
     _GROUP_BITS stacked bits (at least one session), one decode_session call
@@ -322,15 +323,14 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
             preshared[s] = codec.preshared_state(pre_rng)
             sent[s] = random_bit_rows(msg_rng, T, codec.message_size)
             codewords = codec.encode_session(sent[s], preshared[s], enc_rng)
-            actions = [sample_action(N, config.rho_w, config.rho_r, strategy, adv_rng)
-                       for _ in range(T)]
-            write, noise = write_equivalent_mask(actions), read_equivalent_mask(actions)
+            action = sample_action(N, config.rho_w, config.rho_r, strategy, adv_rng, T)
+            write, noise = write_equivalent_mask([action]), read_equivalent_mask([action])
             ir, e, leak = block_bound_counts(partition, write, noise)
             forced[s] = ir
             bounds.append((float(ir.sum() + e[:-1].sum()), float(leak.sum())))
             bob_obs[s] = apply_write(codewords, write)
             eve_obs[s] = apply_read(codewords, ~noise)
-        del codewords, actions, write, noise
+        del codewords, action, write, noise
 
         dirty = forced.reshape(-1, unit).any(axis=1)
         bob_msgs = sent.reshape(len(dirty), unit, codec.message_size).copy()

@@ -189,17 +189,9 @@ def pack_rows(bits) -> np.ndarray:
     return np.ascontiguousarray(packed).view("<u8")
 
 
-@functools.lru_cache(maxsize=None)
-def _byte_popcount() -> np.ndarray:
-    """Set bits of every byte value: numpy 2's bitwise_count, for numpy 1."""
-    return np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1).sum(
-        axis=1, dtype=np.uint8)
-
-
 def count_bits(words: np.ndarray) -> np.ndarray:
-    """Set bits of each row of C-contiguous 64-bit words, summed over the
-    last axis."""
-    return _byte_popcount()[words.view(np.uint8)].sum(axis=-1, dtype=np.intp)
+    """Set bits of each row of 64-bit words, summed over the last axis."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.intp)
 
 
 def realize_packed(words: np.ndarray, n: int) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Adversary sampling and observation-channel tests."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from awtcpolar import adversary
 from awtcpolar.adversary import (
     AdversaryAction,
     Strategy,
@@ -24,6 +27,17 @@ from _trits import trits_to_str
 def bits(s: str) -> np.ndarray:
     """A boolean mask written as 0s and 1s, position 0 first."""
     return np.array([c == "1" for c in s])
+
+
+class TiedKeys:
+    """A stand-in generator whose uniform keys take only a few distinct
+    values, so many tie with the k-th smallest."""
+
+    def __init__(self, values, seed):
+        self.values, self.source = values, np.random.default_rng(seed)
+
+    def random(self, size):
+        return self.source.integers(0, self.values, size) / self.values
 
 
 class TestSampling:
@@ -136,20 +150,79 @@ class TestSampling:
         smallest; the uniform masks still mark the reference draw's sets, the
         first k positions of a stable sort, at every k = 0..N-1."""
 
-        class TiedKeys:
-            def __init__(self):
-                self.source = np.random.default_rng(seed)
+        N = 1 << n
+        for k in range(N):
+            rho_w, rho_r = k / N, (N - 1 - k) / N
+            action = sample_action(N, rho_w, rho_r, Strategy.UNIFORM, TiedKeys(values, seed))
+            write_set, read_set = set_draw(N, rho_w, rho_r, Strategy.UNIFORM,
+                                           TiedKeys(values, seed))
+            np.testing.assert_array_equal(np.flatnonzero(action.write) + 1, write_set)
+            np.testing.assert_array_equal(np.flatnonzero(action.read) + 1, read_set)
 
-            def random(self, size):
-                return self.source.integers(0, values, size) / values
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(n=st.integers(0, 10), blocks=st.integers(1, 40), rows_per_chunk=st.sampled_from(
+               [None, 1, 2, 3, 7]), rho_w=st.floats(0.0, 0.99), share=st.floats(0.0, 0.99),
+           strategy=st.sampled_from(Strategy), seed=st.integers(0, 2**32 - 1))
+    def test_property_session_draw_equals_block_draws(self, n, blocks, rows_per_chunk, rho_w,
+                                                      share, strategy, seed):
+        """A session's T actions drawn in one call are (T, N) masks whose row
+        t is the t-th of T one-block calls on the same generator, which ends
+        in the same state.  Fractions below 1/N (k = 0) included; the draw
+        runs at its own chunk size or with a few rows per chunk, so T spans
+        several chunks at every N."""
+        N = 1 << n
+        rho_r = share * (1.0 - rho_w)
+        rng = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        chunk = adversary._CHUNK_KEYS if rows_per_chunk is None else rows_per_chunk * 2 * N
+        with mock.patch.object(adversary, "_CHUNK_KEYS", chunk):
+            session = sample_action(N, rho_w, rho_r, strategy, rng, blocks)
+        actions = [sample_action(N, rho_w, rho_r, strategy, reference) for _ in range(blocks)]
+        assert session.write.shape == session.read.shape == (blocks, N)
+        np.testing.assert_array_equal(session.write, [a.write for a in actions])
+        np.testing.assert_array_equal(session.read, [a.read for a in actions])
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(0, 6), blocks=st.integers(1, 12), values=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_session_draw_takes_tied_keys_in_position_order(self, n, blocks, values,
+                                                                     seed):
+        """Tied keys drawn as one session of T blocks, three rows per chunk:
+        row t marks the t-th pair of sets that successive reference draws
+        give, the first k positions of a stable sort, at every k = 0..N-1."""
 
         N = 1 << n
         for k in range(N):
             rho_w, rho_r = k / N, (N - 1 - k) / N
-            action = sample_action(N, rho_w, rho_r, Strategy.UNIFORM, TiedKeys())
-            write_set, read_set = set_draw(N, rho_w, rho_r, Strategy.UNIFORM, TiedKeys())
-            np.testing.assert_array_equal(np.flatnonzero(action.write) + 1, write_set)
-            np.testing.assert_array_equal(np.flatnonzero(action.read) + 1, read_set)
+            with mock.patch.object(adversary, "_CHUNK_KEYS", 3 * 2 * N):
+                session = sample_action(N, rho_w, rho_r, Strategy.UNIFORM,
+                                        TiedKeys(values, seed), blocks)
+            reference = TiedKeys(values, seed)
+            for write, read in zip(session.write, session.read, strict=True):
+                write_set, read_set = set_draw(N, rho_w, rho_r, Strategy.UNIFORM, reference)
+                np.testing.assert_array_equal(np.flatnonzero(write) + 1, write_set)
+                np.testing.assert_array_equal(np.flatnonzero(read) + 1, read_set)
+
+    def test_session_draw_holds_one_chunk_of_keys(self):
+        """A uniform session draw at N = 4096, T = 50 holds its two (T, N)
+        masks (0.4 MB) and at most 512 KiB of working memory at a time; the
+        session's keys drawn at once (3.3 MB) would exceed it."""
+        N, T = 4096, 50
+        rng = np.random.default_rng(0)
+        sample_action(N, 0.2, 0.4, Strategy.UNIFORM, rng, T)
+        tracemalloc.start()
+        try:
+            sample_action(N, 0.2, 0.4, Strategy.UNIFORM, rng, T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * T * N + (1 << 19), peak
+
+    def test_session_draw_rejects_non_integral_blocks(self):
+        rng = np.random.default_rng(9)
+        with pytest.raises(ValueError, match="blocks must be an integer"):
+            sample_action(8, 0.2, 0.4, Strategy.UNIFORM, rng, 2.5)
 
 
 class TestObservations:
@@ -283,7 +356,8 @@ class TestEquivalentMasks:
         for write, read in (
             (np.array([5]), bits("1")),  # an index set, not a mask
             (bits("1000"), bits("10")),  # lengths differ
-            (np.stack([bits("10")] * 2), np.stack([bits("01")] * 2)),  # not 1-D
+            (np.stack([bits("10")] * 2), np.stack([bits("01")] * 3)),  # stacks differ
+            (np.stack([bits("10")] * 2)[None], np.stack([bits("01")] * 2)[None]),  # 3-D
             ([True, False], [False, True]),  # not arrays
         ):
             with pytest.raises(ValueError, match="1-D boolean masks"):

@@ -472,7 +472,7 @@ class TestEndToEndChunks:
                     record.clear()
                 rows = experiments._run_chunk(
                     ("end_to_end", cfg, part, strategy, [(t, 900 + t) for t in range(15)]))
-                writes = np.array([action.write for action in drawn])
+                writes = np.vstack([action.write for action in drawn])
                 forced = np.count_nonzero(realize_profile(writes) & decide, axis=1)
                 forced = forced.reshape(len(rows), cfg.blocks).sum(axis=1)
                 assert [row.erased_decisions for row in rows] == forced.tolist()
@@ -517,6 +517,15 @@ class TestSeeds:
         for bad in (-1, 2**32):
             with pytest.raises(ValueError, match="trial indices"):
                 experiments.derive_trial_seeds(0, cell, [0, bad])
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, np.float64(2.0), "3", 2**64])
+    def test_seed_pass_rejects_trials_not_integers(self, bad):
+        """A float index would truncate ([1.7] seeding as [1]) and an index
+        past int64 would overflow its cast, so both fail by name."""
+        cell = Cell("bounds", 8, 0.25, 0.2, 0.4, 10, Strategy.UNIFORM.value)
+        with pytest.raises(ValueError, match="trial ind"):
+            experiments.derive_trial_seeds(0, cell, [0, bad])
+        assert derive_trial_seeds(0, cell, np.arange(3)) == derive_trial_seeds(0, cell, range(3))
 
     EDGE_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
 
@@ -918,6 +927,24 @@ class TestGoldenTrialCsv:
             "kind,N,n,beta,rho_w,rho_r,T,strategy,trial,seed,ber_bound,"
             "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,erased_decisions",
             *rows,
+        ]) + "\r\n"
+
+    def test_damaged_uniform_live_chain_bytes_frozen(self):
+        # the |B| = 4 cell above at base seed 5: uniform writes force guesses
+        # in trials 0 and 2, so Bob decodes those sessions through the chain
+        # and the uniform draw's sets show in his error count
+        spec = SweepSpec(kind="end_to_end", n_list=(9,), beta_list=(0.3,), rho_w=0.3,
+                         rho_r=0.4, blocks=5, strategy=Strategy.UNIFORM, trials=3,
+                         base_seed=5)
+        assert ChainCodec(build_partition(next(spec.configs()))).chain_size == 4
+        buf = io.StringIO()
+        write_trials_csv(run_sweep(spec).results, buf)
+        assert buf.getvalue() == "\r\n".join([
+            "kind,N,n,beta,rho_w,rho_r,T,strategy,trial,seed,ber_bound,"
+            "leak_bound,bob_bit_errors,eve_bit_errors,message_bits,erased_decisions",
+            "end_to_end,512,9,0.3,0.3,0.4,5,uniform,0,4610683011220217894,2.0,0.0,1,3,5,2",
+            "end_to_end,512,9,0.3,0.3,0.4,5,uniform,1,10904536229691649491,0.0,0.0,0,4,5,0",
+            "end_to_end,512,9,0.3,0.3,0.4,5,uniform,2,17472808380654468265,3.0,1.0,0,3,5,2",
         ]) + "\r\n"
 
     def test_wide_chain_free_bytes_frozen(self):
