@@ -28,16 +28,6 @@ class Strategy(Enum):
     BERNOULLI = "bernoulli"
     PREFIX = "prefix"
 
-    @classmethod
-    def parse(cls, name: str) -> "Strategy":
-        try:
-            return cls(name.lower())
-        except ValueError:
-            raise ValueError(
-                f"unknown strategy {name!r}; choose from "
-                f"{[s.value for s in cls]}"
-            ) from None
-
 
 def _is_mask(mask, shape) -> bool:
     return isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == shape
@@ -60,8 +50,9 @@ class AdversaryAction:
                              "or (rows, N) stacks of them")
 
 
-# keys a stacked draw holds at once: one chunk (128 KiB) instead of a whole
-# session's (3.3 MB at n=12, T=50)
+# keys a stacked draw holds at once: max(2^14, 2N), as a chunk holds at least
+# one block's two sides; 128 KiB up to n=13 instead of a whole session's
+# (3.3 MB at n=12, T=50), 256 KiB for a block at n=14
 _CHUNK_KEYS = 1 << 14
 
 

@@ -55,63 +55,60 @@ def _float_list(text: str):
     return [float(v) for v in text.split(",") if v != ""]
 
 
-_DEFAULTS = {
-    "beta": 0.25,
-    "rho_w": 0.2,
-    "rho_r": 0.4,
-    "blocks": 1,
-    "trials": 20,
-    "seed": 0,
-    "strategy": "uniform",
-    "out_dir": "out",
-    "plot": True,
-    "parallelism": 1,
+# One row per parameter: its flag's value type (a tuple is its choices), its
+# default and its help.  construct takes the code's parameters; bounds and
+# simulate take them all.
+_CODE_PARAMS = {
+    "n": (int, None, "stage count, block length N = 2^n"),
+    "beta": (float, 0.25, "threshold exponent in (0, 0.5)"),
+    "rho_w": (float, 0.2, "adversary writing fraction"),
+    "rho_r": (float, 0.4, "adversary reading fraction"),
+    "blocks": (int, 1, "number of chained blocks T"),
+    "out_dir": (str, "out", "output directory"),
+}
+_PARAMS = {
+    **_CODE_PARAMS,
+    "n_list": (_int_list, None, "comma-separated n grid"),
+    "beta_list": (_float_list, None, "comma-separated beta grid"),
+    "trials": (int, 20, "Monte Carlo trials per cell"),
+    "seed": (int, 0, "base seed for trial derivation"),
+    "strategy": (tuple(s.value for s in Strategy), "uniform",
+                 "adversary set sampling strategy"),
+    "plot": (bool, True, "emit SVG charts next to the CSVs"),
+    "parallelism": (int, 1, "max concurrent trial workers"),
 }
 
+# the JSON types a config value may take: those its flag produces (a bool is
+# neither int nor float, and a float is no int); a list type's value is a list
+# of them
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,), bool: (bool,),
+               _int_list: (int,), _float_list: (int, float)}
 
-# the JSON types a config-file value may take: those its flag produces (a
-# bool is neither int nor float, and a float is no int); a *_list key holds a
-# list of them
-_CONFIG_TYPES = {
-    **dict.fromkeys(["n", "n_list", "blocks", "trials", "seed", "parallelism"], (int,)),
-    **dict.fromkeys(["beta", "beta_list", "rho_w", "rho_r"], (int, float)),
-    "plot": (bool,),
-}
+
+def _add_flag(p, key: str) -> None:
+    kind, _, help_text = _PARAMS[key]
+    if kind is bool:
+        how = {"action": argparse.BooleanOptionalAction}
+    elif isinstance(kind, tuple):
+        how = {"choices": kind}
+    else:
+        how = {"type": kind}
+    p.add_argument("--" + key.replace("_", "-"), help=help_text, **how)
 
 
 def _check_type(key: str, value) -> None:
-    allowed = _CONFIG_TYPES.get(key)
-    if allowed is None:
+    kind = _PARAMS[key][0]
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ValidationError(f"config key {key!r} must be one of {list(kind)}, "
+                                  f"got {value!r}")
         return
-    items = value if key.endswith("_list") else [value]
+    allowed, is_list = _JSON_TYPES[kind], kind in (_int_list, _float_list)
+    items = value if is_list else [value]
     if not isinstance(items, list) or any(type(v) not in allowed for v in items):
         what = " or ".join(t.__name__ for t in allowed)
-        what = f"a list of {what}" if key.endswith("_list") else what
+        what = f"a list of {what}" if is_list else what
         raise ValidationError(f"config key {key!r} must be {what}, got {value!r}")
-
-
-def _add_common(p):
-    p.add_argument("--n", type=int, help="stage count, block length N = 2^n")
-    p.add_argument("--beta", type=float, help="threshold exponent in (0, 0.5)")
-    p.add_argument("--rho-w", dest="rho_w", type=float, help="adversary writing fraction")
-    p.add_argument("--rho-r", dest="rho_r", type=float, help="adversary reading fraction")
-    p.add_argument("--blocks", type=int, help="number of chained blocks T")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
-    p.add_argument("--config", help="JSON file with defaults for any flag")
-
-
-def _add_sweep(p):
-    _add_common(p)
-    p.add_argument("--n-list", dest="n_list", type=_int_list, help="comma-separated n grid")
-    p.add_argument("--beta-list", dest="beta_list", type=_float_list,
-                   help="comma-separated beta grid")
-    p.add_argument("--trials", type=int, help="Monte Carlo trials per cell")
-    p.add_argument("--seed", type=int, help="base seed for trial derivation")
-    p.add_argument("--strategy", choices=[s.value for s in Strategy],
-                   help="adversary set sampling strategy")
-    p.add_argument("--plot", action=argparse.BooleanOptionalAction, default=None,
-                   help="emit SVG charts next to the CSVs")
-    p.add_argument("--parallelism", type=int, help="max concurrent trial workers")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -119,24 +116,26 @@ def build_parser() -> argparse.ArgumentParser:
                      description="Secure polar coding over adversarial wiretap channels")
     parser.add_argument("--version", action="version", version=f"awtcpolar {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("construct", help="build a partition and report rates")
-    _add_common(p)
-
-    p = sub.add_parser("bounds", help="Monte Carlo sweep of the bound values")
-    _add_sweep(p)
-
-    p = sub.add_parser("simulate", help="end-to-end Bob/Eve BER sweep")
-    _add_sweep(p)
+    for command, params, about in (
+        ("construct", _CODE_PARAMS, "build a partition and report rates"),
+        ("bounds", _PARAMS, "Monte Carlo sweep of the bound values"),
+        ("simulate", _PARAMS, "end-to-end Bob/Eve BER sweep"),
+    ):
+        p = sub.add_parser(command, help=about)
+        for key in params:
+            _add_flag(p, key)
+        p.add_argument("--config", help="JSON file with defaults for any flag")
 
     p = sub.add_parser("plot", help="re-render SVG charts from an aggregate CSV")
     p.add_argument("--aggregates", required=True, help="aggregate CSV produced by a sweep")
-    p.add_argument("--out-dir", dest="out_dir", help="output directory")
+    _add_flag(p, "out_dir")
     return parser
 
 
-def _resolve(args, keys) -> dict:
-    """Merge flag > config-file > default; a key with none of them resolves to None."""
+def _resolve(args) -> dict:
+    """Merge flag > config-file > default for every parameter the command's
+    flags name; a key with none of them resolves to None."""
+    keys = [key for key in vars(args) if key in _PARAMS]
     file_cfg = {}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -149,20 +148,12 @@ def _resolve(args, keys) -> dict:
         unknown = set(file_cfg) - set(keys)
         if unknown:
             raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        nulls = sorted(key for key, value in file_cfg.items() if value is None)
-        if nulls:
-            raise ValidationError(f"config keys must not be null: {nulls}")
         for key, value in file_cfg.items():
             _check_type(key, value)
     resolved = {}
     for key in keys:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            resolved[key] = flag
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
-        else:
-            resolved[key] = _DEFAULTS.get(key)
+        flag = getattr(args, key)
+        resolved[key] = flag if flag is not None else file_cfg.get(key, _PARAMS[key][1])
     return resolved
 
 
@@ -174,19 +165,18 @@ def _write_manifest(out: Path, command: str, resolved: dict, extra: dict | None 
 
 
 def cmd_construct(args) -> int:
-    keys = ["n", "beta", "rho_w", "rho_r", "blocks", "out_dir"]
-    resolved = _resolve(args, keys)
+    resolved = _resolve(args)
     if resolved["n"] is None:
         raise ValidationError("--n is required")
     try:
         config = CodeConfig(
-            n=int(resolved["n"]), beta=float(resolved["beta"]),
+            n=resolved["n"], beta=float(resolved["beta"]),
             rho_w=float(resolved["rho_w"]), rho_r=float(resolved["rho_r"]),
-            blocks=int(resolved["blocks"]),
+            blocks=resolved["blocks"],
         )
-        out = Path(resolved["out_dir"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(str(exc))
+    out = Path(resolved["out_dir"])
 
     partition = build_partition(config)  # InfeasibleConstruction propagates to main
     report = rate_report(partition, config)
@@ -209,12 +199,8 @@ def cmd_construct(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_KEYS = ["n", "n_list", "beta", "beta_list", "rho_w", "rho_r", "blocks",
-               "trials", "seed", "strategy", "out_dir", "plot", "parallelism"]
-
-
 def _sweep_spec(args, kind: str):
-    resolved = _resolve(args, _SWEEP_KEYS)
+    resolved = _resolve(args)
     n_list = resolved["n_list"] or ([resolved["n"]] if resolved["n"] is not None else None)
     if not n_list:
         raise ValidationError("--n or --n-list is required")
@@ -226,15 +212,15 @@ def _sweep_spec(args, kind: str):
             beta_list=tuple(beta_list),
             rho_w=float(resolved["rho_w"]),
             rho_r=float(resolved["rho_r"]),
-            blocks=int(resolved["blocks"]),
-            strategy=Strategy.parse(str(resolved["strategy"])),
-            trials=int(resolved["trials"]),
-            base_seed=int(resolved["seed"]),
+            blocks=resolved["blocks"],
+            strategy=Strategy(resolved["strategy"]),
+            trials=resolved["trials"],
+            base_seed=resolved["seed"],
         )
-        parallelism = int(resolved["parallelism"])
-        out = Path(resolved["out_dir"])
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(str(exc))
+    parallelism = resolved["parallelism"]
+    out = Path(resolved["out_dir"])
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
     return spec, parallelism, out, resolved
@@ -302,7 +288,7 @@ def _run_sweep_cmd(args, kind: str) -> int:
 
 
 def cmd_plot(args) -> int:
-    resolved = _resolve(args, ["out_dir"])
+    resolved = _resolve(args)
     try:
         with open(args.aggregates, newline="") as fh:
             aggregates = read_aggregates_csv(fh)

@@ -40,6 +40,19 @@ class TiedKeys:
         return self.source.integers(0, self.values, size) / self.values
 
 
+def warm_draw_peak(N, T) -> int:
+    """tracemalloc's peak over a uniform draw of T blocks (one for None),
+    taken after a first draw has warmed numpy up."""
+    rng = np.random.default_rng(0)
+    sample_action(N, 0.2, 0.4, Strategy.UNIFORM, rng, T)
+    tracemalloc.start()
+    try:
+        sample_action(N, 0.2, 0.4, Strategy.UNIFORM, rng, T)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestSampling:
     def test_uniform_sizes(self):
         """Both masks hold exactly floor(rho*N) positions at every n = 0..14,
@@ -88,11 +101,6 @@ class TestSampling:
         for rho_w, rho_r in ((float("nan"), 0.2), (0.2, float("nan"))):
             with pytest.raises(ValueError, match="fractions"):
                 sample_action(8, rho_w, rho_r, strategy, rng)
-
-    def test_strategy_parse(self):
-        assert Strategy.parse("Uniform") is Strategy.UNIFORM
-        with pytest.raises(ValueError):
-            Strategy.parse("sneaky")
 
     def test_uniform_inclusion_is_flat(self):
         # chi-squared sanity check of per-index inclusion counts
@@ -209,15 +217,18 @@ class TestSampling:
         masks (0.4 MB) and at most 512 KiB of working memory at a time; the
         session's keys drawn at once (3.3 MB) would exceed it."""
         N, T = 4096, 50
-        rng = np.random.default_rng(0)
-        sample_action(N, 0.2, 0.4, Strategy.UNIFORM, rng, T)
-        tracemalloc.start()
-        try:
-            sample_action(N, 0.2, 0.4, Strategy.UNIFORM, rng, T)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = warm_draw_peak(N, T)
         assert peak <= 2 * T * N + (1 << 19), peak
+
+    def test_one_block_draw_holds_both_sides_keys(self):
+        """A chunk holds at least one block, so a one-block uniform draw at
+        N = 2^14 holds its 2N keys (256 KiB) at once, more than _CHUNK_KEYS:
+        its peak is its masks, max(_CHUNK_KEYS, 2N) keys and as much again
+        for the two sides' partitions (561,072 B measured)."""
+        N = 1 << 14
+        keys = max(adversary._CHUNK_KEYS, 2 * N)
+        peak = warm_draw_peak(N, None)
+        assert peak <= 2 * N + 2 * 8 * keys + (1 << 15), peak
 
     def test_session_draw_rejects_non_integral_blocks(self):
         rng = np.random.default_rng(9)

@@ -19,6 +19,25 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+# a value each parameter's flag can produce, none of them its default
+FLAG_VALUES = {
+    "n": 6, "beta": 0.3, "rho_w": 0.1, "rho_r": 0.3, "blocks": 2, "out_dir": "run",
+    "n_list": [5, 6], "beta_list": [0.3, 0.35], "trials": 2, "seed": 4,
+    "strategy": "bernoulli", "plot": False, "parallelism": 2,
+}
+
+
+def as_flags(config):
+    argv = []
+    for key, value in config.items():
+        flag = key.replace("_", "-")
+        if isinstance(value, bool):
+            argv.append(f"--{flag}" if value else f"--no-{flag}")
+        else:
+            argv += [f"--{flag}", ",".join(map(str, value)) if isinstance(value, list) else value]
+    return argv
+
+
 class TestConstruct:
     def test_writes_report_and_partition(self, tmp_path, capsys):
         code = run("construct", "--n", 10, "--beta", 0.25, "--rho-w", 0.2,
@@ -140,6 +159,26 @@ def test_nan_fraction_exits_one(tmp_path, capsys, command, param):
     assert not out.exists()
 
 
+class TestGoldenManifest:
+    """manifest.json bytes, out_dir masked, frozen for one run of each command."""
+
+    @pytest.mark.parametrize("name,argv", [
+        ("construct", ["construct", "--n", 7, "--beta", 0.3, "--rho-w", 0.1,
+                       "--rho-r", 0.3, "--blocks", 4]),
+        ("bounds_config", ["bounds", "--config", "cfg.json", "--blocks", 5, "--no-plot"]),
+        ("simulate", ["simulate", "--n-list", "4,5", "--beta", 0.4, "--blocks", 3,
+                      "--trials", 2, "--seed", 7, "--strategy", "prefix", "--no-plot"]),
+    ])
+    def test_manifest_bytes_frozen(self, tmp_path, monkeypatch, name, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {"n": 6, "beta": 0.3, "rho_w": 0.1, "trials": 3, "strategy": "bernoulli"}))
+        out = tmp_path / "out"
+        assert run(*argv, "--out-dir", out) == 0
+        manifest = (out / "manifest.json").read_text().replace(json.dumps(str(out)), '"OUT"')
+        assert manifest == (DATA / f"manifest_{name}.json").read_text()
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -183,18 +222,43 @@ class TestConfigFile:
         {"rho_w": False},
         {"beta": "0.3"},
         {"beta_list": ["0.3"]},
+        {"strategy": "Prefix"},
+        {"strategy": 5},
+        {"out_dir": 5},
+        {"out_dir": True},
     ])
     def test_keys_reject_values_their_flag_cannot_produce(self, tmp_path, monkeypatch,
                                                           capsys, config):
         """A truthy string does not switch charts on, no number is truncated
-        to an integer, and no bool or string is read as a number, behind the
-        manifest's back."""
+        to an integer, no bool or string is read as a number, and a strategy
+        or output directory is a string the flag would take, behind the
+        manifest's back; the error names the key."""
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps(config))
         argv = ["bounds", "--n", 2, "--trials", 1] if "n_list" not in config else ["bounds"]
         assert run(*argv, "--config", "cfg.json") == 1
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(next(iter(config))) in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["construct", "bounds", "simulate"])
+    def test_flags_and_config_keys_agree(self, tmp_path, monkeypatch, capsys, command):
+        """A command's config keys are its flags but --config, and a config
+        file holding each at a value its flag produces writes the manifest
+        those flags write: a flag added outside the parameter table fails."""
+        monkeypatch.chdir(tmp_path)
+        flags = set(vars(cli.build_parser().parse_args([command]))) - {"command", "config"}
+        config = {key: FLAG_VALUES[key] for key in flags}
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        assert run(command, "--config", "cfg.json") == 0
+        from_config = (tmp_path / "run" / "manifest.json").read_text()
+        assert json.loads(from_config)["parameters"] == config
+        assert run(command, *as_flags(config)) == 0
+        assert (tmp_path / "run" / "manifest.json").read_text() == from_config
+        for key in {*FLAG_VALUES, "bogus"} - flags:
+            (tmp_path / "cfg.json").write_text(json.dumps({key: FLAG_VALUES.get(key, 1)}))
+            assert run(command, "--config", "cfg.json") == 1
+            assert f"unknown config keys: [{key!r}]" in capsys.readouterr().err
 
 
 class TestSweepCommands:
