@@ -9,12 +9,16 @@ uniform keys fall, keys tied with the k-th smallest taken in position order
 keeps each position with probability rho, so its Binomial(N, rho) size can
 exceed k.  The two sets are drawn independently and may overlap.  A
 session's T actions are drawn in one pass as (T, N) masks, row t the action
-the t-th of T successive one-block draws would give.
+the t-th of T successive one-block draws would give; so are the actions of
+a sequence of generators, one block each, row t the action a one-block draw
+on the t-th generator would give.  A stacked draw fills its keys, chunk by
+chunk, into one buffer it reuses, and cuts each side in one reused buffer.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -56,28 +60,39 @@ class AdversaryAction:
 _CHUNK_KEYS = 1 << 14
 
 
-def _draw_masks(N: int, rows: int, rhos: tuple, strategy: Strategy,
-                rng: np.random.Generator) -> np.ndarray:
-    """(2, rows, N) masks: [0, t] and [1, t] are the sets of rhos[0] and
-    rhos[1] the t-th of rows successive one-block draws gives, each block
-    drawing rhos[0]'s keys before rhos[1]'s."""
+def _draw_masks(N: int, rngs, rhos: tuple, strategy: Strategy) -> np.ndarray:
+    """(2, len(rngs), N) masks: [0, t] and [1, t] are the sets of rhos[0] and
+    rhos[1] one one-block draw on rngs[t] gives, drawing rhos[0]'s keys before
+    rhos[1]'s.  A generator listed for several rows gives them its successive
+    blocks, in row order."""
+    rows = len(rngs)
     masks = np.zeros((2, rows, N), dtype=bool)
     sizes = [math.floor(rho * N) for rho in rhos]
     if strategy is Strategy.PREFIX:
         for mask, size in zip(masks, sizes):
             mask[:, :size] = True
         return masks
-    step = max(1, _CHUNK_KEYS // (2 * N))
+    step = max(1, min(rows, _CHUNK_KEYS // (2 * N)))
+    # one key buffer and one partition buffer serve every chunk
+    buffer = np.empty((step, 2, N))
+    work = np.empty((step, N)) if strategy is Strategy.UNIFORM else None
     for lo in range(0, rows, step):
-        # doubles fill in order, so a chunk's keys are its blocks' keys in turn
-        keys = rng.random((min(step, rows - lo), 2, N))
+        keys = buffer[:min(step, rows - lo)]
+        for row, rng in zip(keys, rngs[lo: lo + step]):
+            # doubles fill in order: a block's write keys, then its read keys
+            rng.random(out=row)
         for side, (rho, size) in enumerate(zip(rhos, sizes)):
             side_keys, mask = keys[:, side], masks[side, lo: lo + step]
             if strategy is Strategy.BERNOULLI:
                 np.less(side_keys, rho, out=mask)
                 continue
             # where the size smallest of N uniform keys fall: a uniform size-subset
-            cut = np.partition(side_keys, size - 1)[:, size - 1:size] if size else -1.0
+            cut = -1.0
+            if size:
+                selected = work[:len(keys)]
+                np.copyto(selected, side_keys)
+                selected.partition(size - 1)
+                cut = selected[:, size - 1:size]
             np.less_equal(side_keys, cut, out=mask)
             # every row marks at least size keys; more only where keys tie with its cut
             if np.count_nonzero(mask) > size * len(mask):
@@ -93,17 +108,24 @@ def sample_action(
     rho_w: float,
     rho_r: float,
     strategy: Strategy,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Sequence[np.random.Generator],
     blocks: int | None = None,
 ) -> AdversaryAction:
     """Draw S_w then S_r (in that order, independently) from one rng stream.
     With blocks = T, draw a session's T actions in one pass as (T, N) masks:
     row t and the generator's state afterwards are those of T successive
-    one-block calls."""
+    one-block calls.  With rng a sequence of generators, draw one block from
+    each as (len(rng), N) masks: row t and rng[t]'s state afterwards are those
+    of one one-block call on rng[t]."""
     check_fractions(rho_w, rho_r)
-    rows = 1 if blocks is None else checked_int(blocks, "blocks")
-    masks = _draw_masks(N, rows, (rho_w, rho_r), strategy, rng)
-    write, read = masks if blocks is not None else masks[:, 0]
+    stacked = isinstance(rng, Sequence)
+    if stacked and blocks is not None:
+        raise ValueError("blocks counts one generator's draws; a sequence of "
+                         "generators draws one block each")
+    rngs = rng if stacked else [rng] * (1 if blocks is None else checked_int(blocks, "blocks"))
+    write, read = _draw_masks(N, rngs, (rho_w, rho_r), strategy)
+    if not stacked and blocks is None:
+        write, read = write[0], read[0]
     return AdversaryAction(write=write, read=read)
 
 

@@ -127,7 +127,10 @@ def polar_transform(u) -> np.ndarray:
     if u.ndim not in (1, 2):
         raise ValueError(f"u must be (N,) or stacked (rows, N), got shape {u.shape}")
     n = check_block_length(u.shape[-1])
-    return _unpack(_butterfly(_pack(u[..., bit_reversal_permutation(n)])), 1 << n)
+    # take keeps a stacked copy C-ordered; fancy indexing on the last axis would
+    # give it Fortran order, and _pack's packbits would walk a strided axis
+    return _unpack(_butterfly(_pack(np.take(u, bit_reversal_permutation(n), axis=-1))),
+                   1 << n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -192,10 +192,12 @@ def _preset_seed_type() -> type:
     return PresetSeed
 
 
-# rows x N bits realized per realize_packed call.  It bounds the working set
-# of a stacked bound evaluation whatever the number of actions: a slice's
-# actions and boolean masks (64 KiB each) stay cache-sized, and slices of 2^18
-# bits ran no faster while raising peak memory by about 2.5 MB.
+# rows x N bits per bounds slice, drawn in one sample_action call and realized
+# in one realize_packed call over both sides' 2 x rows rows.  It bounds the
+# working set of a stacked bound evaluation whatever the number of trials: a
+# slice's boolean masks (64 KiB a side) stay cache-sized.  Slices of 2^17 bits
+# ran bounds_grid 1.07x faster (medians of 10 paired runs on a 2-core VM,
+# faster in 8) but raised its peak RSS by 0.13 MB (higher in 9), so it stays 2^16.
 _SLICE_BITS = 1 << 16
 
 
@@ -212,9 +214,10 @@ def block_bound_counts(partition: IndexPartition, write, noise) -> np.ndarray:
     bound adds the first term every block and the second in all blocks but
     the last; the leakage bound adds the third every block.
 
-    Each side is realized in one realize_packed call; each term is the
-    popcount of the realized words ANDed with the partition's bit-reversed
-    packed set masks.  Returns a (3, rows) integer array of rows (ir, e, leak).
+    Both sides are realized in one realize_packed call over their (2 * rows,
+    W) packed words, Bob's rows first; each term is the popcount of the
+    realized words ANDed with the partition's bit-reversed packed set masks.
+    Returns a (3, rows) integer array of rows (ir, e, leak).
     """
     if not all(isinstance(m, np.ndarray) and m.dtype == bool and m.ndim == 2
                and m.shape == (len(write), partition.N) for m in (write, noise)):
@@ -222,8 +225,8 @@ def block_bound_counts(partition: IndexPartition, write, noise) -> np.ndarray:
                          f"(rows, {partition.N})")
     masks = partition.bound_masks
     n = check_block_length(partition.N)
-    zw = realize_packed(pack_rows(write), n)
-    zr = realize_packed(pack_rows(noise), n)
+    words = realize_packed(np.vstack([pack_rows(write), pack_rows(noise)]), n)
+    zw, zr = words[:len(write)], words[len(write):]
     hits = count_bits(np.stack([zw & masks[0], zw & masks[1], zr & masks[2]]))
     hits[2] = count_bits(masks[2]) - hits[2]
     return hits
@@ -233,18 +236,19 @@ def _bounds_trials(config: CodeConfig, partition: IndexPartition, strategy: Stra
                    trial_seeds) -> list:
     """Both T-block bound values of every (trial, seed): each trial draws one
     adversary action, in order, from default_rng(seed)'s stream, its PCG64
-    seeded from the trial's row of _seed_states.  The actions are drawn,
-    stacked and realized in slices of at most _SLICE_BITS // N, so only one
-    slice's actions are held at a time."""
+    seeded from the trial's row of _seed_states.  The trials go in slices of
+    at most _SLICE_BITS // N, each drawn as one stacked action (one
+    sample_action call, a generator per trial) and realized in one
+    block_bound_counts call, so only one slice's masks are held at a time."""
     counts = np.empty((3, len(trial_seeds)), dtype=np.intp)
     states, preset = _seed_states([seed for _, seed in trial_seeds]), _preset_seed_type()
     step = max(1, _SLICE_BITS // config.N)
     for lo in range(0, len(trial_seeds), step):
-        actions = [sample_action(config.N, config.rho_w, config.rho_r, strategy,
-                                 np.random.Generator(np.random.PCG64(preset(words))))
-                   for words in states[lo: lo + step]]
+        action = sample_action(config.N, config.rho_w, config.rho_r, strategy,
+                               [np.random.Generator(np.random.PCG64(preset(words)))
+                                for words in states[lo: lo + step]])
         counts[:, lo: lo + step] = block_bound_counts(
-            partition, write_equivalent_mask(actions), read_equivalent_mask(actions))
+            partition, write_equivalent_mask([action]), read_equivalent_mask([action]))
     T = config.blocks
     cell = Cell.of("bounds", config, strategy)
     return [

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awtcpolar import adversary
@@ -36,15 +36,24 @@ class TiedKeys:
     def __init__(self, values, seed):
         self.values, self.source = values, np.random.default_rng(seed)
 
-    def random(self, size):
-        return self.source.integers(0, self.values, size) / self.values
+    def random(self, size=None, out=None):
+        keys = self.source.integers(0, self.values, size if out is None else out.shape)
+        if out is None:
+            return keys / self.values
+        return np.divide(keys, self.values, out=out)
 
 
-def warm_draw_peak(N, T) -> int:
-    """tracemalloc's peak over a uniform draw of T blocks (one for None),
-    taken after a first draw has warmed numpy up."""
-    rng = np.random.default_rng(0)
-    sample_action(N, 0.2, 0.4, Strategy.UNIFORM, rng, T)
+def warm_draw_peak(N, T, rows=None) -> int:
+    """tracemalloc's peak over a uniform draw of T blocks (one for None), or
+    of one block from each of rows generators, taken after a first draw has
+    warmed numpy up."""
+    def fresh():
+        if rows is None:
+            return np.random.default_rng(0)
+        return [np.random.default_rng(t) for t in range(rows)]
+
+    sample_action(N, 0.2, 0.4, Strategy.UNIFORM, fresh(), T)
+    rng = fresh()
     tracemalloc.start()
     try:
         sample_action(N, 0.2, 0.4, Strategy.UNIFORM, rng, T)
@@ -212,23 +221,94 @@ class TestSampling:
                 np.testing.assert_array_equal(np.flatnonzero(write) + 1, write_set)
                 np.testing.assert_array_equal(np.flatnonzero(read) + 1, read_set)
 
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(n=st.integers(0, 10), rows=st.integers(0, 40), rows_per_chunk=st.sampled_from(
+               [None, 1, 2, 3, 7]), rho_w=st.floats(0.0, 0.99), share=st.floats(0.0, 0.99),
+           strategy=st.sampled_from(Strategy), seed=st.integers(0, 2**32 - 1))
+    @example(n=6, rows=5, rows_per_chunk=2, rho_w=0.01, share=0.0,
+             strategy=Strategy.UNIFORM, seed=1)  # k = 0 on both sides
+    @example(n=6, rows=5, rows_per_chunk=2, rho_w=0.01, share=0.0,
+             strategy=Strategy.BERNOULLI, seed=1)
+    def test_property_generator_sequence_draw_equals_block_draws(
+            self, n, rows, rows_per_chunk, rho_w, share, strategy, seed):
+        """One call on a sequence of generators gives (len(rngs), N) masks
+        whose row t is a one-block call on rngs[t], and every generator ends
+        where that call leaves it.  The draw runs at its own chunk size or
+        with a few rows per chunk, so the rows span several chunks."""
+        N = 1 << n
+        rho_r = share * (1.0 - rho_w)
+        rngs = [np.random.default_rng([seed, t]) for t in range(rows)]
+        references = [np.random.default_rng([seed, t]) for t in range(rows)]
+        chunk = adversary._CHUNK_KEYS if rows_per_chunk is None else rows_per_chunk * 2 * N
+        with mock.patch.object(adversary, "_CHUNK_KEYS", chunk):
+            stacked = sample_action(N, rho_w, rho_r, strategy, rngs)
+        actions = [sample_action(N, rho_w, rho_r, strategy, r) for r in references]
+        assert stacked.write.shape == stacked.read.shape == (rows, N)
+        np.testing.assert_array_equal(stacked.write, np.reshape([a.write for a in actions],
+                                                                (rows, N)))
+        np.testing.assert_array_equal(stacked.read, np.reshape([a.read for a in actions],
+                                                               (rows, N)))
+        for rng, reference in zip(rngs, references, strict=True):
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(0, 6), rows=st.integers(1, 12), values=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_generator_sequence_takes_tied_keys_in_position_order(self, n, rows,
+                                                                           values, seed):
+        """Tied keys drawn from a sequence of generators, three rows per
+        chunk: row t marks the sets of a one-block call on the t-th
+        generator, the first k positions of a stable sort, at every
+        k = 0..N-1, and each generator's source ends where that call's does."""
+        N = 1 << n
+        for k in range(N):
+            rho_w, rho_r = k / N, (N - 1 - k) / N
+            rngs = [TiedKeys(values, seed + t) for t in range(rows)]
+            with mock.patch.object(adversary, "_CHUNK_KEYS", 3 * 2 * N):
+                stacked = sample_action(N, rho_w, rho_r, Strategy.UNIFORM, rngs)
+            for t, (write, read) in enumerate(zip(stacked.write, stacked.read, strict=True)):
+                reference = TiedKeys(values, seed + t)
+                action = sample_action(N, rho_w, rho_r, Strategy.UNIFORM, reference)
+                np.testing.assert_array_equal(write, action.write)
+                np.testing.assert_array_equal(read, action.read)
+                assert (rngs[t].source.bit_generator.state
+                        == reference.source.bit_generator.state)
+
+    def test_generator_sequence_rejects_blocks(self):
+        rngs = [np.random.default_rng(t) for t in range(3)]
+        with pytest.raises(ValueError, match="sequence of generators"):
+            sample_action(8, 0.2, 0.4, Strategy.UNIFORM, rngs, 3)
+
     def test_session_draw_holds_one_chunk_of_keys(self):
         """A uniform session draw at N = 4096, T = 50 holds its two (T, N)
-        masks (0.4 MB) and at most 512 KiB of working memory at a time; the
-        session's keys drawn at once (3.3 MB) would exceed it."""
+        masks (0.4 MB) and at most 200 KiB of working memory at a time: one
+        chunk's _CHUNK_KEYS keys (128 KiB) and one side's partition buffer
+        (64 KiB).  The session's keys drawn at once (3.3 MB) would exceed it
+        (610,752 B measured)."""
         N, T = 4096, 50
         peak = warm_draw_peak(N, T)
-        assert peak <= 2 * T * N + (1 << 19), peak
+        assert peak <= 2 * T * N + 200 * 1024, peak
 
     def test_one_block_draw_holds_both_sides_keys(self):
         """A chunk holds at least one block, so a one-block uniform draw at
         N = 2^14 holds its 2N keys (256 KiB) at once, more than _CHUNK_KEYS:
-        its peak is its masks, max(_CHUNK_KEYS, 2N) keys and as much again
-        for the two sides' partitions (561,072 B measured)."""
+        its peak is its masks, max(_CHUNK_KEYS, 2N) keys and one side's
+        partition buffer of N keys, which the two sides take in turn
+        (430,136 B measured)."""
         N = 1 << 14
         keys = max(adversary._CHUNK_KEYS, 2 * N)
         peak = warm_draw_peak(N, None)
-        assert peak <= 2 * N + 2 * 8 * keys + (1 << 15), peak
+        assert peak <= 2 * N + 8 * keys + 8 * N + (1 << 13), peak
+
+    def test_generator_sequence_draw_holds_one_chunk_of_keys(self):
+        """A bounds slice of 4 generators at N = 2^14 holds its (4, N) masks,
+        one block's 2N keys and one side's partition buffer of N keys: its
+        key buffer is chunk-sized, not slice-sized (1 MiB) (528,432 B
+        measured)."""
+        N, rows = 1 << 14, 4
+        keys = max(adversary._CHUNK_KEYS, 2 * N)
+        peak = warm_draw_peak(N, None, rows)
+        assert peak <= 2 * rows * N + 8 * keys + 8 * N + (1 << 13), peak
 
     def test_session_draw_rejects_non_integral_blocks(self):
         rng = np.random.default_rng(9)

@@ -201,9 +201,10 @@ class TestStackedBoundCounts:
         np.testing.assert_array_equal(block_bound_counts(part, write, noise), expected.T)
 
     def test_streams_one_slice_at_a_time(self, monkeypatch):
-        """_bounds_trials draws each slice of _SLICE_BITS // N actions just
-        before it realizes them, and the rows equal the reference counts of
-        the drawn actions."""
+        """_bounds_trials draws each slice of _SLICE_BITS // N trials in one
+        sample_action call just before its one realize_packed call, which
+        takes both sides' 2 * rows packed words, and every trial's row
+        equals the reference counts of its row of the slice's masks."""
         cfg = CodeConfig(n=5, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
         part = build_partition(cfg)
         monkeypatch.setattr(experiments, "_SLICE_BITS", 4 * cfg.N)
@@ -222,10 +223,12 @@ class TestStackedBoundCounts:
         monkeypatch.setattr(experiments, "realize_packed", recording_realize)
         rows = experiments._bounds_trials(cfg, part, Strategy.UNIFORM,
                                           [(t, 40 + t) for t in range(10)])
-        # write and read realizations per slice, each slice drawn just before
-        assert seen == [(4, 4), (4, 4), (4, 8), (4, 8), (2, 10), (2, 10)]
-        for row, action in zip(rows, drawn, strict=True):
-            ir, e, leak = reference_counts(part, action.write, ~action.read)
+        # one realization of 2 * rows words per slice, each slice drawn just before
+        assert seen == [(8, 1), (8, 2), (4, 3)]
+        assert [action.write.shape for action in drawn] == [(4, cfg.N), (4, cfg.N), (2, cfg.N)]
+        masks = [pair for action in drawn for pair in zip(action.write, action.read)]
+        for row, (write, read) in zip(rows, masks, strict=True):
+            ir, e, leak = reference_counts(part, write, ~read)
             assert (row.ber_bound, row.leak_bound) == (3 * ir + 2 * e, 3 * leak)
 
     def test_no_actions(self):
