@@ -7,11 +7,11 @@ as '?').  With k = floor(rho * N), uniform marks where the k smallest of N
 uniform keys fall, keys tied with the k-th smallest taken in position order
 (the first k of a stable sort), and prefix the first k positions; bernoulli
 keeps each position with probability rho, so its Binomial(N, rho) size can
-exceed k.  The two sets are drawn independently and may overlap.  A
-session's T actions are drawn in one pass as (T, N) masks, row t the action
-the t-th of T successive one-block draws would give; so are the actions of
-a sequence of generators, one block each, row t the action a one-block draw
-on the t-th generator would give.  A stacked draw fills its keys, chunk by
+exceed k.  The two sets are drawn independently and may overlap.  The
+actions of a sequence of generators, one block per entry, are drawn in one
+pass as stacked masks, row t the action a one-block draw on the t-th entry
+would give; a session's T actions are those of one generator listed T
+times, its T successive blocks.  A stacked draw fills its keys, chunk by
 chunk, into one buffer it reuses, and cuts each side in one reused buffer.
 """
 
@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polar_core import check_fractions, checked_bits, checked_int
+from .polar_core import check_fractions, checked_bits
 
 
 class Strategy(Enum):
@@ -109,22 +109,17 @@ def sample_action(
     rho_r: float,
     strategy: Strategy,
     rng: np.random.Generator | Sequence[np.random.Generator],
-    blocks: int | None = None,
 ) -> AdversaryAction:
     """Draw S_w then S_r (in that order, independently) from one rng stream.
-    With blocks = T, draw a session's T actions in one pass as (T, N) masks:
-    row t and the generator's state afterwards are those of T successive
-    one-block calls.  With rng a sequence of generators, draw one block from
-    each as (len(rng), N) masks: row t and rng[t]'s state afterwards are those
-    of one one-block call on rng[t]."""
+    With rng a sequence of generators, draw one block per entry as
+    (len(rng), N) masks: row t is the action of a one-block call on rng[t],
+    a generator listed for several rows giving them its successive blocks in
+    row order, and every generator ends where those calls leave it.  So
+    [rng] * T draws a session's T actions in one pass."""
     check_fractions(rho_w, rho_r)
     stacked = isinstance(rng, Sequence)
-    if stacked and blocks is not None:
-        raise ValueError("blocks counts one generator's draws; a sequence of "
-                         "generators draws one block each")
-    rngs = rng if stacked else [rng] * (1 if blocks is None else checked_int(blocks, "blocks"))
-    write, read = _draw_masks(N, rngs, (rho_w, rho_r), strategy)
-    if not stacked and blocks is None:
+    write, read = _draw_masks(N, rng if stacked else [rng], (rho_w, rho_r), strategy)
+    if not stacked:
         write, read = write[0], read[0]
     return AdversaryAction(write=write, read=read)
 

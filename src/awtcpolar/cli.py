@@ -9,6 +9,7 @@ construction.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -111,6 +112,8 @@ def _check_type(key: str, value) -> None:
         raise ValidationError(f"config key {key!r} must be {what}, got {value!r}")
 
 
+# one parser per process: each one dropped is cyclic garbage until a full collection
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="awtcpolar",
                      description="Secure polar coding over adversarial wiretap channels")

@@ -34,6 +34,8 @@ re-encode as 0.  The fill f (guesses where decided, chain bits on B, else
 XOR or a choice by a known flag, so SC(y, f) = SC(y + fG, 0) + f on the
 decided positions, with the same residual.  Chain bits carried between
 blocks are plain uint8 arrays on the sink set B, decoded by substitution.
+decode_session returns the message estimates only; a block's erased
+decisions are in its sc_decode_block result.
 """
 
 from __future__ import annotations
@@ -514,8 +516,7 @@ class ChainCodec:
         sc_decode_block call, t = 1..T, which checks the observations and
         guesses; without a chain (|B| = 0) the blocks are independent and all
         S·T are one call.
-        Returns the message estimates, an array of shape (T, K) or (S, T, K),
-        and the erased-decision counts as a list of T ints, or S such lists.
+        Returns the message estimates, an array of shape (T, K) or (S, T, K).
         """
         obs = np.asarray(observations)
         if obs.ndim not in (2, 3) or obs.shape[-1] != self.N:
@@ -536,11 +537,9 @@ class ChainCodec:
         guesses = None if guess_bits is None else np.reshape(guess_bits, sessions.shape)
         chain = None if preshared is None else np.reshape(preshared, (S, self.chain_size))
         messages = np.empty((S, T, self.message_size), dtype=np.uint8)
-        counts = np.empty((S, T), dtype=int)
         for t in range(T):
             res = self.sc_decode_block(
                 sessions[:, t], chain, guess_bits=None if guesses is None else guesses[:, t])
             messages[:, t] = self.extract_message(res.u)
-            counts[:, t] = np.count_nonzero(res.erased, axis=1)
             chain = res.u[:, self._e0]
-        return messages.reshape(lead + (self.message_size,)), counts.reshape(lead).tolist()
+        return messages.reshape(lead + (self.message_size,))

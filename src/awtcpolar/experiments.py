@@ -7,7 +7,8 @@ transmission with a fresh action per block, decodes both Bob's and Eve's
 observations, and counts message bit errors on each side.
 
 Per-trial seeds are derived from (base seed, cell parameters, trial index),
-so serial and parallel sweeps produce bit-identical results.
+so serial and parallel sweeps produce bit-identical results.  Trial seeds
+and bounds generators' PCG64 states share one vectorized SeedSequence mix.
 """
 
 from __future__ import annotations
@@ -108,71 +109,67 @@ def _seed_prefix(base_seed: int, cell: Cell) -> tuple:
     )
 
 
-def _xorshift(v: np.ndarray) -> np.ndarray:
+def _xorshift(v):
     return v ^ (v >> 16)
 
 
-def _hash(value: np.ndarray, init: int, mult: int, j: int) -> np.ndarray:
-    """The j-th hash, counted from 0, of SeedSequence's mix_entropy (init,
-    mult = _INIT_A, _MULT_A) or generate_state (_INIT_B, _MULT_B), applied
-    to uint32 words."""
-    const = init * pow(mult, j, 1 << 32) & _MASK32
-    return _xorshift((value ^ np.uint32(const)) * np.uint32(const * mult & _MASK32))
+def _mix(x, y):
+    # products reduced first: a Python int past 2^32 may not meet a uint32 array
+    return _xorshift((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32) & _MASK32)
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return _xorshift(np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y)
+def _seed_sequence_state(words: list, n_words: int) -> list:
+    """SeedSequence(words).generate_state(n_words, uint64) as n_words uint64
+    arrays: mix_entropy over a pool of four 32-bit words, then
+    generate_state.  Each entropy word is a Python int below 2^32 or a
+    uint32 array (all of one shape), so one pass hashes the entropies of
+    every column of the arrays."""
+    const = _INIT_A
 
+    def hashed(value, mult=_MULT_A):
+        nonlocal const  # SeedSequence's hash constant, stepped by every hash
+        value, const = value ^ const, const * mult & _MASK32
+        return _xorshift(value * const & _MASK32)
 
-def _generate_state(pool: list, n_words: int) -> list:
-    """SeedSequence.generate_state(n_words, uint64) of every column of the
-    four pool word arrays, as n_words uint64 arrays; it reads the first
-    2 * n_words pool words."""
-    halves = [_hash(pool[i % 4], _INIT_B, _MULT_B, i).astype(np.uint64)
+    pool = [hashed(words[i] if i < len(words) else 0) for i in range(4)]
+    for src, dst in [(s, d) for s in range(4) for d in range(4) if s != d]:
+        pool[dst] = _mix(pool[dst], hashed(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashed(word))
+    const = _INIT_B
+    halves = [np.asarray(hashed(pool[i % 4], _MULT_B), dtype=np.uint64)
               for i in range(2 * n_words)]
     return [low | high << np.uint64(32) for low, high in zip(halves[::2], halves[1::2])]
 
 
 def derive_trial_seeds(base_seed: int, cell: Cell, trials) -> list:
     """Deterministic 64-bit seeds of the given trial indices of one cell:
-    trial t's seed is SeedSequence(prefix + (t,)).generate_state(1, uint64)[0].
-
-    The prefix's pool is built once; each trial index, one 32-bit word
-    below 2^32, is then mixed into the pool's first two words (the only
-    ones the 64-bit state reads) and the state generated, on uint32 arrays
-    for all trials at once.
-    """
+    trial t's seed is SeedSequence(prefix + (t,)).generate_state(1, uint64)[0],
+    hashed for all trials at once with the trial index as one uint32 word."""
     prefix = _seed_prefix(base_seed, cell)
-    pool = np.random.SeedSequence(prefix).pool
+    if min(prefix) < 0:
+        raise ValueError(f"seed key words must be non-negative, got {prefix}")
     trials = [checked_int(trial, "trial index") for trial in trials]
     if trials and not 0 <= min(trials) <= max(trials) <= _MASK32:
         raise ValueError("trial indices must lie in [0, 2^32)")
-    t = np.array(trials, dtype=np.uint32)
-    # the hashes before the trial word's (the prefix is at least 8 words):
-    # 4 pool words, 12 all-pairs mixes, then 4 per entropy word past the pool's
-    j = 16 + 4 * (sum(max(1, -(-v.bit_length() // 32)) for v in prefix) - 4)
-    # pool words as 1-element arrays, as uint32 scalar products warn on wraparound
-    mixed = [_mix(word, _hash(t, _INIT_A, _MULT_A, j + i))
-             for i, word in enumerate(pool[:2, None])]
-    return _generate_state(mixed, 1)[0].tolist()
+    # SeedSequence takes each int as its 32-bit words, least significant first
+    words = [v >> shift & _MASK32 for v in prefix
+             for shift in range(0, max(1, v.bit_length()), 32)]
+    return _seed_sequence_state(words + [np.array(trials, dtype=np.uint32)], 1)[0].tolist()
 
 
 def _seed_states(seeds) -> np.ndarray:
     """SeedSequence(seed).generate_state(4, uint64) of every seed below 2^64,
-    the words PCG64 seeds itself from: a (seeds, 4) uint64 array."""
+    the words PCG64 seeds itself from: a (seeds, 4) uint64 array.  A seed
+    below 2^32 is one entropy word; it hashes as if its high word were 0, as
+    the pool words past the entropy do."""
     seeds = [checked_int(seed, "seed") for seed in seeds]
     if seeds and not 0 <= min(seeds) <= max(seeds) < 1 << 64:
         raise ValueError("seeds must lie in [0, 2^64)")
     seeds = np.array(seeds, dtype=np.uint64)
-    # a seed below 2^32 is one entropy word; it hashes as if its high word
-    # were 0, as the two pool words past the entropy do
-    zero = np.zeros(len(seeds), dtype=np.uint32)
-    words = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32), zero, zero]
-    pool = [_hash(word, _INIT_A, _MULT_A, j) for j, word in enumerate(words)]
-    pairs = [(src, dst) for src in range(4) for dst in range(4) if src != dst]
-    for j, (src, dst) in enumerate(pairs, 4):
-        pool[dst] = _mix(pool[dst], _hash(pool[src], _INIT_A, _MULT_A, j))
-    return np.stack(_generate_state(pool, 4), axis=1)
+    words = [seeds.astype(np.uint32), (seeds >> np.uint64(32)).astype(np.uint32)]
+    return np.stack(_seed_sequence_state(words, 4), axis=1)
 
 
 @functools.cache
@@ -283,8 +280,8 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
 
     Each trial draws from five streams spawned from its seed: its messages,
     the encoder's fresh bits, the pre-shared bits, its T adversary actions
-    (one sample_action call gives them as (T, N) masks, equal to T one-block
-    draws; they give the bound terms and both sides' observations) and Eve's
+    (one sample_action call on the stream listed T times gives them as (T, N)
+    masks; they give the bound terms and both sides' observations) and Eve's
     coin flips, one row of N per block.  Bob decodes with the
     pre-shared bits; Eve decodes without them, her erased decisions resolving
     to her coin flips.  The trials are decoded in groups of at most
@@ -327,13 +324,13 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
             preshared[s] = codec.preshared_state(pre_rng)
             sent[s] = random_bit_rows(msg_rng, T, codec.message_size)
             codewords = codec.encode_session(sent[s], preshared[s], enc_rng)
-            action = sample_action(N, config.rho_w, config.rho_r, strategy, adv_rng, T)
+            action = sample_action(N, config.rho_w, config.rho_r, strategy, [adv_rng] * T)
             write, noise = write_equivalent_mask([action]), read_equivalent_mask([action])
             ir, e, leak = block_bound_counts(partition, write, noise)
             forced[s] = ir
             bounds.append((float(ir.sum() + e[:-1].sum()), float(leak.sum())))
             bob_obs[s] = apply_write(codewords, write)
-            eve_obs[s] = apply_read(codewords, ~noise)
+            eve_obs[s] = apply_read(codewords, action.read)
         del codewords, action, write, noise
 
         dirty = forced.reshape(-1, unit).any(axis=1)
@@ -341,12 +338,12 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
         if dirty.any():
             chains = np.repeat(preshared, T // unit, axis=0)
             bob_msgs[dirty] = codec.decode_session(
-                bob_obs.reshape(-1, unit, N)[dirty], chains[dirty])[0]
+                bob_obs.reshape(-1, unit, N)[dirty], chains[dirty])
         del bob_obs
         guesses = np.empty_like(eve_obs, dtype=np.uint8)
         for s, eve_rng in enumerate(eve_rngs):
             guesses[s] = random_bit_rows(eve_rng, T, N)
-        eve_msgs, _ = codec.decode_session(eve_obs, None, guess_bits=guesses)
+        eve_msgs = codec.decode_session(eve_obs, None, guess_bits=guesses)
         bob_errors = np.count_nonzero(bob_msgs.reshape(sent.shape) != sent,
                                       axis=(1, 2)).tolist()
         erased = forced.sum(axis=1).tolist()

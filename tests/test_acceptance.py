@@ -124,12 +124,13 @@ def test_criterion_04_round_trip():
         msgs = rng.integers(0, 2, (3, codec.message_size), dtype=np.uint8)
         codewords = codec.encode_session(msgs, preshared, rng)
         obs = codewords.astype(np.int8)
-        decoded, counts = codec.decode_session(obs, preshared)
-        # each block with its true chain bits: no fixed position reads the other bit
+        decoded = codec.decode_session(obs, preshared)
+        # each block with its true chain bits: no erased decision, and no
+        # fixed position reads the other bit
         u = polar_transform(codewords)
         chain = np.vstack([preshared, u[:-1, part.chain_source - 1]])
-        residual = codec.sc_decode_block(obs, chain).residual
-        if counts != [0, 0, 0] or not np.array_equal(decoded, msgs) or residual.any():
+        res = codec.sc_decode_block(obs, chain)
+        if res.erased.any() or not np.array_equal(decoded, msgs) or res.residual.any():
             ok = False
             break
         sessions += 1

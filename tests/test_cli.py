@@ -190,6 +190,20 @@ class TestConfigFile:
         assert manifest["parameters"]["rho_w"] == 0.2  # flag wins
         assert manifest["parameters"]["beta"] == 0.3  # file fills the rest
 
+    def test_successive_calls_resolve_flags_independently(self, tmp_path, monkeypatch):
+        """The parser is built once per process, and a flag given in one
+        call reverts to its default in the next."""
+        monkeypatch.chdir(tmp_path)
+        assert cli.build_parser() is cli.build_parser()
+        given = {"beta": 0.3, "rho_w": 0.1, "rho_r": 0.3, "blocks": 2}
+        assert run("construct", "--n", 6, *as_flags(given), "--out-dir", "first") == 0
+        assert run("construct", "--n", 6, "--out-dir", "second") == 0
+        for out, expected in (("first", given), ("second", {})):
+            parameters = json.loads((tmp_path / out / "manifest.json").read_text())["parameters"]
+            assert parameters == {key: expected.get(key, default)
+                                  for key, (_, default, _) in cli._CODE_PARAMS.items()
+                                  } | {"n": 6, "out_dir": out}
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"n": 6, "bogus": 1}))

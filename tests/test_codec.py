@@ -669,8 +669,8 @@ class TestStacked:
             assert res.u.shape == res.erased.shape == res.residual.shape == (0, N)
             assert res.erased_decisions == 0
         for preshared in (np.zeros((0, 1), dtype=np.uint8), None):
-            decoded, counts = codec.decode_session(np.zeros((0, 3, N), dtype=np.int8), preshared)
-            assert decoded.shape == (0, 3, codec.message_size) and counts == []
+            decoded = codec.decode_session(np.zeros((0, 3, N), dtype=np.int8), preshared)
+            assert decoded.shape == (0, 3, codec.message_size)
 
     def test_decode_leaves_no_cyclic_garbage(self):
         """A decode's temporaries are freed by reference counting alone."""
@@ -904,6 +904,17 @@ def test_single_position_block_degenerates():
     assert res.erased_decisions == 0
 
 
+def block_loop(codec, obs, chain, guesses=None) -> list:
+    """The sc_decode_block results of a session decoded block by block, each
+    block's decoded u[E] the next block's chain bits."""
+    results = []
+    for t, y in enumerate(obs):
+        results.append(codec.sc_decode_block(
+            y, chain, guess_bits=None if guesses is None else guesses[t]))
+        chain = results[-1].u[codec.partition.chain_source - 1]
+    return results
+
+
 class TestSessions:
     def _codec(self):
         return ChainCodec(build_partition(CodeConfig(n=8, beta=0.35, rho_w=0.3, rho_r=0.3)))
@@ -916,13 +927,14 @@ class TestSessions:
         msgs = rng.integers(0, 2, (T, codec.message_size), dtype=np.uint8)
         codewords = codec.encode_session(msgs, preshared, rng)
         obs = [x.astype(np.int8) for x in codewords]
-        decoded, counts = codec.decode_session(obs, preshared)
-        assert counts == [0] * T
+        decoded = codec.decode_session(obs, preshared)
         np.testing.assert_array_equal(np.array(decoded), msgs)
-        # with each block's true chain bits no fixed position reads the other bit
+        # with each block's true chain bits no decision is erased and no
+        # fixed position reads the other bit
         u = polar_transform(codewords)
         chain = np.vstack([preshared, u[:-1, codec.partition.chain_source - 1]])
-        assert not codec.sc_decode_block(np.array(obs), chain).residual.any()
+        res = codec.sc_decode_block(np.array(obs), chain)
+        assert res.erased_decisions == 0 and not res.residual.any()
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(n=st.integers(1, 10), beta=st.floats(0.05, 0.49), rho_w=st.floats(0.0, 0.45),
@@ -948,8 +960,9 @@ class TestSessions:
             ([apply_write(x, ~everything) for x in codewords], preshared, None),
             ([apply_read(x, everything) for x in codewords], None, coins),
         ):
-            decoded, counts = codec.decode_session(obs, chain, guess_bits=guesses)
-            assert counts == [0] * T
+            decoded = codec.decode_session(obs, chain, guess_bits=guesses)
+            assert [res.erased_decisions for res in block_loop(codec, obs, chain, guesses)
+                    ] == [0] * T
             np.testing.assert_array_equal(np.array(decoded), msgs)
 
     def test_session_rng_guesses_like_a_block_loop(self):
@@ -964,18 +977,15 @@ class TestSessions:
         obs = [erase(x, np.flatnonzero(rng.random(N) < 0.7)) for x in codewords]
         guesses = np.random.default_rng(5).integers(0, 2, (3, N), dtype=np.uint8)
 
-        decoded, counts = codec.decode_session(obs, None, guess_bits=guesses)
+        decoded = codec.decode_session(obs, None, guess_bits=guesses)
 
-        chain = None
-        for y, guess, got, count in zip(obs, guesses, decoded, counts):
-            res = codec.sc_decode_block(y, chain, guess_bits=guess)
+        results = block_loop(codec, obs, None, guesses)
+        for got, res in zip(decoded, results, strict=True):
             np.testing.assert_array_equal(got, codec.extract_message(res.u))
-            assert count == res.erased_decisions
-            chain = res.u[codec.partition.chain_source - 1]
-        assert sum(counts) > 0  # the guesses were used
+        assert sum(res.erased_decisions for res in results) > 0  # the guesses were used
         # the guesses matter: decoding with all-zero guesses differs
         assert not np.array_equal(np.array(decoded),
-                                  np.array(codec.decode_session(obs, None)[0]))
+                                  np.array(codec.decode_session(obs, None)))
 
     @pytest.mark.parametrize("cfg,chain_size", [
         (CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3), 3),  # block by block
@@ -984,7 +994,6 @@ class TestSessions:
     def test_session_equals_block_loop(self, cfg, chain_size):
         codec = ChainCodec(build_partition(cfg))
         assert codec.chain_size == chain_size
-        e0 = codec.partition.chain_source - 1
         rng = np.random.default_rng(11)
         preshared = codec.preshared_state(rng)
         msgs = rng.integers(0, 2, (5, codec.message_size), dtype=np.uint8)
@@ -997,15 +1006,11 @@ class TestSessions:
 
         coins = rng.integers(0, 2, (5, cfg.N), dtype=np.uint8)
         for obs, chain, guesses in ((bob, preshared, None), (eve, None, coins)):
-            decoded, counts = codec.decode_session(obs, chain, guess_bits=guesses)
-            assert len(decoded) == len(counts) == len(obs)
-            for t, (y, got, count) in enumerate(zip(obs, decoded, counts)):
-                guess = None if guesses is None else guesses[t]
-                res = codec.sc_decode_block(y, chain, guess_bits=guess)
+            decoded = codec.decode_session(obs, chain, guess_bits=guesses)
+            results = block_loop(codec, obs, chain, guesses)
+            for got, res in zip(decoded, results, strict=True):
                 np.testing.assert_array_equal(got, codec.extract_message(res.u))
-                assert type(count) is int and count == res.erased_decisions
-                chain = res.u[e0]
-        assert sum(counts) > 0  # Eve's guesses were used
+        assert sum(res.erased_decisions for res in results) > 0  # Eve's guesses were used
 
     @pytest.mark.parametrize("cfg,chain_size", [
         (CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3), 3),  # block t of every session
@@ -1028,15 +1033,17 @@ class TestSessions:
         guesses = rng.integers(0, 2, obs.shape, dtype=np.uint8)
 
         for chain, coins in ((preshared, None), (None, guesses), (preshared, guesses)):
-            decoded, counts = codec.decode_session(obs, chain, guess_bits=coins)
+            decoded = codec.decode_session(obs, chain, guess_bits=coins)
             assert decoded.shape == (S, T, codec.message_size)
-            assert len(counts) == S and sum(map(sum, counts)) > 0
+            first = codec.sc_decode_block(obs[:, 0], chain,
+                                          guess_bits=None if coins is None else coins[:, 0])
+            assert first.erased_decisions > 0
+            np.testing.assert_array_equal(decoded[:, 0], codec.extract_message(first.u))
             for s in range(S):
-                one, one_counts = codec.decode_session(
+                one = codec.decode_session(
                     obs[s], None if chain is None else chain[s],
                     guess_bits=None if coins is None else coins[s])
                 np.testing.assert_array_equal(decoded[s], one)
-                assert counts[s] == one_counts
 
     def test_rejects_bad_sessions(self):
         codec = ChainCodec(build_partition(CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3)))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from awtcpolar import experiments
@@ -481,7 +481,7 @@ class TestEndToEndChunks:
                 assert [row.erased_decisions for row in rows] == forced.tolist()
                 for row, (codec, msgs, preshared), obs in zip(rows, sessions, observed,
                                                              strict=True):
-                    decoded, _ = codec.decode_session(obs, preshared)
+                    decoded = codec.decode_session(obs, preshared)
                     assert row.bob_bit_errors == np.count_nonzero(decoded != msgs)
                     if row.erased_decisions == 0:
                         clean += 1
@@ -514,6 +514,42 @@ class TestSeeds:
                                 .generate_state(1, np.uint64)[0]) for t in trials]
                 assert derive_trial_seeds(base_seed, cell, trials) == expected
                 assert [derive_trial_seeds(base_seed, cell, [t])[0] for t in trials] == expected
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=50)
+    @given(base_seed=st.integers(2**32, 2**100),
+           trials=st.lists(st.integers(0, 2**32 - 1), max_size=4))
+    @example(base_seed=2**32, trials=[])
+    @example(base_seed=2**64 - 1, trials=[0, 2**32 - 1])
+    def test_property_seeds_of_long_base_seeds(self, base_seed, trials):
+        """Base seeds of two or more 32-bit words, no trials and the last
+        trial index 2^32 - 1 seed as one SeedSequence per trial does."""
+        cell = Cell("end_to_end", 12, 0.26, 0.2, 0.4, 50, Strategy.PREFIX.value)
+        key = (base_seed, 1, 12, 260_000_000, 200_000_000, 400_000_000, 50,
+               list(Strategy).index(Strategy.PREFIX))
+        assert derive_trial_seeds(base_seed, cell, trials) == [
+            int(np.random.SeedSequence(key + (t,)).generate_state(1, np.uint64)[0])
+            for t in trials]
+
+    COLUMNS = 3
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(words=st.lists(st.one_of(
+               st.integers(0, 2**32 - 1),
+               st.lists(st.integers(0, 2**32 - 1), min_size=COLUMNS, max_size=COLUMNS)),
+               min_size=1, max_size=12),
+           n_words=st.integers(1, 4))
+    def test_property_seed_mix_equals_seed_sequence(self, words, n_words):
+        """The shared SeedSequence mix, over 1 to 12 entropy words each an
+        int or a uint32 array, gives every column's
+        SeedSequence(words).generate_state(n_words, uint64)."""
+        entropy = [w if isinstance(w, int) else np.array(w, dtype=np.uint32) for w in words]
+        state = experiments._seed_sequence_state(entropy, n_words)
+        assert len(state) == n_words and all(w.dtype == np.uint64 for w in state)
+        state = np.broadcast_to(np.stack(state, axis=-1), (self.COLUMNS, n_words))
+        for c in range(self.COLUMNS):
+            column = [w if isinstance(w, int) else w[c] for w in words]
+            np.testing.assert_array_equal(
+                state[c], np.random.SeedSequence(column).generate_state(n_words, np.uint64))
 
     def test_seed_pass_rejects_trials_past_one_word(self):
         cell = Cell("bounds", 8, 0.25, 0.2, 0.4, 10, Strategy.UNIFORM.value)
