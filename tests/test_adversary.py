@@ -170,34 +170,70 @@ class TestSampling:
             np.testing.assert_array_equal(np.flatnonzero(action.write) + 1, write_set)
             np.testing.assert_array_equal(np.flatnonzero(action.read) + 1, read_set)
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=600)
-    @given(n=st.integers(0, 10), rows=st.integers(0, 40), rows_per_chunk=st.sampled_from(
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(n=st.integers(0, 10), blocks=st.integers(1, 40), rows_per_chunk=st.sampled_from(
                [None, 1, 2, 3, 7]), rho_w=st.floats(0.0, 0.99), share=st.floats(0.0, 0.99),
-           strategy=st.sampled_from(Strategy), seed=st.integers(0, 2**32 - 1),
-           shared=st.booleans())
-    @example(n=6, rows=5, rows_per_chunk=2, rho_w=0.01, share=0.0,
-             strategy=Strategy.UNIFORM, seed=1, shared=False)  # k = 0 on both sides
-    @example(n=6, rows=5, rows_per_chunk=2, rho_w=0.01, share=0.0,
-             strategy=Strategy.BERNOULLI, seed=1, shared=False)
-    @example(n=6, rows=5, rows_per_chunk=2, rho_w=0.01, share=0.0,
-             strategy=Strategy.UNIFORM, seed=1, shared=True)
-    def test_property_generator_sequence_draw_equals_block_draws(
-            self, n, rows, rows_per_chunk, rho_w, share, strategy, seed, shared):
-        """One call on a sequence of generators gives (len(rngs), N) masks
-        whose row t is a one-block call on rngs[t], and every generator ends
-        where those calls leave it.  A sequence that repeats one generator
-        (a session, [rng] * T) gives its T successive blocks.  Fractions
-        below 1/N (k = 0) included; the draw runs at its own chunk size or
-        with a few rows per chunk, so the rows span several chunks at every N."""
+           strategy=st.sampled_from(Strategy), seed=st.integers(0, 2**32 - 1))
+    def test_property_session_draw_equals_block_draws(self, n, blocks, rows_per_chunk, rho_w,
+                                                      share, strategy, seed):
+        """A session's T actions drawn in one call on [rng] * T are (T, N)
+        masks whose row t is the t-th of T one-block calls on the same
+        generator, which ends in the same state.  Fractions below 1/N (k = 0)
+        included; the draw runs at its own chunk size or with a few rows per
+        chunk, so T spans several chunks at every N."""
         N = 1 << n
         rho_r = share * (1.0 - rho_w)
+        rng = np.random.default_rng(seed)
+        reference = np.random.default_rng(seed)
+        chunk = adversary._CHUNK_KEYS if rows_per_chunk is None else rows_per_chunk * 2 * N
+        with mock.patch.object(adversary, "_CHUNK_KEYS", chunk):
+            session = sample_action(N, rho_w, rho_r, strategy, [rng] * blocks)
+        actions = [sample_action(N, rho_w, rho_r, strategy, reference) for _ in range(blocks)]
+        assert session.write.shape == session.read.shape == (blocks, N)
+        np.testing.assert_array_equal(session.write, [a.write for a in actions])
+        np.testing.assert_array_equal(session.read, [a.read for a in actions])
+        assert rng.bit_generator.state == reference.bit_generator.state
 
-        def generators():
-            if shared:
-                return [np.random.default_rng(seed)] * rows
-            return [np.random.default_rng([seed, t]) for t in range(rows)]
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(n=st.integers(0, 6), blocks=st.integers(1, 12), values=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_session_draw_takes_tied_keys_in_position_order(self, n, blocks, values,
+                                                                     seed):
+        """Tied keys drawn as one session of T blocks ([rng] * T), three rows
+        per chunk: row t marks the t-th pair of sets that successive reference
+        draws give, the first k positions of a stable sort, at every
+        k = 0..N-1."""
 
-        rngs, references = generators(), generators()
+        N = 1 << n
+        for k in range(N):
+            rho_w, rho_r = k / N, (N - 1 - k) / N
+            with mock.patch.object(adversary, "_CHUNK_KEYS", 3 * 2 * N):
+                session = sample_action(N, rho_w, rho_r, Strategy.UNIFORM,
+                                        [TiedKeys(values, seed)] * blocks)
+            reference = TiedKeys(values, seed)
+            for write, read in zip(session.write, session.read, strict=True):
+                write_set, read_set = set_draw(N, rho_w, rho_r, Strategy.UNIFORM, reference)
+                np.testing.assert_array_equal(np.flatnonzero(write) + 1, write_set)
+                np.testing.assert_array_equal(np.flatnonzero(read) + 1, read_set)
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(n=st.integers(0, 10), rows=st.integers(0, 40), rows_per_chunk=st.sampled_from(
+               [None, 1, 2, 3, 7]), rho_w=st.floats(0.0, 0.99), share=st.floats(0.0, 0.99),
+           strategy=st.sampled_from(Strategy), seed=st.integers(0, 2**32 - 1))
+    @example(n=6, rows=5, rows_per_chunk=2, rho_w=0.01, share=0.0,
+             strategy=Strategy.UNIFORM, seed=1)  # k = 0 on both sides
+    @example(n=6, rows=5, rows_per_chunk=2, rho_w=0.01, share=0.0,
+             strategy=Strategy.BERNOULLI, seed=1)
+    def test_property_generator_sequence_draw_equals_block_draws(
+            self, n, rows, rows_per_chunk, rho_w, share, strategy, seed):
+        """One call on a sequence of generators gives (len(rngs), N) masks
+        whose row t is a one-block call on rngs[t], and every generator ends
+        where that call leaves it.  The draw runs at its own chunk size or
+        with a few rows per chunk, so the rows span several chunks."""
+        N = 1 << n
+        rho_r = share * (1.0 - rho_w)
+        rngs = [np.random.default_rng([seed, t]) for t in range(rows)]
+        references = [np.random.default_rng([seed, t]) for t in range(rows)]
         chunk = adversary._CHUNK_KEYS if rows_per_chunk is None else rows_per_chunk * 2 * N
         with mock.patch.object(adversary, "_CHUNK_KEYS", chunk):
             stacked = sample_action(N, rho_w, rho_r, strategy, rngs)
@@ -210,36 +246,28 @@ class TestSampling:
         for rng, reference in zip(rngs, references, strict=True):
             assert rng.bit_generator.state == reference.bit_generator.state
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=120)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(n=st.integers(0, 6), rows=st.integers(1, 12), values=st.integers(1, 4),
-           seed=st.integers(0, 2**32 - 1), shared=st.booleans())
+           seed=st.integers(0, 2**32 - 1))
     def test_property_generator_sequence_takes_tied_keys_in_position_order(self, n, rows,
-                                                                           values, seed,
-                                                                           shared):
+                                                                           values, seed):
         """Tied keys drawn from a sequence of generators, three rows per
         chunk: row t marks the sets of a one-block call on the t-th
-        generator (for one generator repeated, its t-th successive block),
-        the first k positions of a stable sort, at every k = 0..N-1, and each
-        generator's source ends where those calls leave it."""
+        generator, the first k positions of a stable sort, at every
+        k = 0..N-1, and each generator's source ends where that call's does."""
         N = 1 << n
-
-        def generators():
-            if shared:
-                return [TiedKeys(values, seed)] * rows
-            return [TiedKeys(values, seed + t) for t in range(rows)]
-
         for k in range(N):
             rho_w, rho_r = k / N, (N - 1 - k) / N
-            rngs, references = generators(), generators()
+            rngs = [TiedKeys(values, seed + t) for t in range(rows)]
             with mock.patch.object(adversary, "_CHUNK_KEYS", 3 * 2 * N):
                 stacked = sample_action(N, rho_w, rho_r, Strategy.UNIFORM, rngs)
-            for write, read, reference in zip(stacked.write, stacked.read, references,
-                                              strict=True):
-                write_set, read_set = set_draw(N, rho_w, rho_r, Strategy.UNIFORM, reference)
-                np.testing.assert_array_equal(np.flatnonzero(write) + 1, write_set)
-                np.testing.assert_array_equal(np.flatnonzero(read) + 1, read_set)
-            for rng, reference in zip(rngs, references, strict=True):
-                assert rng.source.bit_generator.state == reference.source.bit_generator.state
+            for t, (write, read) in enumerate(zip(stacked.write, stacked.read, strict=True)):
+                reference = TiedKeys(values, seed + t)
+                action = sample_action(N, rho_w, rho_r, Strategy.UNIFORM, reference)
+                np.testing.assert_array_equal(write, action.write)
+                np.testing.assert_array_equal(read, action.read)
+                assert (rngs[t].source.bit_generator.state
+                        == reference.source.bit_generator.state)
 
     def test_session_draw_holds_one_chunk_of_keys(self):
         """A uniform session draw at N = 4096, T = 50 holds its two (T, N)
