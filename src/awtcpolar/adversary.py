@@ -75,7 +75,7 @@ def _draw_masks(N: int, rngs, rhos: tuple, strategy: Strategy) -> np.ndarray:
     step = max(1, min(rows, _CHUNK_KEYS // (2 * N)))
     # one key buffer and one partition buffer serve every chunk
     buffer = np.empty((step, 2, N))
-    work = np.empty((step, N)) if strategy is Strategy.UNIFORM else None
+    work = np.empty((step, N), dtype=np.int64) if strategy is Strategy.UNIFORM else None
     for lo in range(0, rows, step):
         keys = buffer[:min(step, rows - lo)]
         for row, rng in zip(keys, rngs[lo: lo + step]):
@@ -86,13 +86,16 @@ def _draw_masks(N: int, rngs, rhos: tuple, strategy: Strategy) -> np.ndarray:
             if strategy is Strategy.BERNOULLI:
                 np.less(side_keys, rho, out=mask)
                 continue
-            # where the size smallest of N uniform keys fall: a uniform size-subset
+            # where the size smallest of N uniform keys fall: a uniform size-subset.
+            # The keys are non-negative doubles m * 2^-53, whose bit patterns
+            # order as int64s do and are equal only when the keys are, so the
+            # cut is selected on the faster integer view.
             cut = -1.0
             if size:
                 selected = work[:len(keys)]
-                np.copyto(selected, side_keys)
+                np.copyto(selected, side_keys.view(np.int64))
                 selected.partition(size - 1)
-                cut = selected[:, size - 1:size]
+                cut = selected[:, size - 1:size].view(np.float64)
             np.less_equal(side_keys, cut, out=mask)
             # every row marks at least size keys; more only where keys tie with its cut
             if np.count_nonzero(mask) > size * len(mask):

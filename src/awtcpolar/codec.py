@@ -371,8 +371,9 @@ class ChainCodec:
 
     # -- encoding --------------------------------------------------------
 
-    def _session_u(self, messages, preshared, rng: np.random.Generator) -> np.ndarray:
-        """The (T, N) input rows u of a chained session of T messages.
+    def session_u(self, messages, preshared, rng: np.random.Generator) -> np.ndarray:
+        """The (T, N) input rows u of a chained session of T messages, which
+        encode_session transforms; a caller may transform only some rows.
 
         Block 1's sink set B holds the pre-shared bits, block t+1's the
         previous block's u[E], rank-paired (the i-th smallest E index feeds
@@ -385,6 +386,7 @@ class ChainCodec:
         if messages.ndim != 2 or messages.shape[1] != self.message_size:
             raise ValueError(f"messages must have {self.message_size} bits each, "
                              f"got shape {messages.shape}")
+        preshared = checked_bits(preshared, "preshared")
         if len(preshared) != self.chain_size:
             raise ValueError(f"B needs {self.chain_size} chain bits, got {len(preshared)}")
         u = np.zeros((len(messages), self.N), dtype=np.uint8)
@@ -399,9 +401,9 @@ class ChainCodec:
     def encode_block(self, msg, chain, rng: np.random.Generator):
         """Encode one message block; returns (codeword, chain bits for block t+1).
 
-        chain holds the bits for the sink set B (see _session_u).
+        chain holds the bits for the sink set B (see session_u).
         """
-        u = self._session_u(np.asarray(msg)[None], checked_bits(chain, "chain"), rng)[0]
+        u = self.session_u(np.asarray(msg)[None], checked_bits(chain, "chain"), rng)[0]
         return polar_transform(u), u[self._e0]
 
     def encode_session(self, messages, preshared, rng: np.random.Generator) -> np.ndarray:
@@ -411,8 +413,7 @@ class ChainCodec:
         block is transformed, so all T blocks take one stacked transform.
         The bits equal T chained encode_block calls on the same rng.
         """
-        return polar_transform(
-            self._session_u(messages, checked_bits(preshared, "preshared"), rng))
+        return polar_transform(self.session_u(messages, preshared, rng))
 
     # -- decoding --------------------------------------------------------
 

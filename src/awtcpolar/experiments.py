@@ -3,8 +3,9 @@
 Two trial kinds share one CSV schema.  A "bounds" trial samples a single
 adversary action and evaluates the T-block decoding-error and leakage bound
 values on that realization.  An "end_to_end" trial runs the full chained
-transmission with a fresh action per block, decodes both Bob's and Eve's
-observations, and counts message bit errors on each side.
+transmission with a fresh action per block, decodes Bob's and Eve's
+observations of the blocks their bound terms leave open, and counts message
+bit errors on each side.
 
 Per-trial seeds are derived from (base seed, cell parameters, trial index),
 so serial and parallel sweeps produce bit-identical results.  Trial seeds
@@ -29,7 +30,7 @@ from .adversary import (
     sample_action,
     write_equivalent_mask,
 )
-from .codec import ChainCodec, random_bit_rows
+from .codec import ChainCodec, polar_transform, random_bit_rows
 from .construction import CodeConfig, IndexPartition, InfeasibleConstruction, build_partition
 # realize_profile is not called here; the name stays for tools that wrap it
 from .polar_core import (  # noqa: F401
@@ -285,25 +286,31 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
     coin flips, one row of N per block.  Bob decodes with the
     pre-shared bits; Eve decodes without them, her erased decisions resolving
     to her coin flips.  The trials are decoded in groups of at most
-    _GROUP_BITS stacked bits (at least one session), one decode_session call
-    per side and group, so a trial's row does not depend on its group.  Each
-    trial's codewords and actions are dropped once its observations are
-    stacked, and Eve's coin flips are drawn after Bob's decode, to keep the
-    group's working set small.  The recorded bound values are the
-    per-realization sums over the actual per-block draws.
+    _GROUP_BITS stacked bits (at least one session), at most one
+    decode_session call per side and group, so a trial's row does not
+    depend on its group.  Each trial's codewords and actions are dropped
+    once its observations are stacked, and Eve's coin flips are drawn after
+    Bob's decode, to keep the group's working set small.  The recorded bound
+    values are the per-realization sums over the actual per-block draws.
 
-    SC forces Bob's guesses exactly on the decided positions of the write
+    Each side decodes only the blocks its bound terms leave open, or with a
+    live chain only the sessions holding one; both skips are exact.  SC
+    forces Bob's guesses exactly on the decided positions of the write
     realization's noisy channels (acceptance criterion 5), which
-    block_bound_counts already counts as each block's ir term, so a trial's
-    erased decisions are the sum of its ir terms.  Bob decodes only the
-    blocks with a forced guess, or with a live chain only the sessions
-    holding one; every other block keeps its sent message.  This is exact:
-    with no forced guess and correct chain bits SC on the BEC returns the
-    sent u, chain source E included.  So every block of a session before its
-    first damaged block hands the next block correct chain bits.
+    block_bound_counts counts as each block's ir term, so a trial's erased
+    decisions are the sum of its ir terms.  With no forced guess and correct
+    chain bits SC on the BEC returns the sent u, chain source E included, so
+    a block without one keeps its sent message, and every block of a session
+    before its first damaged block hands the next block correct chain bits.
+    Eve's erased decisions are likewise the decided positions her read
+    realization leaves noisy, whatever the values she decodes, so a block
+    whose leak term (noiseless positions over I union F, E included) is 0
+    has every message decision erased: its estimate is its coin flips on I.
+    A block's codeword is transformed and observed only when a side decodes
+    it; every stream is still drawn in full and in order.
     """
     codec = ChainCodec(partition)
-    T, N = config.blocks, config.N
+    T, N, K = config.blocks, config.N, codec.message_size
     cell = Cell.of("end_to_end", config, strategy)
     group = max(1, _GROUP_BITS // (T * N))
     # decode_session's own unit: a whole session with a live chain, else a block
@@ -311,43 +318,71 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
     results = []
     for lo in range(0, len(trial_seeds), group):
         batch = trial_seeds[lo: lo + group]
-        bob_obs = np.empty((len(batch), T, N), dtype=np.int8)
+        units = len(batch) * T // unit
+        # each side's observations of the blocks it decodes, stacked in order
+        bob_obs = np.empty((len(batch) * T, N), dtype=np.int8)
         eve_obs = np.empty_like(bob_obs)
+        filled = [0, 0]
         preshared = np.empty((len(batch), codec.chain_size), dtype=np.uint8)
-        sent = np.empty((len(batch), T, codec.message_size), dtype=np.uint8)
+        sent = np.empty((len(batch), T, K), dtype=np.uint8)
         forced = np.empty((len(batch), T), dtype=np.intp)
+        # the units Bob decodes (a forced guess) and Eve decodes (a leak)
+        decoded = np.empty((2, len(batch), T // unit), dtype=bool)
         bounds, eve_rngs = [], []
         for s, (_, seed) in enumerate(batch):
             msg_rng, enc_rng, pre_rng, adv_rng, eve_rng = map(
                 np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
             eve_rngs.append(eve_rng)
             preshared[s] = codec.preshared_state(pre_rng)
-            sent[s] = random_bit_rows(msg_rng, T, codec.message_size)
-            codewords = codec.encode_session(sent[s], preshared[s], enc_rng)
+            sent[s] = random_bit_rows(msg_rng, T, K)
+            u = codec.session_u(sent[s], preshared[s], enc_rng)
             action = sample_action(N, config.rho_w, config.rho_r, strategy, [adv_rng] * T)
             write, noise = write_equivalent_mask([action]), read_equivalent_mask([action])
-            ir, e, leak = block_bound_counts(partition, write, noise)
+            counts = block_bound_counts(partition, write, noise)
+            ir, e, leak = counts
             forced[s] = ir
             bounds.append((float(ir.sum() + e[:-1].sum()), float(leak.sum())))
-            bob_obs[s] = apply_write(codewords, write)
-            eve_obs[s] = apply_read(codewords, action.read)
-        del codewords, action, write, noise
+            decoded[:, s] = counts[::2].reshape(2, -1, unit).any(axis=2)
+            if decoded[:, s].all():  # every prefix block: each side reads every codeword
+                codewords = polar_transform(u)
+                reads = [(codewords, write), (codewords, action.read)]
+            else:
+                keep = decoded[:, s].repeat(unit, axis=1)  # each side's blocks
+                need = keep[0] | keep[1]
+                codewords = polar_transform(u[need])
+                reads = [(codewords[rows[need]], mask[rows])
+                         for rows, mask in zip(keep, (write, action.read))]
+            for side, (obs, observe) in enumerate(((bob_obs, apply_write), (eve_obs, apply_read))):
+                start = filled[side]
+                filled[side] += len(reads[side][0])
+                obs[start: filled[side]] = observe(*reads[side])
+            # dropped before the next session is drawn, to keep the working set small
+            del u, codewords, reads, action, write, noise
 
-        dirty = forced.reshape(-1, unit).any(axis=1)
-        bob_msgs = sent.reshape(len(dirty), unit, codec.message_size).copy()
+        dirty, live = decoded.reshape(2, units)
+        bob_msgs = sent.reshape(units, unit, K).copy()
         if dirty.any():
             chains = np.repeat(preshared, T // unit, axis=0)
             bob_msgs[dirty] = codec.decode_session(
-                bob_obs.reshape(-1, unit, N)[dirty], chains[dirty])
+                bob_obs[:filled[0]].reshape(-1, unit, N), chains[dirty])
         del bob_obs
-        guesses = np.empty_like(eve_obs, dtype=np.uint8)
+        guesses = np.empty((len(batch), T, N), dtype=np.uint8)
         for s, eve_rng in enumerate(eve_rngs):
             guesses[s] = random_bit_rows(eve_rng, T, N)
-        eve_msgs = codec.decode_session(eve_obs, None, guess_bits=guesses)
+        guesses = guesses.reshape(units, unit, N)
+        if live.all():  # every prefix block: the stacks go to the decoder as they are
+            eve_msgs = codec.decode_session(eve_obs.reshape(guesses.shape), None,
+                                            guess_bits=guesses)
+        else:
+            eve_msgs = codec.extract_message(guesses)
+            if live.any():
+                eve_msgs[live] = codec.decode_session(
+                    eve_obs[:filled[1]].reshape(-1, unit, N), None, guess_bits=guesses[live])
         bob_errors = np.count_nonzero(bob_msgs.reshape(sent.shape) != sent,
                                       axis=(1, 2)).tolist()
         erased = forced.sum(axis=1).tolist()
-        eve_errors = np.count_nonzero(eve_msgs != sent, axis=(1, 2)).tolist()
+        eve_errors = np.count_nonzero(eve_msgs.reshape(sent.shape) != sent,
+                                      axis=(1, 2)).tolist()
         for s, (trial, seed) in enumerate(batch):
             results.append(TrialResult(
                 cell=cell,
@@ -357,7 +392,7 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
                 leak_bound=bounds[s][1],
                 bob_bit_errors=bob_errors[s],
                 eve_bit_errors=eve_errors[s],
-                message_bits=T * codec.message_size,
+                message_bits=T * K,
                 erased_decisions=erased[s],
             ))
     return results

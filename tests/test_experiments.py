@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from awtcpolar import experiments
@@ -17,12 +17,18 @@ from awtcpolar.adversary import (
     AdversaryAction,
     Strategy,
     apply_read,
+    apply_write,
     read_equivalent_mask,
     sample_action,
     write_equivalent_mask,
 )
-from awtcpolar.codec import ChainCodec
-from awtcpolar.construction import CodeConfig, IndexPartition, build_partition
+from awtcpolar.codec import ChainCodec, polar_transform, random_bit_rows
+from awtcpolar.construction import (
+    CodeConfig,
+    IndexPartition,
+    InfeasibleConstruction,
+    build_partition,
+)
 from awtcpolar.experiments import (
     AggregateRow,
     Cell,
@@ -382,14 +388,15 @@ class TestEndToEndChunks:
     def test_chunk_decodes_in_capped_groups(self, monkeypatch):
         """A 40-trial n=10, T=50 chunk is decoded in groups of whole sessions,
         each no taller than experiments._GROUP_BITS stacked bits: 10 sessions,
-        one call per side and group.  Eve's calls hold all 500 blocks of their
-        group; Bob's hold exactly its damaged blocks, those whose bound term
-        ir counts a forced guess.  The rows around a group boundary equal the
+        one call per side and group.  Bob's calls hold exactly the group's
+        damaged blocks, those whose bound term ir counts a forced guess;
+        Eve's hold exactly its leaking blocks, those whose leak term counts a
+        noiseless position.  The rows around a group boundary equal the
         one-seed trials."""
         cfg = CodeConfig(n=10, beta=0.26, rho_w=0.2, rho_r=0.4, blocks=50)
         part = build_partition(cfg)
-        assert ChainCodec(part).chain_size == 0  # Bob's unit is a block
-        calls, irs = [], []
+        assert ChainCodec(part).chain_size == 0  # each side's unit is a block
+        calls, irs, leaks = [], [], []
         decode = ChainCodec.sc_decode_block
         bound_counts = experiments.block_bound_counts
 
@@ -402,6 +409,7 @@ class TestEndToEndChunks:
         def recording_counts(partition, write, noise):
             counts = bound_counts(partition, write, noise)
             irs.append(counts[0])  # one call per trial, its T blocks' terms
+            leaks.append(counts[2])
             return counts
 
         monkeypatch.setattr(ChainCodec, "sc_decode_block", recording)
@@ -410,13 +418,14 @@ class TestEndToEndChunks:
         chunk = experiments._run_chunk(("end_to_end", cfg, part, Strategy.UNIFORM, trial_seeds))
         sessions = experiments._GROUP_BITS // (cfg.blocks * cfg.N)
         assert sessions == 10 and len(irs) == 40
-        damaged = [sum(np.count_nonzero(ir) for ir in irs[lo: lo + sessions])
-                   for lo in range(0, 40, sessions)]
+        damaged, leaking = ([sum(np.count_nonzero(terms) for terms in per_trial[lo: lo + sessions])
+                             for lo in range(0, 40, sessions)] for per_trial in (irs, leaks))
         assert [side for side, _, _ in calls] == ["bob", "eve"] * 4  # 4 groups
         assert [rows for side, rows, _ in calls if side == "bob"] == damaged
         assert all(forced.all() for side, _, forced in calls if side == "bob")
-        assert [rows for side, rows, _ in calls if side == "eve"] == [sessions * cfg.blocks] * 4
-        assert 0 < sum(damaged) < 40 * cfg.blocks  # the skip was exercised
+        assert [rows for side, rows, _ in calls if side == "eve"] == leaking
+        for skipped in (damaged, leaking):  # both skips were exercised
+            assert 0 < sum(skipped) < 40 * cfg.blocks
         assert all(rows * cfg.N <= experiments._GROUP_BITS for _, rows, _ in calls)
         for trial in (9, 10, 39):
             assert chunk[trial] == end_to_end_trial(cfg, part, Strategy.UNIFORM,
@@ -444,34 +453,31 @@ class TestEndToEndChunks:
         error; and Bob's error count equals a decode of every block of the
         session.  Bob's decode of the blocks (with a live chain, the
         sessions) without a forced guess is skipped, so a wrong count, a lost
-        error or a wrong chain bit would show here.  Cells with |B| = 0, 3,
-        2 and 4 under every strategy."""
-        drawn, sessions, observed = [], [], []
-        sample, encode = experiments.sample_action, ChainCodec.encode_session
-        write = experiments.apply_write
+        error or a wrong chain bit would show here.  The full observation is
+        rebuilt from each session's input rows u and write masks, since the
+        harness transforms and observes only the blocks a side decodes.
+        Cells with |B| = 0, 3, 2 and 4 under every strategy."""
+        drawn, sessions = [], []
+        sample, session_u = experiments.sample_action, ChainCodec.session_u
 
         def sampling(*args, **kwargs):
             drawn.append(sample(*args, **kwargs))
             return drawn[-1]
 
-        def encoding(codec, messages, preshared, rng):
-            sessions.append((codec, np.copy(messages), np.copy(preshared)))
-            return encode(codec, messages, preshared, rng)
-
-        def writing(x, mask):
-            observed.append(write(x, mask))
-            return observed[-1]
+        def drawing_u(codec, messages, preshared, rng):
+            u = session_u(codec, messages, preshared, rng)
+            sessions.append((codec, np.copy(messages), np.copy(preshared), u.copy()))
+            return u
 
         monkeypatch.setattr(experiments, "sample_action", sampling)
-        monkeypatch.setattr(ChainCodec, "encode_session", encoding)
-        monkeypatch.setattr(experiments, "apply_write", writing)
+        monkeypatch.setattr(ChainCodec, "session_u", drawing_u)
         clean = 0
         for cfg in CHUNK_CELLS + LIVE_CHAIN_CELLS:
             part = build_partition(cfg)
             decide = np.zeros(cfg.N, dtype=bool)
             decide[np.concatenate([part.info, part.chain_source, part.random]) - 1] = True
             for strategy in Strategy:
-                for record in (drawn, sessions, observed):
+                for record in (drawn, sessions):
                     record.clear()
                 rows = experiments._run_chunk(
                     ("end_to_end", cfg, part, strategy, [(t, 900 + t) for t in range(15)]))
@@ -479,14 +485,92 @@ class TestEndToEndChunks:
                 forced = np.count_nonzero(realize_profile(writes) & decide, axis=1)
                 forced = forced.reshape(len(rows), cfg.blocks).sum(axis=1)
                 assert [row.erased_decisions for row in rows] == forced.tolist()
-                for row, (codec, msgs, preshared), obs in zip(rows, sessions, observed,
-                                                             strict=True):
+                for row, (codec, msgs, preshared, u), action in zip(rows, sessions, drawn,
+                                                                   strict=True):
+                    obs = apply_write(polar_transform(u), action.write)
                     decoded = codec.decode_session(obs, preshared)
                     assert row.bob_bit_errors == np.count_nonzero(decoded != msgs)
                     if row.erased_decisions == 0:
                         clean += 1
                         assert row.bob_bit_errors == 0
         assert 0 < clean < 180  # both kinds of trial were seen
+
+
+def full_decode_trial(cfg, part, strategy, trial, seed):
+    """A trial row from a pipeline that decodes every block for both sides:
+    encode_session, one session draw of T actions, then decode_session on
+    each side's whole observation, from the five streams the harness draws."""
+    codec = ChainCodec(part)
+    T, N, K = cfg.blocks, cfg.N, codec.message_size
+    msg_rng, enc_rng, pre_rng, adv_rng, eve_rng = map(
+        np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
+    preshared = codec.preshared_state(pre_rng)
+    sent = random_bit_rows(msg_rng, T, K)
+    codewords = codec.encode_session(sent, preshared, enc_rng)
+    action = sample_action(N, cfg.rho_w, cfg.rho_r, strategy, [adv_rng] * T)
+    ir, e, leak = block_bound_counts(part, write_equivalent_mask([action]),
+                                     read_equivalent_mask([action]))
+    bob = codec.decode_session(apply_write(codewords, action.write), preshared)
+    eve = codec.decode_session(apply_read(codewords, action.read), None,
+                               guess_bits=random_bit_rows(eve_rng, T, N))
+    return experiments.TrialResult(
+        cell=Cell.of("end_to_end", cfg, strategy), trial=trial, seed=seed,
+        ber_bound=float(ir.sum() + e[:-1].sum()), leak_bound=float(leak.sum()),
+        bob_bit_errors=np.count_nonzero(bob != sent),
+        eve_bit_errors=np.count_nonzero(eve != sent),
+        message_bits=T * K, erased_decisions=int(ir.sum()))
+
+
+# the cells at n <= 8 of reference_chunks' grid with a live chain (|B| > 0)
+# are rare (9 of 849 feasible), so the draws take one of these half the time:
+# the first live chain (|B| = 1), |B| = 2, and a live chain with |I| = 0
+LIVE_CHAIN_GRID = ((6, 0.28, 0.3, 0.4), (8, 0.35, 0.3, 0.3), (8, 0.22, 0.3, 0.5))
+NO_INFO = CodeConfig(n=2, beta=0.45, rho_w=0.2, rho_r=0.4, blocks=4)
+
+
+@st.composite
+def reference_chunks(draw):
+    """A feasible cell at n <= 8 and T <= 4, a strategy and 1..4 (trial,
+    seed) pairs."""
+    n, beta, rho_w, rho_r = draw(st.sampled_from(LIVE_CHAIN_GRID) | st.tuples(
+        st.integers(1, 8), st.sampled_from([0.2, 0.26, 0.3, 0.35, 0.45]),
+        st.sampled_from([0.1, 0.2, 0.3]), st.sampled_from([0.2, 0.3, 0.4, 0.5])))
+    cfg = CodeConfig(n=n, beta=beta, rho_w=rho_w, rho_r=rho_r, blocks=draw(st.integers(1, 4)))
+    try:
+        part = build_partition(cfg)
+    except InfeasibleConstruction:
+        assume(False)
+    strategy = draw(st.sampled_from(list(Strategy)))
+    seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=4))
+    return cfg, part, strategy, list(enumerate(seeds))
+
+
+class TestFullDecodeReference:
+    @settings(derandomize=True, database=None, deadline=None, max_examples=150)
+    @given(reference_chunks())
+    @example((NO_INFO, build_partition(NO_INFO), Strategy.UNIFORM, [(0, 1), (1, 2)]))
+    def test_property_chunk_equals_full_decode(self, case):
+        """Each side decodes only the blocks (with a live chain, the
+        sessions) its bound terms leave open, and only those blocks are
+        transformed and observed; a chunk's rows still equal, row for row,
+        a pipeline that decodes every block for both sides."""
+        cfg, part, strategy, trial_seeds = case
+        rows = experiments._run_chunk(("end_to_end", cfg, part, strategy, trial_seeds))
+        assert rows == [full_decode_trial(cfg, part, strategy, trial, seed)
+                        for trial, seed in trial_seeds]
+
+    def test_draws_hold_live_chains_and_empty_information_sets(self):
+        """Every LIVE_CHAIN_GRID cell has a live chain, the last with |I| = 0
+        as NO_INFO has; at the first, Eve's uniform reads leak in some
+        sessions and in others not, so both of her paths are compared."""
+        codecs = [ChainCodec(build_partition(CodeConfig(*cell, blocks=3)))
+                  for cell in LIVE_CHAIN_GRID]
+        assert all(codec.chain_size for codec in codecs)
+        assert codecs[-1].message_size == ChainCodec(build_partition(NO_INFO)).message_size == 0
+        first = CodeConfig(*LIVE_CHAIN_GRID[0], blocks=3)
+        leaks = [full_decode_trial(first, build_partition(first), Strategy.UNIFORM, 0,
+                                   seed).leak_bound > 0 for seed in range(1, 9)]
+        assert any(leaks) and not all(leaks)
 
 
 class TestSeeds:

@@ -21,6 +21,10 @@ def _encode(messages, preshared):
     return CODEC.encode_session(messages, preshared, np.random.default_rng(0))
 
 
+def _session_u(messages, preshared):
+    return CODEC.session_u(messages, preshared, np.random.default_rng(0))
+
+
 def _decode(y, chain, guess_bits):
     return vars(CODEC.sc_decode_block(y, chain, guess_bits=guess_bits))
 
@@ -33,6 +37,10 @@ ENTRIES = {
                                 lambda v: _encode(v, [1])),
     "encode_session.preshared": ("preshared", 1, BITS[0, :1],
                                  lambda v: _encode(BITS[:, :3], v)),
+    "session_u.messages": ("messages", 1, BITS[:, :3],
+                           lambda v: _session_u(v, [1])),
+    "session_u.preshared": ("preshared", 1, BITS[0, :1],
+                            lambda v: _session_u(BITS[:, :3], v)),
     "sc_decode_block.y": ("observations", 2, TRITS,
                           lambda v: _decode(v, [1], BITS)),
     "sc_decode_block.guess_bits": ("guess_bits", 1, BITS,

@@ -54,27 +54,45 @@ def traced_decode_counts(monkeypatch, cfg, strategy=Strategy.UNIFORM, seed=1):
     return names["codec.decode_bob"], names["codec.decode_eve"]
 
 
+def first_seed(cfg, accept, strategy=Strategy.UNIFORM) -> int:
+    """The first seed in 1..100 whose one-seed trial row passes accept."""
+    part = build_partition(cfg)
+    seed = next((s for s in range(1, 101) if accept(experiments.end_to_end_trial(
+        cfg, part, strategy, seed=s))), None)
+    assert seed is not None, "no seed in 1..100 gives the row sought"
+    return seed
+
+
 def test_traced_trial_records_both_decode_sides(monkeypatch):
     """Decodes are traced through the ChainCodec.sc_decode_block class
     attribute and told apart by guess_bits: Bob passes none, Eve passes hers.
     Without a chain each side's session is one stacked decode.  Bob decodes
-    only blocks with a forced guess, so the trial is the first seed >= 1
-    whose uniform writes force one."""
+    only blocks with a forced guess and Eve only blocks whose leak term is
+    positive, so the first trial is the first seed >= 1 whose uniform
+    actions give both, and the second one whose actions force Bob a guess
+    but leak nothing: Eve makes no decode there."""
     cfg = CodeConfig(n=6, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
-    part = build_partition(cfg)
-    seed = next((s for s in range(1, 101) if experiments.end_to_end_trial(
-        cfg, part, Strategy.UNIFORM, seed=s).erased_decisions > 0), None)
-    assert seed is not None, "no seed in 1..100 forces Bob a guess"
-    assert traced_decode_counts(monkeypatch, cfg, seed=seed) == (1, 1)
+    both = first_seed(cfg, lambda row: row.erased_decisions > 0 and row.leak_bound > 0)
+    assert traced_decode_counts(monkeypatch, cfg, seed=both) == (1, 1)
+    bob_only = first_seed(cfg, lambda row: row.erased_decisions > 0 and row.leak_bound == 0)
+    assert traced_decode_counts(monkeypatch, cfg, seed=bob_only) == (1, 0)
 
 
 def test_traced_live_chain_trial_records_every_block(monkeypatch):
-    """With a live chain (|B| = 3) each side decodes block by block.  Bob
-    skips a session without a forced guess (seed 1's uniform writes leave
-    none) and decodes a damaged one (every prefix block is) whole."""
+    """With a live chain each side decodes block by block, a whole session
+    or none of it.  At |B| = 3, seed 1's uniform session forces no guess and
+    leaks nothing, so neither side decodes it; every prefix block does both,
+    so each side decodes all T blocks.  At |B| = 1, seed 1's uniform session
+    leaks but forces no guess: Eve decodes all T blocks and Bob none."""
     cfg = CodeConfig(n=10, beta=0.45, rho_w=0.1, rho_r=0.3, blocks=3)
-    assert traced_decode_counts(monkeypatch, cfg) == (0, cfg.blocks)
+    row = experiments.end_to_end_trial(cfg, build_partition(cfg), Strategy.UNIFORM, seed=1)
+    assert row.erased_decisions == 0 and row.leak_bound == 0
+    assert traced_decode_counts(monkeypatch, cfg) == (0, 0)
     assert traced_decode_counts(monkeypatch, cfg, Strategy.PREFIX) == (cfg.blocks, cfg.blocks)
+    cfg = CodeConfig(n=6, beta=0.28, rho_w=0.3, rho_r=0.4, blocks=3)
+    row = experiments.end_to_end_trial(cfg, build_partition(cfg), Strategy.UNIFORM, seed=1)
+    assert row.erased_decisions == 0 and row.leak_bound > 0
+    assert traced_decode_counts(monkeypatch, cfg) == (0, cfg.blocks)
 
 
 ACTION_SPANS = ("adversary.sample_action", "adversary.write_equivalent_mask",
