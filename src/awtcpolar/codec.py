@@ -371,9 +371,11 @@ class ChainCodec:
 
     # -- encoding --------------------------------------------------------
 
-    def session_u(self, messages, preshared, rng: np.random.Generator) -> np.ndarray:
+    def session_u(self, messages, preshared, rng: np.random.Generator, *,
+                  name: str = "preshared") -> np.ndarray:
         """The (T, N) input rows u of a chained session of T messages, which
         encode_session transforms; a caller may transform only some rows.
+        name is what a bad preshared argument's error calls it.
 
         Block 1's sink set B holds the pre-shared bits, block t+1's the
         previous block's u[E], rank-paired (the i-th smallest E index feeds
@@ -386,7 +388,7 @@ class ChainCodec:
         if messages.ndim != 2 or messages.shape[1] != self.message_size:
             raise ValueError(f"messages must have {self.message_size} bits each, "
                              f"got shape {messages.shape}")
-        preshared = checked_bits(preshared, "preshared")
+        preshared = checked_bits(preshared, name)
         if len(preshared) != self.chain_size:
             raise ValueError(f"B needs {self.chain_size} chain bits, got {len(preshared)}")
         u = np.zeros((len(messages), self.N), dtype=np.uint8)
@@ -403,7 +405,7 @@ class ChainCodec:
 
         chain holds the bits for the sink set B (see session_u).
         """
-        u = self.session_u(np.asarray(msg)[None], checked_bits(chain, "chain"), rng)[0]
+        u = self.session_u(np.asarray(msg)[None], chain, rng, name="chain")[0]
         return polar_transform(u), u[self._e0]
 
     def encode_session(self, messages, preshared, rng: np.random.Generator) -> np.ndarray:

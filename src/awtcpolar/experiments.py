@@ -343,15 +343,11 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
             forced[s] = ir
             bounds.append((float(ir.sum() + e[:-1].sum()), float(leak.sum())))
             decoded[:, s] = counts[::2].reshape(2, -1, unit).any(axis=2)
-            if decoded[:, s].all():  # every prefix block: each side reads every codeword
-                codewords = polar_transform(u)
-                reads = [(codewords, write), (codewords, action.read)]
-            else:
-                keep = decoded[:, s].repeat(unit, axis=1)  # each side's blocks
-                need = keep[0] | keep[1]
-                codewords = polar_transform(u[need])
-                reads = [(codewords[rows[need]], mask[rows])
-                         for rows, mask in zip(keep, (write, action.read))]
+            keep = decoded[:, s].repeat(unit, axis=1)  # each side's blocks
+            need = keep[0] | keep[1]
+            codewords = polar_transform(u[need])
+            reads = [(codewords[rows[need]], mask[rows])
+                     for rows, mask in zip(keep, (write, action.read))]
             for side, (obs, observe) in enumerate(((bob_obs, apply_write), (eve_obs, apply_read))):
                 start = filled[side]
                 filled[side] += len(reads[side][0])
@@ -370,14 +366,10 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
         for s, eve_rng in enumerate(eve_rngs):
             guesses[s] = random_bit_rows(eve_rng, T, N)
         guesses = guesses.reshape(units, unit, N)
-        if live.all():  # every prefix block: the stacks go to the decoder as they are
-            eve_msgs = codec.decode_session(eve_obs.reshape(guesses.shape), None,
-                                            guess_bits=guesses)
-        else:
-            eve_msgs = codec.extract_message(guesses)
-            if live.any():
-                eve_msgs[live] = codec.decode_session(
-                    eve_obs[:filled[1]].reshape(-1, unit, N), None, guess_bits=guesses[live])
+        eve_msgs = codec.extract_message(guesses)
+        if live.any():
+            eve_msgs[live] = codec.decode_session(
+                eve_obs[:filled[1]].reshape(-1, unit, N), None, guess_bits=guesses[live])
         bob_errors = np.count_nonzero(bob_msgs.reshape(sent.shape) != sent,
                                       axis=(1, 2)).tolist()
         erased = forced.sum(axis=1).tolist()

@@ -523,15 +523,34 @@ def full_decode_trial(cfg, part, strategy, trial, seed):
 
 # the cells at n <= 8 of reference_chunks' grid with a live chain (|B| > 0)
 # are rare (9 of 849 feasible), so the draws take one of these half the time:
-# the first live chain (|B| = 1), |B| = 2, and a live chain with |I| = 0
-LIVE_CHAIN_GRID = ((6, 0.28, 0.3, 0.4), (8, 0.35, 0.3, 0.3), (8, 0.22, 0.3, 0.5))
+# the first live chain (|B| = 1), |B| = 2, a live chain with |I| = 0, and an
+# n = 9 chain (|B| = 4) where Eve can read an information bit of an earlier
+# block of a session whose last block leaks nothing
+LIVE_CHAIN_GRID = ((6, 0.28, 0.3, 0.4), (8, 0.35, 0.3, 0.3), (8, 0.22, 0.3, 0.5),
+                   (9, 0.3, 0.3, 0.4))
 NO_INFO = CodeConfig(n=2, beta=0.45, rho_w=0.2, rho_r=0.4, blocks=4)
+# the n = 9 cell's uniform session at seed 24: block 1 leaks, block 2 does not
+EARLY_LEAK = CodeConfig(*LIVE_CHAIN_GRID[-1], blocks=2)
+
+
+def eve_leaks_and_coin_errors(cfg, part, strategy, seed):
+    """A session's per-block leak terms, and Eve's bit errors had she
+    decoded none of its blocks (her estimate then being her coin flips)."""
+    codec = ChainCodec(part)
+    msg_rng, _, _, adv_rng, eve_rng = map(
+        np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
+    sent = random_bit_rows(msg_rng, cfg.blocks, codec.message_size)
+    action = sample_action(cfg.N, cfg.rho_w, cfg.rho_r, strategy, [adv_rng] * cfg.blocks)
+    leak = block_bound_counts(part, write_equivalent_mask([action]),
+                              read_equivalent_mask([action]))[2]
+    coins = codec.extract_message(random_bit_rows(eve_rng, cfg.blocks, cfg.N))
+    return leak.tolist(), np.count_nonzero(coins != sent)
 
 
 @st.composite
 def reference_chunks(draw):
-    """A feasible cell at n <= 8 and T <= 4, a strategy and 1..4 (trial,
-    seed) pairs."""
+    """A feasible cell at n <= 8 or of LIVE_CHAIN_GRID, T <= 4, a strategy
+    and 1..4 (trial, seed) pairs."""
     n, beta, rho_w, rho_r = draw(st.sampled_from(LIVE_CHAIN_GRID) | st.tuples(
         st.integers(1, 8), st.sampled_from([0.2, 0.26, 0.3, 0.35, 0.45]),
         st.sampled_from([0.1, 0.2, 0.3]), st.sampled_from([0.2, 0.3, 0.4, 0.5])))
@@ -549,6 +568,7 @@ class TestFullDecodeReference:
     @settings(derandomize=True, database=None, deadline=None, max_examples=150)
     @given(reference_chunks())
     @example((NO_INFO, build_partition(NO_INFO), Strategy.UNIFORM, [(0, 1), (1, 2)]))
+    @example((EARLY_LEAK, build_partition(EARLY_LEAK), Strategy.UNIFORM, [(0, 24)]))
     def test_property_chunk_equals_full_decode(self, case):
         """Each side decodes only the blocks (with a live chain, the
         sessions) its bound terms leave open, and only those blocks are
@@ -560,17 +580,25 @@ class TestFullDecodeReference:
                         for trial, seed in trial_seeds]
 
     def test_draws_hold_live_chains_and_empty_information_sets(self):
-        """Every LIVE_CHAIN_GRID cell has a live chain, the last with |I| = 0
-        as NO_INFO has; at the first, Eve's uniform reads leak in some
-        sessions and in others not, so both of her paths are compared."""
+        """Every LIVE_CHAIN_GRID cell has a live chain, the third with
+        |I| = 0 as NO_INFO has; at the first, Eve's uniform reads leak in some
+        sessions and in others not, so both of her paths are compared.  In
+        EARLY_LEAK's example session only block 1 leaks, and decoding it
+        changes Eve's errors, so a rule that picked her live-chain sessions by
+        their last block alone would change that row."""
         codecs = [ChainCodec(build_partition(CodeConfig(*cell, blocks=3)))
                   for cell in LIVE_CHAIN_GRID]
         assert all(codec.chain_size for codec in codecs)
-        assert codecs[-1].message_size == ChainCodec(build_partition(NO_INFO)).message_size == 0
+        assert codecs[2].message_size == ChainCodec(build_partition(NO_INFO)).message_size == 0
         first = CodeConfig(*LIVE_CHAIN_GRID[0], blocks=3)
         leaks = [full_decode_trial(first, build_partition(first), Strategy.UNIFORM, 0,
                                    seed).leak_bound > 0 for seed in range(1, 9)]
         assert any(leaks) and not all(leaks)
+        part = build_partition(EARLY_LEAK)
+        leak, coin_errors = eve_leaks_and_coin_errors(EARLY_LEAK, part, Strategy.UNIFORM, 24)
+        assert leak[0] > 0 and leak[1] == 0
+        assert full_decode_trial(EARLY_LEAK, part, Strategy.UNIFORM, 0,
+                                 24).eve_bit_errors != coin_errors
 
 
 class TestSeeds:
