@@ -12,11 +12,14 @@ actions of a sequence of generators, one block per entry, are drawn in one
 pass as stacked masks, row t the action a one-block draw on the t-th entry
 would give; a session's T actions are those of one generator listed T
 times, its T successive blocks.  A stacked draw fills its keys, chunk by
-chunk, into one buffer it reuses, and cuts each side in one reused buffer.
+chunk, into one buffer it reuses, one rng.random(out=...) call per run of
+consecutive rows that share a generator, and cuts each side in one reused
+buffer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -78,9 +81,13 @@ def _draw_masks(N: int, rngs, rhos: tuple, strategy: Strategy) -> np.ndarray:
     work = np.empty((step, N), dtype=np.int64) if strategy is Strategy.UNIFORM else None
     for lo in range(0, rows, step):
         keys = buffer[:min(step, rows - lo)]
-        for row, rng in zip(keys, rngs[lo: lo + step]):
-            # doubles fill in order: a block's write keys, then its read keys
-            rng.random(out=row)
+        start = 0
+        for rng, run in itertools.groupby(rngs[lo: lo + step]):
+            # doubles fill in order: a block's write keys, then its read keys,
+            # block after block of a run of rows that share one generator
+            stop = start + sum(1 for _ in run)
+            rng.random(out=keys[start:stop])
+            start = stop
         for side, (rho, size) in enumerate(zip(rhos, sizes)):
             side_keys, mask = keys[:, side], masks[side, lo: lo + step]
             if strategy is Strategy.BERNOULLI:

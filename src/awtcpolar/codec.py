@@ -36,6 +36,15 @@ decided positions, with the same residual.  Chain bits carried between
 blocks are plain uint8 arrays on the sink set B, decoded by substitution.
 decode_session returns the message estimates only; a block's erased
 decisions are in its sc_decode_block result.
+
+Every uniform bit the package draws (messages, E and R bits, Eve's coin
+flips, the pre-shared bits) comes from random_bit_rows, equal bit for bit to
+rng.integers(0, 2, dtype=np.uint8) calls: numpy takes one uint32 per four
+such values, low byte first, and a value is its byte's top bit (Lemire's
+bounded draw never rejects on 0..1).  PCG64 hands out each 64-bit output as
+its low, then its high uint32 and buffers an unused high half, so the
+rows are read from raw 64-bit outputs after any buffered half, and an odd
+trailing half is left buffered.
 """
 
 from __future__ import annotations
@@ -56,18 +65,53 @@ class Trit(IntEnum):
     ERASED = 2
 
 
+# the top bit of each byte of a 64-bit word, and the multiplier that moves
+# byte b's top bit to bit 56 + b: no two partial products share a bit, so
+# none carries
+_TOP_BITS = 0x8080808080808080
+_GATHER = 0x0002040810204081
+
+
 def random_bit_rows(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
     """A (rows, size) uint8 array of uniform bits, equal bit for bit, and in
     the generator state it leaves, to rows calls of
     rng.integers(0, 2, size=size, dtype=np.uint8) stacked.
 
-    One padded draw is exact because numpy draws bounded uint8 values four
-    to a uint32 (a 0..1 draw never rejects) and starts a fresh uint32 at
-    every call: a call of size bits takes ceil(size / 4) uint32s, as does
-    each padded row of the one draw.
+    numpy draws bounded uint8 values four to a uint32, low byte first, and
+    starts a fresh uint32 at every call, so a row takes ceil(size / 4)
+    uint32s; for 0..1 Lemire's rule never rejects and a value is its
+    byte's top bit.  PCG64 hands out each 64-bit output as its low, then
+    its high uint32, keeping an unused high half buffered in its state.
+    The rows' uint32s are read here from raw 64-bit outputs, after a
+    buffered half if one waits, and an odd trailing half is left buffered,
+    as the uint32 draws would leave it.  Raises TypeError for any other
+    bit generator.
     """
-    padded = rng.integers(0, 2, size=(rows, -(-size // 4) * 4), dtype=np.uint8)
-    return padded[:, :size]
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"random_bit_rows needs a PCG64 generator, got {type(bitgen).__name__}")
+    words = rows * -(-size // 4)
+    if not words:
+        return np.zeros((rows, size), dtype=np.uint8)
+    state = bitgen.state
+    head = state["has_uint32"]
+    # packed[0]'s high nibble holds the buffered half's 4 bits (read only if
+    # head), each packed[1:] byte the 8 bits of one output
+    packed = np.empty((words - head + 1) // 2 + 1, dtype=np.uint8)
+    packed[0] = ((state["uinteger"] << 32) & _TOP_BITS) * _GATHER >> 56 & 0xFF
+    raw = bitgen.random_raw(len(packed) - 1)
+    if len(raw):
+        state = bitgen.state
+        state["uinteger"] = int(raw[-1]) >> 32
+    state["has_uint32"] = (words - head) % 2
+    bitgen.state = state
+    raw &= np.uint64(_TOP_BITS)
+    raw *= np.uint64(_GATHER)
+    np.right_shift(raw, np.uint64(56), out=packed[1:], casting="unsafe")
+    del raw  # 8 bytes an output, as many as its bits: never held beside them
+    start = 8 - 4 * head
+    bits = np.unpackbits(packed, bitorder="little")[start: start + 4 * words]
+    return bits.reshape(rows, -1)[:, :size]
 
 
 def _xor_stages(a: np.ndarray) -> np.ndarray:
@@ -356,6 +400,12 @@ class ChainCodec:
         decide.flags.writeable = False
         self._decide = decide
         self._schedules = {}
+        # session_u's source column of every position, from the rows
+        # [messages | fresh E, R | chain | 0]: F takes the zero column
+        order = np.concatenate([self._info0, self._e0, self._r0, self._b0])
+        columns = np.full(self.N, len(order))
+        columns[order] = np.arange(len(order))
+        self._columns = columns
 
     @property
     def message_size(self) -> int:
@@ -366,8 +416,9 @@ class ChainCodec:
         return len(self._b0)
 
     def preshared_state(self, rng: np.random.Generator) -> np.ndarray:
-        """The pre-shared uniform bits for block 1's chain sink B."""
-        return rng.integers(0, 2, size=self.chain_size, dtype=np.uint8)
+        """The pre-shared uniform bits for block 1's chain sink B: one
+        random_bit_rows row, as one rng.integers call of |B| bits draws."""
+        return random_bit_rows(rng, 1, self.chain_size)[0]
 
     # -- encoding --------------------------------------------------------
 
@@ -382,7 +433,9 @@ class ChainCodec:
         the i-th smallest B index).  E and R positions take fresh uniform
         bits (the bits of one |E|+|R|-bit draw per block, in block order, E
         filled first, both in ascending index order; random_bit_rows draws
-        all T at once); F is all-zero frozen.
+        all T at once); F is all-zero frozen.  u is one np.take of the rows
+        [messages | fresh E, R | chain | 0] through a column map made with
+        the codec.
         """
         messages = checked_bits(messages, "messages")
         if messages.ndim != 2 or messages.shape[1] != self.message_size:
@@ -391,14 +444,16 @@ class ChainCodec:
         preshared = checked_bits(preshared, name)
         if len(preshared) != self.chain_size:
             raise ValueError(f"B needs {self.chain_size} chain bits, got {len(preshared)}")
-        u = np.zeros((len(messages), self.N), dtype=np.uint8)
-        u[:, self._info0] = messages
-        fresh = random_bit_rows(rng, len(u), len(self._e0) + len(self._r0))
-        u[:, self._e0] = fresh[:, : len(self._e0)]
-        u[:, self._r0] = fresh[:, len(self._e0):]
-        u[:1, self._b0] = preshared
-        u[1:, self._b0] = u[:-1, self._e0]
-        return u
+        fresh = random_bit_rows(rng, len(messages), len(self._e0) + len(self._r0))
+        K, stop = self.message_size, self.message_size + fresh.shape[1]
+        source = np.empty((len(messages), stop + self.chain_size + 1), dtype=np.uint8)
+        source[:, :K] = messages
+        source[:, K:stop] = fresh
+        source[:1, stop:-1] = preshared
+        source[1:, stop:-1] = fresh[:-1, : len(self._e0)]
+        source[:, -1] = 0
+        del fresh  # copied: not held beside u
+        return np.take(source, self._columns, axis=1)
 
     def encode_block(self, msg, chain, rng: np.random.Generator):
         """Encode one message block; returns (codeword, chain bits for block t+1).

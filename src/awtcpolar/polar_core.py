@@ -70,12 +70,8 @@ def _next_level(log_eps: np.ndarray, log_1m: np.ndarray):
     return out_le, out_l1m
 
 
-def bec_profile_stages(rho: float, n: int):
-    """Yield the polarization profile after each stage q = 0..n.
-
-    Stage q is a PolarizationProfile of length 2^q; the last yield is the
-    full bec_profile(rho, n).
-    """
+def _stage_logs(rho: float, n: int):
+    """Yield (log_eps, log(1 - eps)) after each stage q = 0..n, unchecked."""
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
     if n < 0:
@@ -87,12 +83,21 @@ def bec_profile_stages(rho: float, n: int):
         seed = (0.0, NEG_INF)
     else:
         seed = (math.log(rho), math.log1p(-rho))
-    log_eps = np.array([seed[0]])
-    log_1m = np.array([seed[1]])
-    yield PolarizationProfile(0, rho, log_eps, log_1m)
-    for q in range(1, n + 1):
-        log_eps, log_1m = _next_level(log_eps, log_1m)
-        yield PolarizationProfile(q, rho, log_eps, log_1m)
+    logs = (np.array([seed[0]]), np.array([seed[1]]))
+    yield logs
+    for _ in range(n):
+        logs = _next_level(*logs)
+        yield logs
+
+
+def bec_profile_stages(rho: float, n: int):
+    """Yield the polarization profile after each stage q = 0..n.
+
+    Stage q is a PolarizationProfile of length 2^q, each one checked; the
+    last yield is the full bec_profile(rho, n).
+    """
+    for q, logs in enumerate(_stage_logs(rho, n)):
+        yield PolarizationProfile(q, rho, *logs)
 
 
 def bec_profile(rho: float, n: int) -> PolarizationProfile:
@@ -111,10 +116,9 @@ def bec_profile(rho: float, n: int) -> PolarizationProfile:
     PolarizationProfile
         Exact log-domain profile, index-aligned with the decoder schedule.
     """
-    profile = None
-    for profile in bec_profile_stages(rho, n):
+    for logs in _stage_logs(rho, n):
         pass
-    return profile
+    return PolarizationProfile(n, rho, *logs)  # the one mean check
 
 
 def checked_bits(a, name: str, top: int = 1) -> np.ndarray:

@@ -269,6 +269,59 @@ class TestSampling:
                 assert (rngs[t].source.bit_generator.state
                         == reference.source.bit_generator.state)
 
+    @pytest.mark.parametrize("rows_per_chunk", [None, 2])
+    @pytest.mark.parametrize("strategy", [Strategy.UNIFORM, Strategy.BERNOULLI])
+    def test_runs_of_one_generator_equal_block_draws(self, strategy, rows_per_chunk):
+        """On [g1] * 3 + [g2] * 2 + [g1], runs of rows that share a generator,
+        g1 coming back after g2, row t is a one-block call on the t-th entry
+        and both generators end where those calls leave them, with runs whole
+        in one chunk or cut by two-row chunks."""
+        N = 64
+        g1, g2 = np.random.default_rng(1), np.random.default_rng(2)
+        r1, r2 = np.random.default_rng(1), np.random.default_rng(2)
+        chunk = adversary._CHUNK_KEYS if rows_per_chunk is None else rows_per_chunk * 2 * N
+        with mock.patch.object(adversary, "_CHUNK_KEYS", chunk):
+            stacked = sample_action(N, 0.2, 0.4, strategy, [g1] * 3 + [g2] * 2 + [g1])
+        actions = [sample_action(N, 0.2, 0.4, strategy, r) for r in [r1] * 3 + [r2] * 2 + [r1]]
+        np.testing.assert_array_equal(stacked.write, [a.write for a in actions])
+        np.testing.assert_array_equal(stacked.read, [a.read for a in actions])
+        assert g1.bit_generator.state == r1.bit_generator.state
+        assert g2.bit_generator.state == r2.bit_generator.state
+
+    def test_session_spanning_chunks_equals_block_draws(self):
+        """An n = 12, T = 50 session, [rng] * 50, spans 25 chunks of two rows
+        at the real chunk size; row t is the t-th of 50 one-block calls and
+        the generator ends where they leave it."""
+        N, T = 4096, 50
+        assert -(-T // (adversary._CHUNK_KEYS // (2 * N))) == 25
+        rng, reference = np.random.default_rng(12), np.random.default_rng(12)
+        session = sample_action(N, 0.2, 0.4, Strategy.UNIFORM, [rng] * T)
+        actions = [sample_action(N, 0.2, 0.4, Strategy.UNIFORM, reference) for _ in range(T)]
+        np.testing.assert_array_equal(session.write, [a.write for a in actions])
+        np.testing.assert_array_equal(session.read, [a.read for a in actions])
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+    def test_run_in_a_chunk_is_one_fill(self):
+        """A session at N = 256 fills its keys with one rng.random(out=...)
+        call per chunk of 32 rows; a sequence of distinct generators with one
+        call per row."""
+        N, T = 256, 50
+        calls = []
+
+        class Counted:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def random(self, out):
+                calls.append(len(out))
+                return self.rng.random(out=out)
+
+        sample_action(N, 0.2, 0.4, Strategy.UNIFORM, [Counted(0)] * T)
+        assert calls == [32, 18]
+        calls.clear()
+        sample_action(N, 0.2, 0.4, Strategy.UNIFORM, [Counted(t) for t in range(3)])
+        assert calls == [1, 1, 1]
+
     def test_session_draw_holds_one_chunk_of_keys(self):
         """A uniform session draw at N = 4096, T = 50 holds its two (T, N)
         masks (0.4 MB) and at most 200 KiB of working memory at a time: one

@@ -1,7 +1,10 @@
 """CLI surface tests: files, exit codes, determinism and chart rendering."""
 
 import csv
+import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,7 @@ from awtcpolar.experiments import read_aggregates_csv
 from awtcpolar.svgplot import render_line_chart
 
 DATA = Path(__file__).parent / "data"
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run(*argv):
@@ -177,6 +181,36 @@ class TestGoldenManifest:
         assert run(*argv, "--out-dir", out) == 0
         manifest = (out / "manifest.json").read_text().replace(json.dumps(str(out)), '"OUT"')
         assert manifest == (DATA / f"manifest_{name}.json").read_text()
+
+
+def load_bench(monkeypatch):
+    """perfbench/run.py as a module, with the two benchmark modules it
+    imports; none is left in sys.modules or compiled into perfbench/."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    for name in ("yardstick", "layertrace", "run"):
+        spec = importlib.util.spec_from_file_location(name, BENCH / f"{name}.py")
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)  # dataclasses look it up
+        spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkOutputs:
+    """trials.csv of each benchmark workload's command line at --seed 1, the
+    exact sweeps a performance change is timed on, frozen."""
+
+    DIGESTS = {
+        "sim_uniform": "00a471e19af7dff62a52a5bccba4e34c1c2ead0253e2151e50d64b5c5d9beb8a",
+        "sim_prefix": "1efca532592641217bac86b90d1b8fad09beb160dec358e5f9f7ee14a1ae74f6",
+        "bounds_grid": "33287f2cfeb835bb39a1205f559e2afe347e3e58eadc62377bd1d4b2395c337d",
+    }
+
+    @pytest.mark.parametrize("workload", DIGESTS)
+    def test_trials_csv_frozen(self, tmp_path, monkeypatch, workload):
+        argv = load_bench(monkeypatch).WORKLOADS[workload].argv(1, tmp_path)
+        assert main(argv) == 0
+        digest = hashlib.sha256((tmp_path / "trials.csv").read_bytes()).hexdigest()
+        assert digest == self.DIGESTS[workload]
 
 
 class TestConfigFile:

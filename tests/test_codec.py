@@ -868,8 +868,8 @@ class TestCosetShift:
 
 class TestRandomBitRows:
     def test_padded_draw_equals_row_draws(self):
-        """One padded draw equals T per-row draws of K bits, and leaves the
-        generator where they leave it, for K = 0..9 and T = 1..5."""
+        """The one draw of T rows equals T per-row draws of K bits, and
+        leaves the generator where they leave it, for K = 0..9 and T = 1..5."""
         for K, T, seed in itertools.product(range(10), range(1, 6), range(3)):
             ours, rows = np.random.default_rng(seed), np.random.default_rng(seed)
             got = random_bit_rows(ours, T, K)
@@ -877,6 +877,81 @@ class TestRandomBitRows:
             assert got.shape == (T, K) and got.dtype == np.uint8
             np.testing.assert_array_equal(got, np.reshape(want, (T, K)))
             np.testing.assert_array_equal(ours.integers(0, 2**32, 4), rows.integers(0, 2**32, 4))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(K=st.integers(0, 70), T=st.integers(1, 6), buffered=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_property_raw_draw_equals_row_draws(self, K, T, buffered, seed):
+        """The raw-word draw equals T stacked rng.integers calls of K bits,
+        entering with or without a buffered half word, and leaves the same
+        generator state: the next 32-bit and 64-bit draws agree."""
+        ours, rows = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:  # one uint32 leaves the high half of its output buffered
+            for rng in (ours, rows):
+                rng.integers(0, 2**32, dtype=np.uint32)
+        assert ours.bit_generator.state["has_uint32"] == buffered
+        got = random_bit_rows(ours, T, K)
+        want = [rows.integers(0, 2, size=K, dtype=np.uint8) for _ in range(T)]
+        assert got.shape == (T, K) and got.dtype == np.uint8
+        np.testing.assert_array_equal(got, np.reshape(want, (T, K)))
+        assert ours.bit_generator.state == rows.bit_generator.state
+        assert ours.integers(0, 2**32, dtype=np.uint32) == rows.integers(0, 2**32, dtype=np.uint32)
+        assert ours.integers(0, 2**64, dtype=np.uint64) == rows.integers(0, 2**64, dtype=np.uint64)
+
+    @pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.Philox, np.random.SFC64,
+                                        np.random.PCG64DXSM])
+    def test_other_bit_generators_raise(self, bitgen):
+        with pytest.raises(TypeError, match="PCG64"):
+            random_bit_rows(np.random.Generator(bitgen(0)), 2, 5)
+
+
+def scatter_session_u(part, messages, preshared, rng):
+    """session_u built block by block with column scatters: block t's E and
+    R bits from one rng.integers draw, E first, B from the pre-shared bits
+    or block t-1's E, F zero."""
+    e0, r0, b0 = part.chain_source - 1, part.random - 1, part.chain_sink - 1
+    u = np.zeros((len(messages), part.N), dtype=np.uint8)
+    u[:, part.info - 1] = messages
+    for t in range(len(messages)):
+        fresh = rng.integers(0, 2, size=len(e0) + len(r0), dtype=np.uint8)
+        u[t, e0], u[t, r0] = fresh[: len(e0)], fresh[len(e0):]
+        u[t, b0] = preshared if t == 0 else u[t - 1, e0]
+    return u
+
+
+class TestSessionU:
+    @pytest.mark.parametrize("cfg,chain,info", [
+        (CodeConfig(n=8, beta=0.26, rho_w=0.2, rho_r=0.4), 0, 44),
+        (CodeConfig(n=9, beta=0.3, rho_w=0.3, rho_r=0.4), 4, 1),
+        (CodeConfig(n=8, beta=0.22, rho_w=0.3, rho_r=0.5), 1, 0),
+    ])
+    def test_take_equals_scatter_reference(self, cfg, chain, info):
+        """The one-take u equals the scatter-built reference, and leaves the
+        rng where it does, on a chain-free cell, the n = 9 live-chain cell
+        and a live-chain cell without information bits, at T = 0, 1, 2 and
+        7."""
+        part = build_partition(cfg)
+        codec = ChainCodec(part)
+        assert (codec.chain_size, codec.message_size) == (chain, info)
+        rng = np.random.default_rng(3)
+        for T in (0, 1, 2, 7):
+            preshared = codec.preshared_state(rng)
+            messages = rng.integers(0, 2, (T, info), dtype=np.uint8)
+            ours, reference = np.random.default_rng(T), np.random.default_rng(T)
+            u = codec.session_u(messages, preshared, ours)
+            assert u.shape == (T, part.N) and u.dtype == np.uint8
+            np.testing.assert_array_equal(
+                u, scatter_session_u(part, messages, preshared, reference))
+            assert ours.bit_generator.state == reference.bit_generator.state
+
+    def test_preshared_state_is_one_integers_call(self):
+        codec = ChainCodec(build_partition(CodeConfig(n=9, beta=0.3, rho_w=0.3, rho_r=0.4)))
+        ours, reference = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(3):
+            np.testing.assert_array_equal(
+                codec.preshared_state(ours),
+                reference.integers(0, 2, size=codec.chain_size, dtype=np.uint8))
+        assert ours.bit_generator.state == reference.bit_generator.state
 
 
 class TestExhaustive:
