@@ -5,7 +5,9 @@ adversary action and evaluates the T-block decoding-error and leakage bound
 values on that realization.  An "end_to_end" trial runs the full chained
 transmission with a fresh action per block, decodes Bob's and Eve's
 observations of the blocks their bound terms leave open, and counts message
-bit errors on each side.
+bit errors on each side.  Both kinds go in stacked passes, a bounds slice or
+an end-to-end decode group at a time, each drawing and counting all its
+blocks in one _draw_counts call.
 
 Per-trial seeds are derived from (base seed, cell parameters, trial index),
 so serial and parallel sweeps produce bit-identical results.  Trial seeds
@@ -230,23 +232,32 @@ def block_bound_counts(partition: IndexPartition, write, noise) -> np.ndarray:
     return hits
 
 
+def _draw_counts(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
+                 rngs) -> tuple:
+    """One stacked draw of len(rngs) blocks' actions, one sample_action call
+    (a generator listed for several rows gives them its successive blocks),
+    and their per-block bound terms, one block_bound_counts call on both
+    sides' equivalent-mask stacks.  Returns (action, counts)."""
+    action = sample_action(config.N, config.rho_w, config.rho_r, strategy, rngs)
+    return action, block_bound_counts(partition, write_equivalent_mask([action]),
+                                      read_equivalent_mask([action]))
+
+
 def _bounds_trials(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
                    trial_seeds) -> list:
     """Both T-block bound values of every (trial, seed): each trial draws one
     adversary action, in order, from default_rng(seed)'s stream, its PCG64
     seeded from the trial's row of _seed_states.  The trials go in slices of
-    at most _SLICE_BITS // N, each drawn as one stacked action (one
-    sample_action call, a generator per trial) and realized in one
-    block_bound_counts call, so only one slice's masks are held at a time."""
+    at most _SLICE_BITS // N, each one _draw_counts pass (a generator per
+    trial), so only one slice's masks are held at a time."""
     counts = np.empty((3, len(trial_seeds)), dtype=np.intp)
     states, preset = _seed_states([seed for _, seed in trial_seeds]), _preset_seed_type()
     step = max(1, _SLICE_BITS // config.N)
     for lo in range(0, len(trial_seeds), step):
-        action = sample_action(config.N, config.rho_w, config.rho_r, strategy,
-                               [np.random.Generator(np.random.PCG64(preset(words)))
-                                for words in states[lo: lo + step]])
-        counts[:, lo: lo + step] = block_bound_counts(
-            partition, write_equivalent_mask([action]), read_equivalent_mask([action]))
+        counts[:, lo: lo + step] = _draw_counts(
+            config, partition, strategy,
+            [np.random.Generator(np.random.PCG64(preset(words)))
+             for words in states[lo: lo + step]])[1]
     T = config.blocks
     cell = Cell.of("bounds", config, strategy)
     return [
@@ -267,11 +278,12 @@ def bounds_trial(
     return _bounds_trials(config, partition, strategy, [(trial, seed)])[0]
 
 
-# sessions x T x N bits stacked per decode_session call.  A group of an
-# end-to-end chunk's trials holds as many whole sessions as fit, and at least
-# one, so its stacked observations, guesses and decoder state (about 8 B per
-# bit) stay bounded however many trials a chunk has.  Two n=12, T=50
-# sessions (409,600 bits) still fit in one group.
+# sessions x T x N bits drawn, counted and observed per stacked pass.  A
+# group of an end-to-end chunk's trials holds as many whole sessions as fit,
+# and at least one, so its actions, observations, guesses and decoder state
+# (tracemalloc peaks of 5.6 B per bit under uniform actions, 10.1 with every
+# block decoded, at n=12, T=50) stay bounded however many trials a chunk has.
+# Two n=12, T=50 sessions (409,600 bits) still fit in one group.
 _GROUP_BITS = 1 << 19
 
 
@@ -281,17 +293,19 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
 
     Each trial draws from five streams spawned from its seed: its messages,
     the encoder's fresh bits, the pre-shared bits, its T adversary actions
-    (one sample_action call on the stream listed T times gives them as (T, N)
-    masks; they give the bound terms and both sides' observations) and Eve's
-    coin flips, one row of N per block.  Bob decodes with the
+    and Eve's coin flips, one row of N per block.  Bob decodes with the
     pre-shared bits; Eve decodes without them, her erased decisions resolving
-    to her coin flips.  The trials are decoded in groups of at most
-    _GROUP_BITS stacked bits (at least one session), at most one
-    decode_session call per side and group, so a trial's row does not
-    depend on its group.  Each trial's codewords and actions are dropped
-    once its observations are stacked, and Eve's coin flips are drawn after
-    Bob's decode, to keep the group's working set small.  The recorded bound
-    values are the per-realization sums over the actual per-block draws.
+    to her coin flips.  The trials go in groups of at most _GROUP_BITS
+    stacked bits (at least one whole session), each in one stacked pass, as
+    a bounds slice goes: one _draw_counts call on every trial's adversary
+    stream listed T times gives the group's actions and bound terms, one
+    polar_transform the codewords of the blocks either side decodes, one
+    apply_write and one apply_read call each side's observations of its
+    blocks, and at most one decode_session call per side decodes them.
+    Every stream is drawn in full and in order, so a trial's row does not
+    depend on its group.  Eve's coin flips are drawn after Bob's decode, to
+    keep the group's working set small.  The recorded bound values are the
+    per-realization sums over the actual per-block draws.
 
     Each side decodes only the blocks its bound terms leave open, or with a
     live chain only the sessions holding one; both skips are exact.  SC
@@ -306,8 +320,6 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
     realization leaves noisy, whatever the values she decodes, so a block
     whose leak term (noiseless positions over I union F, E included) is 0
     has every message decision erased: its estimate is its coin flips on I.
-    A block's codeword is transformed and observed only when a side decodes
-    it; every stream is still drawn in full and in order.
     """
     codec = ChainCodec(partition)
     T, N, K = config.blocks, config.N, codec.message_size
@@ -319,74 +331,46 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
     for lo in range(0, len(trial_seeds), group):
         batch = trial_seeds[lo: lo + group]
         units = len(batch) * T // unit
-        # each side's observations of the blocks it decodes, stacked in order
-        bob_obs = np.empty((len(batch) * T, N), dtype=np.int8)
-        eve_obs = np.empty_like(bob_obs)
-        filled = [0, 0]
-        preshared = np.empty((len(batch), codec.chain_size), dtype=np.uint8)
-        sent = np.empty((len(batch), T, K), dtype=np.uint8)
-        forced = np.empty((len(batch), T), dtype=np.intp)
+        msg_rngs, enc_rngs, pre_rngs, adv_rngs, eve_rngs = zip(*(
+            map(np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
+            for _, seed in batch))
+        preshared = np.array([codec.preshared_state(rng) for rng in pre_rngs])
+        sent = np.array([random_bit_rows(rng, T, K) for rng in msg_rngs])
+        action, counts = _draw_counts(config, partition, strategy,
+                                      [rng for rng in adv_rngs for _ in range(T)])
         # the units Bob decodes (a forced guess) and Eve decodes (a leak)
-        decoded = np.empty((2, len(batch), T // unit), dtype=bool)
-        bounds, eve_rngs = [], []
-        for s, (_, seed) in enumerate(batch):
-            msg_rng, enc_rng, pre_rng, adv_rng, eve_rng = map(
-                np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
-            eve_rngs.append(eve_rng)
-            preshared[s] = codec.preshared_state(pre_rng)
-            sent[s] = random_bit_rows(msg_rng, T, K)
-            u = codec.session_u(sent[s], preshared[s], enc_rng)
-            action = sample_action(N, config.rho_w, config.rho_r, strategy, [adv_rng] * T)
-            write, noise = write_equivalent_mask([action]), read_equivalent_mask([action])
-            counts = block_bound_counts(partition, write, noise)
-            ir, e, leak = counts
-            forced[s] = ir
-            bounds.append((float(ir.sum() + e[:-1].sum()), float(leak.sum())))
-            decoded[:, s] = counts[::2].reshape(2, -1, unit).any(axis=2)
-            keep = decoded[:, s].repeat(unit, axis=1)  # each side's blocks
-            need = keep[0] | keep[1]
-            codewords = polar_transform(u[need])
-            reads = [(codewords[rows[need]], mask[rows])
-                     for rows, mask in zip(keep, (write, action.read))]
-            for side, (obs, observe) in enumerate(((bob_obs, apply_write), (eve_obs, apply_read))):
-                start = filled[side]
-                filled[side] += len(reads[side][0])
-                obs[start: filled[side]] = observe(*reads[side])
-            # dropped before the next session is drawn, to keep the working set small
-            del u, codewords, reads, action, write, noise
+        dirty, live = counts[::2].reshape(2, units, unit).any(axis=2)
+        keep = np.repeat([dirty, live], unit, axis=1)  # each side's blocks
+        need = keep[0] | keep[1]
+        codewords = polar_transform(np.concatenate([
+            codec.session_u(msgs, pre, rng)[rows]
+            for msgs, pre, rng, rows in zip(sent, preshared, enc_rngs, need.reshape(-1, T))]))
+        bob_obs = apply_write(codewords[keep[0][need]], action.write[keep[0]])
+        eve_obs = apply_read(codewords[keep[1][need]], action.read[keep[1]])
+        del codewords, action  # observed: not held through the decodes
 
-        dirty, live = decoded.reshape(2, units)
         bob_msgs = sent.reshape(units, unit, K).copy()
         if dirty.any():
             chains = np.repeat(preshared, T // unit, axis=0)
-            bob_msgs[dirty] = codec.decode_session(
-                bob_obs[:filled[0]].reshape(-1, unit, N), chains[dirty])
+            bob_msgs[dirty] = codec.decode_session(bob_obs.reshape(-1, unit, N), chains[dirty])
         del bob_obs
-        guesses = np.empty((len(batch), T, N), dtype=np.uint8)
-        for s, eve_rng in enumerate(eve_rngs):
-            guesses[s] = random_bit_rows(eve_rng, T, N)
-        guesses = guesses.reshape(units, unit, N)
+        guesses = np.array([random_bit_rows(rng, T, N) for rng in eve_rngs]).reshape(
+            units, unit, N)
         eve_msgs = codec.extract_message(guesses)
         if live.any():
-            eve_msgs[live] = codec.decode_session(
-                eve_obs[:filled[1]].reshape(-1, unit, N), None, guess_bits=guesses[live])
-        bob_errors = np.count_nonzero(bob_msgs.reshape(sent.shape) != sent,
-                                      axis=(1, 2)).tolist()
-        erased = forced.sum(axis=1).tolist()
-        eve_errors = np.count_nonzero(eve_msgs.reshape(sent.shape) != sent,
-                                      axis=(1, 2)).tolist()
-        for s, (trial, seed) in enumerate(batch):
-            results.append(TrialResult(
-                cell=cell,
-                trial=trial,
-                seed=seed,
-                ber_bound=bounds[s][0],
-                leak_bound=bounds[s][1],
-                bob_bit_errors=bob_errors[s],
-                eve_bit_errors=eve_errors[s],
-                message_bits=T * K,
-                erased_decisions=erased[s],
-            ))
+            eve_msgs[live] = codec.decode_session(eve_obs.reshape(-1, unit, N), None,
+                                                  guess_bits=guesses[live])
+        ir, e, leak = counts.reshape(3, len(batch), T)
+        errors = [np.count_nonzero(msgs.reshape(sent.shape) != sent, axis=(1, 2)).tolist()
+                  for msgs in (bob_msgs, eve_msgs)]
+        results += [
+            TrialResult(cell=cell, trial=trial, seed=seed, ber_bound=float(w + c),
+                        leak_bound=float(r), bob_bit_errors=bob, eve_bit_errors=eve,
+                        message_bits=T * K, erased_decisions=w)
+            for (trial, seed), w, c, r, bob, eve in zip(
+                batch, ir.sum(axis=1).tolist(), e[:, :-1].sum(axis=1).tolist(),
+                leak.sum(axis=1).tolist(), *errors)
+        ]
     return results
 
 
@@ -403,11 +387,11 @@ def end_to_end_trial(
 
 
 # Largest end-to-end session, T x N bits, a sweep accepts.  A decode group
-# holds at least one whole session, at about 12 B of peak memory per bit
-# (n=16, T=128 sessions, every block decoded), so this cap keeps one session
-# near 200 MB; an unchecked one (say n=16, T=10^7) fails to allocate, or
-# takes the memory and exhausts it.  Bounds trials hold one action each and
-# are not capped.
+# holds at least one whole session, at about 11 B of peak memory per bit
+# (tracemalloc peak of an n=16, T=128 prefix session, every block decoded:
+# 89.5 MB), so this cap keeps one session near 180 MB; an unchecked one (say
+# n=16, T=10^7) fails to allocate, or takes the memory and exhausts it.
+# Bounds trials hold one action each and are not capped.
 MAX_SESSION_BITS = 1 << 24
 # Most trials, over every cell, a sweep accepts.  Every trial's seed and
 # result are held at once, about 450 B each (2^20 bounds trials at n=4 peak

@@ -70,36 +70,6 @@ def _next_level(log_eps: np.ndarray, log_1m: np.ndarray):
     return out_le, out_l1m
 
 
-def _stage_logs(rho: float, n: int):
-    """Yield (log_eps, log(1 - eps)) after each stage q = 0..n, unchecked."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError(f"rho must be in [0, 1], got {rho}")
-    if n < 0:
-        raise ValueError(f"stage count must be >= 0, got {n}")
-    # the extremes are exact, and log(1 - 0) is +0.0 where log1p(-0.0) is -0.0
-    if rho == 0.0:
-        seed = (NEG_INF, 0.0)
-    elif rho == 1.0:
-        seed = (0.0, NEG_INF)
-    else:
-        seed = (math.log(rho), math.log1p(-rho))
-    logs = (np.array([seed[0]]), np.array([seed[1]]))
-    yield logs
-    for _ in range(n):
-        logs = _next_level(*logs)
-        yield logs
-
-
-def bec_profile_stages(rho: float, n: int):
-    """Yield the polarization profile after each stage q = 0..n.
-
-    Stage q is a PolarizationProfile of length 2^q, each one checked; the
-    last yield is the full bec_profile(rho, n).
-    """
-    for q, logs in enumerate(_stage_logs(rho, n)):
-        yield PolarizationProfile(q, rho, *logs)
-
-
 def bec_profile(rho: float, n: int) -> PolarizationProfile:
     """Polarize a stationary erasure block of parameter rho through n stages.
 
@@ -116,8 +86,20 @@ def bec_profile(rho: float, n: int) -> PolarizationProfile:
     PolarizationProfile
         Exact log-domain profile, index-aligned with the decoder schedule.
     """
-    for logs in _stage_logs(rho, n):
-        pass
+    if not 0.0 <= rho <= 1.0:
+        raise ValueError(f"rho must be in [0, 1], got {rho}")
+    if n < 0:
+        raise ValueError(f"stage count must be >= 0, got {n}")
+    # the extremes are exact, and log(1 - 0) is +0.0 where log1p(-0.0) is -0.0
+    if rho == 0.0:
+        seed = (NEG_INF, 0.0)
+    elif rho == 1.0:
+        seed = (0.0, NEG_INF)
+    else:
+        seed = (math.log(rho), math.log1p(-rho))
+    logs = (np.array([seed[0]]), np.array([seed[1]]))
+    for _ in range(n):
+        logs = _next_level(*logs)
     return PolarizationProfile(n, rho, *logs)  # the one mean check
 
 

@@ -359,40 +359,49 @@ LIVE_CHAIN_CELLS = (
 @st.composite
 def end_to_end_chunks(draw):
     """A cell with or without a live chain, a strategy, 1..5 (trial, seed)
-    pairs and the cut points of a split of them."""
-    cfg = draw(st.sampled_from(CHUNK_CELLS))
+    pairs, the cut points of a split of them and a decode group cap: the
+    default, or two sessions, so that a chunk spans several groups and may
+    end in a partial one."""
+    cfg = draw(st.sampled_from(CHUNK_CELLS + LIVE_CHAIN_CELLS))
     strategy = draw(st.sampled_from(list(Strategy)))
     size = draw(st.integers(1, 5))
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
     trials = draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size))
     cuts = sorted(draw(st.sets(st.integers(1, size), max_size=size)) | {0, size})
-    return cfg, strategy, list(zip(trials, seeds)), cuts
+    group_bits = draw(st.sampled_from([experiments._GROUP_BITS, 2 * cfg.blocks * cfg.N]))
+    return cfg, strategy, list(zip(trials, seeds)), cuts, group_bits
 
 
 class TestEndToEndChunks:
-    PARTITIONS = {cfg: build_partition(cfg) for cfg in CHUNK_CELLS}
+    PARTITIONS = {cfg: build_partition(cfg) for cfg in CHUNK_CELLS + LIVE_CHAIN_CELLS}
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=30)
     @given(end_to_end_chunks())
+    @example((LIVE_CHAIN_CELLS[1], Strategy.UNIFORM, [(t, 40 + t) for t in range(5)],
+              [0, 1, 5], 2 * LIVE_CHAIN_CELLS[1].blocks * LIVE_CHAIN_CELLS[1].N))
     def test_property_chunk_equals_splits_and_one_seed_trials(self, case):
-        """A chunk's rows do not depend on which trials share it: any split
-        of the chunk, and each trial on its own, give the same rows."""
-        cfg, strategy, trial_seeds, cuts = case
+        """A chunk's rows do not depend on which trials share it or its decode
+        groups: any split of the chunk, and each trial on its own, give the
+        same rows, at the default group cap and at two sessions a group."""
+        cfg, strategy, trial_seeds, cuts, group_bits = case
         part = self.PARTITIONS[cfg]
-        chunk = experiments._run_chunk(("end_to_end", cfg, part, strategy, trial_seeds))
-        split = [row for lo, hi in zip(cuts, cuts[1:]) for row in experiments._run_chunk(
-            ("end_to_end", cfg, part, strategy, trial_seeds[lo:hi]))]
-        assert chunk == split == [end_to_end_trial(cfg, part, strategy, seed, trial)
-                                  for trial, seed in trial_seeds]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(experiments, "_GROUP_BITS", group_bits)
+            chunk = experiments._run_chunk(("end_to_end", cfg, part, strategy, trial_seeds))
+            split = [row for lo, hi in zip(cuts, cuts[1:]) for row in experiments._run_chunk(
+                ("end_to_end", cfg, part, strategy, trial_seeds[lo:hi]))]
+            singles = [end_to_end_trial(cfg, part, strategy, seed, trial)
+                       for trial, seed in trial_seeds]
+        assert chunk == split == singles
 
     def test_chunk_decodes_in_capped_groups(self, monkeypatch):
         """A 40-trial n=10, T=50 chunk is decoded in groups of whole sessions,
         each no taller than experiments._GROUP_BITS stacked bits: 10 sessions,
-        one call per side and group.  Bob's calls hold exactly the group's
-        damaged blocks, those whose bound term ir counts a forced guess;
-        Eve's hold exactly its leaking blocks, those whose leak term counts a
-        noiseless position.  The rows around a group boundary equal the
-        one-seed trials."""
+        one bound count and one decode call per side and group.  Bob's calls
+        hold exactly the group's damaged blocks, those whose bound term ir
+        counts a forced guess; Eve's hold exactly its leaking blocks, those
+        whose leak term counts a noiseless position.  The rows around a group
+        boundary equal the one-seed trials."""
         cfg = CodeConfig(n=10, beta=0.26, rho_w=0.2, rho_r=0.4, blocks=50)
         part = build_partition(cfg)
         assert ChainCodec(part).chain_size == 0  # each side's unit is a block
@@ -408,7 +417,7 @@ class TestEndToEndChunks:
 
         def recording_counts(partition, write, noise):
             counts = bound_counts(partition, write, noise)
-            irs.append(counts[0])  # one call per trial, its T blocks' terms
+            irs.append(counts[0])  # one call per group, its sessions' blocks' terms
             leaks.append(counts[2])
             return counts
 
@@ -417,10 +426,11 @@ class TestEndToEndChunks:
         trial_seeds = [(t, 500 + t) for t in range(40)]
         chunk = experiments._run_chunk(("end_to_end", cfg, part, Strategy.UNIFORM, trial_seeds))
         sessions = experiments._GROUP_BITS // (cfg.blocks * cfg.N)
-        assert sessions == 10 and len(irs) == 40
-        damaged, leaking = ([sum(np.count_nonzero(terms) for terms in per_trial[lo: lo + sessions])
-                             for lo in range(0, 40, sessions)] for per_trial in (irs, leaks))
-        assert [side for side, _, _ in calls] == ["bob", "eve"] * 4  # 4 groups
+        assert sessions == 10
+        assert [len(terms) for terms in irs] == [sessions * cfg.blocks] * 4  # 4 groups
+        damaged, leaking = ([np.count_nonzero(terms) for terms in per_group]
+                            for per_group in (irs, leaks))
+        assert [side for side, _, _ in calls] == ["bob", "eve"] * 4
         assert [rows for side, rows, _ in calls if side == "bob"] == damaged
         assert all(forced.all() for side, _, forced in calls if side == "bob")
         assert [rows for side, rows, _ in calls if side == "eve"] == leaking
@@ -431,20 +441,28 @@ class TestEndToEndChunks:
             assert chunk[trial] == end_to_end_trial(cfg, part, Strategy.UNIFORM,
                                                     500 + trial, trial)
 
-    def test_masks_stacked_once_per_trial(self, monkeypatch):
-        """Each trial stacks its T actions' write and read masks once; the
-        same two stacks give its bound terms and both sides' observations."""
+    def test_masks_stacked_once_per_group(self, monkeypatch):
+        """Each decode group stacks its sessions' T actions' write and read
+        masks once, S·T rows each, for the bound terms of all its blocks: a
+        4-trial chunk in one group, and the same chunk capped at 3 sessions a
+        group, so that it spans a full group and a partial one."""
         cfg = CHUNK_CELLS[1]
-        stacked = dict.fromkeys(("write_equivalent_mask", "read_equivalent_mask"), 0)
+        stacked = {"write_equivalent_mask": [], "read_equivalent_mask": []}
         for name in stacked:
             def counting(actions, name=name, stack=getattr(experiments, name)):
-                stacked[name] += 1
-                return stack(actions)
+                rows = stack(actions)
+                stacked[name].append(len(rows))
+                return rows
             monkeypatch.setattr(experiments, name, counting)
         trial_seeds = [(t, 70 + t) for t in range(4)]
-        experiments._run_chunk(("end_to_end", cfg, self.PARTITIONS[cfg], Strategy.UNIFORM,
-                                trial_seeds))
-        assert stacked == {"write_equivalent_mask": 4, "read_equivalent_mask": 4}
+        task = ("end_to_end", cfg, self.PARTITIONS[cfg], Strategy.UNIFORM, trial_seeds)
+        experiments._run_chunk(task)
+        assert stacked == {name: [4 * cfg.blocks] for name in stacked}
+        for rows in stacked.values():
+            rows.clear()
+        monkeypatch.setattr(experiments, "_GROUP_BITS", 3 * cfg.blocks * cfg.N)
+        experiments._run_chunk(task)
+        assert stacked == {name: [3 * cfg.blocks, cfg.blocks] for name in stacked}
 
     def test_skipped_blocks_change_no_row(self, monkeypatch):
         """Every trial's erased_decisions is the sum over its blocks of the
@@ -454,9 +472,10 @@ class TestEndToEndChunks:
         session.  Bob's decode of the blocks (with a live chain, the
         sessions) without a forced guess is skipped, so a wrong count, a lost
         error or a wrong chain bit would show here.  The full observation is
-        rebuilt from each session's input rows u and write masks, since the
-        harness transforms and observes only the blocks a side decodes.
-        Cells with |B| = 0, 3, 2 and 4 under every strategy."""
+        rebuilt from each session's input rows u and its T rows of the
+        group's write masks, since the harness transforms and observes only
+        the blocks a side decodes.  Cells with |B| = 0, 3, 2 and 4 under
+        every strategy."""
         drawn, sessions = [], []
         sample, session_u = experiments.sample_action, ChainCodec.session_u
 
@@ -485,9 +504,9 @@ class TestEndToEndChunks:
                 forced = np.count_nonzero(realize_profile(writes) & decide, axis=1)
                 forced = forced.reshape(len(rows), cfg.blocks).sum(axis=1)
                 assert [row.erased_decisions for row in rows] == forced.tolist()
-                for row, (codec, msgs, preshared, u), action in zip(rows, sessions, drawn,
-                                                                   strict=True):
-                    obs = apply_write(polar_transform(u), action.write)
+                for row, (codec, msgs, preshared, u), write in zip(
+                        rows, sessions, writes.reshape(-1, cfg.blocks, cfg.N), strict=True):
+                    obs = apply_write(polar_transform(u), write)
                     decoded = codec.decode_session(obs, preshared)
                     assert row.bob_bit_errors == np.count_nonzero(decoded != msgs)
                     if row.erased_decisions == 0:

@@ -15,7 +15,6 @@ from awtcpolar.polar_core import (
     _log1m_from_log_arr,
     _next_level,
     bec_profile,
-    bec_profile_stages,
     bit_reversal_permutation,
     count_bits,
     delta_threshold,
@@ -146,7 +145,7 @@ class TestBecProfile:
 
     def test_stage_mean_conservation(self):
         for rho in (0.2, 0.5, 0.8):
-            for stage in bec_profile_stages(rho, 8):
+            for stage in (bec_profile(rho, q) for q in range(9)):
                 assert np.exp(stage.log_eps).mean() == pytest.approx(rho, abs=1e-9)
 
     def test_rejects_bad_inputs(self):
