@@ -2,13 +2,14 @@
 
 Subcommands: construct, bounds, simulate, plot.  Flags override an optional
 JSON config file; every run writes a manifest echoing the resolved
-parameters.  Exit codes: 0 success, 1 validation error, 2 infeasible
-construction.
+parameters.  Exit codes: 0 success, 1 validation or output error, 2
+infeasible construction.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import json
 import sys
@@ -167,6 +168,16 @@ def _write_manifest(out: Path, command: str, resolved: dict, extra: dict | None 
     (out / "manifest.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _out_dir(resolved: dict) -> Path:
+    """The output directory, refused while an existing part of its path is
+    no directory, so that nothing is built for outputs that cannot land."""
+    out = Path(resolved["out_dir"])
+    blocker = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if blocker is not None:
+        raise ValidationError(f"cannot make output directory {out}: {blocker} is not a directory")
+    return out
+
+
 def cmd_construct(args) -> int:
     resolved = _resolve(args)
     if resolved["n"] is None:
@@ -179,7 +190,7 @@ def cmd_construct(args) -> int:
         )
     except ValueError as exc:
         raise ValidationError(str(exc))
-    out = Path(resolved["out_dir"])
+    out = _out_dir(resolved)
 
     partition = build_partition(config)  # InfeasibleConstruction propagates to main
     report = rate_report(partition, config)
@@ -187,17 +198,15 @@ def cmd_construct(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "partition.csv", "w", newline="") as fh:
         partition_to_csv(partition, fh)
-    rep = report.as_dict()
     with open(out / "rate_report.csv", "w", newline="") as fh:
-        fh.write(",".join(rep.keys()) + "\n")
-        fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in rep.values()) + "\n")
+        csv.writer(fh, lineterminator="\n").writerows([report, report.values()])
     _write_manifest(out, "construct", resolved)
 
     print(f"N = {partition.N} (n = {config.n}), beta = {config.beta}")
     print(f"set sizes: {partition.sizes}")
-    print(f"secrecy rate R_s   = {report.secrecy_rate:.6f}")
-    print(f"secrecy capacity   = {report.secrecy_capacity:.6f}")
-    print(f"gap to capacity    = {report.gap:.6f}")
+    print(f"secrecy rate R_s   = {report['secrecy_rate']:.6f}")
+    print(f"secrecy capacity   = {report['secrecy_capacity']:.6f}")
+    print(f"gap to capacity    = {report['gap']:.6f}")
     print(f"wrote {out / 'partition.csv'} and {out / 'rate_report.csv'}")
     return EXIT_OK
 
@@ -223,10 +232,9 @@ def _sweep_spec(args, kind: str):
     except ValueError as exc:
         raise ValidationError(str(exc))
     parallelism = resolved["parallelism"]
-    out = Path(resolved["out_dir"])
     if parallelism < 1:
         raise ValidationError(f"parallelism must be >= 1, got {parallelism}")
-    return spec, parallelism, out, resolved
+    return spec, parallelism, _out_dir(resolved), resolved
 
 
 def _chart_series(aggregates, metric: str):
@@ -297,7 +305,7 @@ def cmd_plot(args) -> int:
             aggregates = read_aggregates_csv(fh)
     except (OSError, ValueError) as exc:
         raise ValidationError(f"cannot read aggregates: {exc}")
-    out = Path(resolved["out_dir"])
+    out = _out_dir(resolved)
     try:
         charts = write_charts(aggregates, out)
     except ValueError as exc:
@@ -319,7 +327,7 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return _run_sweep_cmd(args, "end_to_end")
         return cmd_plot(args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:  # OSError: an output could not be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except InfeasibleConstruction as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ class InfeasibleConstruction(Exception):
     def __init__(self, i_size: int, b_size: int, config: "CodeConfig"):
         self.i_size = i_size
         self.b_size = b_size
-        self.config = config
         super().__init__(
             f"cannot pair chain bits: |I|={i_size} < |B|={b_size} at "
             f"n={config.n}, beta={config.beta}, rho_w={config.rho_w}, rho_r={config.rho_r}"
@@ -130,14 +129,6 @@ class IndexPartition:
         words.flags.writeable = False
         return words
 
-    def classes(self) -> np.ndarray:
-        """Class label of every index, position i-1 holding index i's label."""
-        out = np.empty(self.N, dtype=object)
-        sets = (self.info, self.chain_source, self.random, self.frozen, self.chain_sink)
-        for label, idx in zip(CLASS_LABELS, sets):
-            out[idx - 1] = label
-        return out
-
 
 def polarized_sets(profile: PolarizationProfile, log_delta: float):
     """Split indices into (H, L): near-full-noise and near-noiseless channels.
@@ -191,42 +182,23 @@ def build_partition(config: CodeConfig) -> IndexPartition:
     )
 
 
-@dataclass(frozen=True)
-class RateReport:
-    """Achieved secrecy rate against the model's secrecy capacity."""
-
-    secrecy_rate: float
-    secrecy_capacity: float
-    gap: float
-    sizes: dict = field(compare=False)
-    N: int = 0
-
-    def as_dict(self) -> dict:
-        out = {
-            "secrecy_rate": self.secrecy_rate,
-            "secrecy_capacity": self.secrecy_capacity,
-            "gap": self.gap,
-            "N": self.N,
-        }
-        out.update(self.sizes)
-        return out
-
-
-def rate_report(partition: IndexPartition, config: CodeConfig) -> RateReport:
+def rate_report(partition: IndexPartition, config: CodeConfig) -> dict:
+    """rate_report.csv's one row, keyed by column in column order: the
+    achieved secrecy rate |I|/N, the secrecy capacity 1 - rho_w - rho_r, their
+    gap, N and the five set sizes."""
     r_s = len(partition.info) / partition.N
     c_s = 1.0 - config.rho_w - config.rho_r
-    return RateReport(
-        secrecy_rate=r_s,
-        secrecy_capacity=c_s,
-        gap=c_s - r_s,
-        sizes=partition.sizes,
-        N=partition.N,
-    )
+    return {"secrecy_rate": r_s, "secrecy_capacity": c_s, "gap": c_s - r_s,
+            "N": partition.N, **partition.sizes}
 
 
 def partition_to_csv(partition: IndexPartition, file) -> None:
     """Write `index,class` rows with class in CLASS_LABELS, one per index."""
+    labels = np.empty(partition.N, dtype=object)
+    sets = (partition.info, partition.chain_source, partition.random, partition.frozen,
+            partition.chain_sink)
+    for label, idx in zip(CLASS_LABELS, sets):
+        labels[idx - 1] = label
     writer = csv.writer(file)
     writer.writerow(["index", "class"])
-    for i, label in enumerate(partition.classes(), start=1):
-        writer.writerow([i, label])
+    writer.writerows(enumerate(labels, start=1))

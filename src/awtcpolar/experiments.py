@@ -463,7 +463,6 @@ class AggregateRow:
 
 @dataclass(frozen=True)
 class SweepResult:
-    spec: SweepSpec
     results: tuple
     aggregates: tuple
     infeasible: tuple = field(default=())
@@ -554,7 +553,6 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> SweepResult:
         key=lambda r: (r.cell.n, r.cell.beta, r.trial),
     )
     return SweepResult(
-        spec=spec,
         results=tuple(results),
         aggregates=aggregate(results),
         infeasible=tuple(infeasible),

@@ -175,7 +175,7 @@ def test_criterion_06_secrecy_rate_trend():
     rates = {}
     for n in (10, 12, 14, 16):
         cfg = CodeConfig(n=n, beta=0.2, rho_w=0.2, rho_r=0.4)
-        rates[n] = rate_report(build_partition(cfg), cfg).secrecy_rate
+        rates[n] = rate_report(build_partition(cfg), cfg)["secrecy_rate"]
     elapsed = time.perf_counter() - t0
     increasing = all(rates[b] > rates[a] for a, b in [(10, 12), (12, 14), (14, 16)])
     below_cap = all(r < 0.4 for r in rates.values())

@@ -8,11 +8,15 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from _serial_pool import SerialPool
 from awtcpolar import cli, experiments
+from awtcpolar.adversary import Strategy
 from awtcpolar.cli import main
-from awtcpolar.construction import MAX_N
-from awtcpolar.experiments import read_aggregates_csv
+from awtcpolar.construction import MAX_N, build_partition
+from awtcpolar.experiments import MAX_SESSION_BITS, MAX_TRIALS, read_aggregates_csv
 from awtcpolar.svgplot import render_line_chart
 
 DATA = Path(__file__).parent / "data"
@@ -65,6 +69,30 @@ class TestConstruct:
                        "--rho-r", 0.4, "--out-dir", out) == 0
         for name in ("partition.csv", "rate_report.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    RATE_HEADER = "secrecy_rate,secrecy_capacity,gap,N,info,chain_e,random,frozen,chain_b\n"
+
+    @pytest.mark.parametrize("cell,partition_sha256,rate_row", [
+        ((10, 0.25, 0.2, 0.4),
+         "94d62eb8034df026bab3ccb18197b8dbc4d08e15240661fc1e329c37e11e5949",
+         "0.19921875,0.4,0.20078125000000002,1024,204,0,523,297,0"),
+        # the capacity's repr carries float rounding: 1 - 0.1 - 0.3
+        ((7, 0.3, 0.1, 0.3),
+         "17ebda4e6ae5e388ccdd9c1ec260fddf0fffe977786d6ddd9e120037ae39a8ca",
+         "0.3671875,0.6000000000000001,0.2328125000000001,128,47,0,57,24,0"),
+        # a live chain, |E| = |B| = 4
+        ((9, 0.3, 0.3, 0.4),
+         "addb95dd71d19b5d23a15b6eeed373c53fb8181caea03dfb44f34c65cb8e5f83",
+         "0.001953125,0.29999999999999993,0.29804687499999993,512,1,4,279,224,4"),
+    ])
+    def test_output_bytes_frozen(self, tmp_path, cell, partition_sha256, rate_row):
+        n, beta, rho_w, rho_r = cell
+        assert run("construct", "--n", n, "--beta", beta, "--rho-w", rho_w,
+                   "--rho-r", rho_r, "--out-dir", tmp_path) == 0
+        digest = hashlib.sha256((tmp_path / "partition.csv").read_bytes()).hexdigest()
+        assert digest == partition_sha256
+        assert (tmp_path / "rate_report.csv").read_bytes() == \
+            (self.RATE_HEADER + rate_row + "\n").encode()
 
     def test_validation_error_exits_one(self, tmp_path, capsys):
         code = run("construct", "--n", 8, "--rho-w", 0.6, "--rho-r", 0.5,
@@ -161,6 +189,156 @@ def test_nan_fraction_exits_one(tmp_path, capsys, command, param):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and param in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["construct", "bounds", "simulate", "plot"])
+@pytest.mark.parametrize("under", [False, True])
+def test_out_dir_through_a_file_exits_one_before_building(tmp_path, monkeypatch, capsys,
+                                                          command, under):
+    """An --out-dir that is an existing file, or a path under one, cannot be
+    made: exit 1 with an error before any partition is built, and the file
+    is left as it was."""
+    def refuse(config):
+        raise AssertionError(f"built a partition at n={config.n}")
+
+    agg = tmp_path / "agg.csv"
+    agg.write_text("kind,N,n,beta,rho_w,rho_r,T,strategy,metric,mean,stderr,trials\n"
+                   "bounds,32,5,0.3,0.2,0.4,1,uniform,ber_bound,0.5,0.0,2\n")
+    monkeypatch.setattr(cli, "build_partition", refuse)
+    monkeypatch.setattr(experiments, "build_partition", refuse)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep")
+    args = {"construct": ["--n", 4], "bounds": ["--n", 4, "--trials", 1],
+            "simulate": ["--n", 4, "--trials", 1], "plot": ["--aggregates", agg]}[command]
+    assert run(command, *args, "--out-dir", blocker / "sub" if under else blocker) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker) in err
+    assert blocker.read_text() == "keep"
+
+
+def test_unwritable_output_exits_one(tmp_path, capsys):
+    """An OSError while writing outputs, here a directory where rate_report.csv
+    goes, is an error: exit 1, no traceback."""
+    (tmp_path / "rate_report.csv").mkdir()
+    assert run("construct", "--n", 4, "--out-dir", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "rate_report.csv" in err
+
+
+NAN, INF = float("nan"), float("inf")
+
+# Per parameter: its small valid values, its boundary values (0, -1, 2^63,
+# NaN, +-inf, an empty or repeated grid, a value past its cap; some of them
+# valid) and a value of the wrong JSON type, whose flag text its flag cannot
+# parse either (but out_dir's, which any text is).
+FUZZ_VALUES = {
+    "n": (st.integers(0, 6), [0, -1, 2**63, MAX_N + 1], "six"),
+    "beta": (st.sampled_from([0.2, 0.25, 0.3, 0.4, 0.45]), [0, -1, 0.5, NAN, INF, -INF], "x"),
+    "rho_w": (st.sampled_from([0.0, 0.1, 0.2, 0.3]), [0, -1, 1, NAN, INF, -INF], "x"),
+    "rho_r": (st.sampled_from([0.0, 0.2, 0.4, 0.5]), [0, -1, 1, NAN, INF, -INF], "x"),
+    "blocks": (st.integers(1, 4), [0, -1, 2**63, MAX_SESSION_BITS + 1], 2.0),
+    "out_dir": (st.sampled_from(["run", "a/b"]), ["", "blocker", "blocker/sub"], 5),
+    "n_list": (st.lists(st.integers(0, 6), min_size=1, max_size=3, unique=True),
+               [[], [5, 5], [-1], [MAX_N + 1], [2**63]], ["five"]),
+    "beta_list": (st.lists(st.sampled_from([0.2, 0.3, 0.4]), min_size=1, max_size=2,
+                           unique=True),
+                  [[], [0.3, 0.3], [0.3, 0.3000000001], [NAN], [INF]], ["x"]),
+    "trials": (st.integers(1, 3), [0, -1, 2**63, MAX_TRIALS + 1], 2.0),
+    "seed": (st.integers(0, 2**32), [0, -1, 2**63], "four"),
+    "strategy": (st.sampled_from([s.value for s in Strategy]), ["Prefix"], 5),
+    "plot": (st.booleans(), [], "no"),
+    "parallelism": (st.integers(1, 3), [0, -1, 2**63], 1.5),
+}
+
+
+def flag_text(value) -> str:
+    if isinstance(value, list):
+        return ",".join(map(flag_text, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def flag_arg(key: str, value) -> str:
+    flag = "--" + key.replace("_", "-")
+    if value is True or value is False:
+        return flag if value else "--no-" + flag[2:]
+    return f"{flag}={flag_text(value)}"
+
+
+def parsed_flag(key: str, value):
+    """What the flag given flag_arg(key, value) resolves to; None for a text
+    it cannot parse, which exits 1 before anything runs."""
+    kind = cli._PARAMS[key][0]
+    if kind is bool or isinstance(kind, tuple):
+        return value if kind is bool else flag_text(value)
+    try:
+        return kind(flag_text(value))
+    except ValueError:
+        return None
+
+
+LAUNCH_DIR = Path.cwd()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzz_parameters(tmp_path, monkeypatch, capsys, data):
+    """construct, bounds and simulate over draws from the parameter table:
+    each parameter omitted, valid, at a boundary or of the wrong JSON type,
+    given as a flag, a config key or both (up to two keys invalid at once).
+    Every run exits 0, 1 or 2 without a traceback, an exit 1 says why, an
+    exit 0's manifest holds the flag > config > default merge, and no
+    oversized cell is built nor anything written outside the run's
+    directory."""
+    command = data.draw(st.sampled_from(["construct", "bounds", "simulate"]))
+    params = cli._CODE_PARAMS if command == "construct" else cli._PARAMS
+    bad = data.draw(st.sets(st.sampled_from(sorted(params)), max_size=2))
+    flags, config = {}, {}
+    for key in params:
+        valid, boundary, wrong = FUZZ_VALUES[key]
+        values = st.sampled_from([*boundary, wrong]) if key in bad else valid
+        where = data.draw(st.sampled_from(["omit", "flag", "config", "both"]))
+        if where in ("flag", "both"):
+            flags[key] = data.draw(values)
+        if where in ("config", "both"):
+            config[key] = data.draw(values)
+    merged = {key: parsed_flag(key, flags[key]) if key in flags
+              else config.get(key, params[key][1]) for key in params}
+
+    trials = merged.get("trials", 1)  # a draw, at most 3, or the default, 20
+
+    def small_cells_only(cfg):
+        assert cfg.n <= 6 and trials <= 20 and (command != "simulate" or cfg.blocks <= 4), \
+            f"built a partition at {cfg} for {trials} trials"
+        return build_partition(cfg)
+
+    monkeypatch.setattr(cli, "build_partition", small_cells_only)
+    monkeypatch.setattr(experiments, "build_partition", small_cells_only)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    work = tmp_path / str(len(list(tmp_path.iterdir())))
+    work.mkdir()
+    monkeypatch.chdir(work)
+    (work / "blocker").write_text("keep")
+    launch_entries = sorted(LAUNCH_DIR.iterdir())
+    argv = [command, *(flag_arg(key, value) for key, value in flags.items())]
+    if config:
+        (work / "cfg.json").write_text(json.dumps(config))
+        argv += ["--config", "cfg.json"]
+
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 1:
+        assert "error:" in err or "usage:" in err
+    if code == 0:  # compared as JSON text: a NaN equals itself there, and 0 is no 0.0
+        manifest = json.loads((Path(merged["out_dir"]) / "manifest.json").read_text())
+        assert json.dumps(manifest["parameters"], sort_keys=True) == \
+            json.dumps(merged, sort_keys=True)
+    assert (work / "blocker").read_text() == "keep"
+    assert sorted(tmp_path.iterdir()) == sorted(tmp_path / str(i) for i in
+                                                range(len(list(tmp_path.iterdir()))))
+    assert sorted(LAUNCH_DIR.iterdir()) == launch_entries
 
 
 class TestGoldenManifest:

@@ -203,7 +203,7 @@ class TestBuildPartition:
         rates = []
         for n in range(8, 15):
             cfg = CodeConfig(n=n, beta=0.25, rho_w=0.2, rho_r=0.4)
-            rates.append(rate_report(build_partition(cfg), cfg).secrecy_rate)
+            rates.append(rate_report(build_partition(cfg), cfg)["secrecy_rate"])
         for lo, hi in zip(rates, rates[1:]):
             assert hi >= lo - 0.005
 
@@ -226,14 +226,14 @@ class TestRateReport:
         )
         cfg = CodeConfig(n=8, beta=0.25, rho_w=0.2, rho_r=0.4)
         rep = rate_report(part, cfg)
-        assert rep.secrecy_rate == 0.3984375
-        assert rep.secrecy_capacity == pytest.approx(0.4)
+        assert rep["secrecy_rate"] == 0.3984375
+        assert rep["secrecy_capacity"] == pytest.approx(0.4)
 
     def test_capacity_extremes(self):
         cfg = CodeConfig(n=3, beta=0.25, rho_w=0.0, rho_r=0.0)
         rep = rate_report(build_partition(cfg), cfg)
-        assert rep.secrecy_capacity == 1.0
-        assert rep.secrecy_rate == 1.0 and rep.gap == 0.0
+        assert rep["secrecy_capacity"] == 1.0
+        assert rep["secrecy_rate"] == 1.0 and rep["gap"] == 0.0
 
 
 class TestPartitionValidation:

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from _serial_pool import SerialPool
 from awtcpolar import experiments
 from awtcpolar.adversary import (
     AdversaryAction,
@@ -840,20 +841,11 @@ class TestSweep:
     def test_worker_count_clamped(self, monkeypatch, parallelism, cpus, trials, expected):
         pools = []
 
-        class SerialPool:
-            def __init__(self, max_workers):
-                pools.append(max_workers)
+        def serial_pool(max_workers):
+            pools.append(max_workers)
+            return SerialPool(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", serial_pool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         spec = self._spec(n_list=(5,), trials=trials)
         result = run_sweep(spec, parallelism=parallelism)
