@@ -14,7 +14,8 @@ would give; a session's T actions are those of one generator listed T
 times, its T successive blocks.  A stacked draw fills its keys, chunk by
 chunk, into one buffer it reuses, one rng.random(out=...) call per run of
 consecutive rows that share a generator, and cuts each side in one reused
-buffer.
+buffer.  An action's equivalent channel blocks are its own masks: Bob's
+full-noise block is the write mask, Eve's the complement of the read mask.
 """
 
 from __future__ import annotations
@@ -161,14 +162,13 @@ def apply_read(x, read) -> np.ndarray:
     return (x & -r | (r ^ 1) << 1).view(np.int8)
 
 
-def write_equivalent_mask(actions) -> np.ndarray:
-    """Bob's equivalent channel blocks, one row per block of the actions (a
-    one-block action gives one row, a session's T): True (full noise) where
-    written."""
-    return np.vstack([action.write for action in actions])
+def write_equivalent_mask(action: AdversaryAction) -> np.ndarray:
+    """Bob's equivalent channel blocks of an action, one row per block of a
+    stacked one: True (full noise) where written, the write mask itself."""
+    return action.write
 
 
-def read_equivalent_mask(actions) -> np.ndarray:
-    """Eve's equivalent channel blocks, one row per block of the actions:
-    True (full noise) where not read."""
-    return ~np.vstack([action.read for action in actions])
+def read_equivalent_mask(action: AdversaryAction) -> np.ndarray:
+    """Eve's equivalent channel blocks of an action, one row per block of a
+    stacked one: True (full noise) where not read."""
+    return ~action.read

@@ -241,7 +241,7 @@ def _chart_series(aggregates, metric: str):
     by_beta = {}
     for row in aggregates:
         if row.metric == metric:
-            by_beta.setdefault(row.cell.beta, []).append((float(row.cell.n), row.mean))
+            by_beta.setdefault(row.cell.beta, []).append((row.cell.n, row.mean))
     return [
         (f"beta={beta}", sorted(points)) for beta, points in sorted(by_beta.items())
     ]
@@ -303,7 +303,7 @@ def cmd_plot(args) -> int:
     try:
         with open(args.aggregates, newline="") as fh:
             aggregates = read_aggregates_csv(fh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, csv.Error) as exc:  # csv.Error: a field past its limit
         raise ValidationError(f"cannot read aggregates: {exc}")
     out = _out_dir(resolved)
     try:

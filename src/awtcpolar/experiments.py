@@ -5,9 +5,10 @@ adversary action and evaluates the T-block decoding-error and leakage bound
 values on that realization.  An "end_to_end" trial runs the full chained
 transmission with a fresh action per block, decodes Bob's and Eve's
 observations of the blocks their bound terms leave open, and counts message
-bit errors on each side.  Both kinds go in stacked passes, a bounds slice or
-an end-to-end decode group at a time, each drawing and counting all its
-blocks in one _draw_counts call.
+bit errors on each side.  A chunk of either kind goes in groups of at most
+_GROUP_BITS stacked bits (one block a bounds trial, T an end-to-end trial),
+each one stacked pass that draws and counts all its blocks in one
+_draw_counts call.
 
 Per-trial seeds are derived from (base seed, cell parameters, trial index),
 so serial and parallel sweeps produce bit-identical results.  Trial seeds
@@ -192,20 +193,11 @@ def _preset_seed_type() -> type:
     return PresetSeed
 
 
-# rows x N bits per bounds slice, drawn in one sample_action call and realized
-# in one realize_packed call over both sides' 2 x rows rows.  It bounds the
-# working set of a stacked bound evaluation whatever the number of trials: a
-# slice's boolean masks (64 KiB a side) stay cache-sized.  Slices of 2^17 bits
-# ran bounds_grid 1.07x faster (medians of 10 paired runs on a 2-core VM,
-# faster in 8) but raised its peak RSS by 0.13 MB (higher in 9), so it stays 2^16.
-_SLICE_BITS = 1 << 16
-
-
 def block_bound_counts(partition: IndexPartition, write, noise) -> np.ndarray:
     """Per-block terms of both bound values for each row of the equivalent
     channel blocks: write and noise are Bob's and Eve's (rows, N) boolean
     full-noise indicators, as write_equivalent_mask and read_equivalent_mask
-    stack them for the same actions.
+    give them for one stacked action: the write mask itself, not a copy.
 
     With the exact noise indicators Z of a row's writing realization and the
     exact noiseless indicators of its reading realization, the terms are
@@ -236,28 +228,35 @@ def _draw_counts(config: CodeConfig, partition: IndexPartition, strategy: Strate
                  rngs) -> tuple:
     """One stacked draw of len(rngs) blocks' actions, one sample_action call
     (a generator listed for several rows gives them its successive blocks),
-    and their per-block bound terms, one block_bound_counts call on both
-    sides' equivalent-mask stacks.  Returns (action, counts)."""
+    and their per-block bound terms, one block_bound_counts call on the
+    action's own equivalent blocks.  Returns (action, counts)."""
     action = sample_action(config.N, config.rho_w, config.rho_r, strategy, rngs)
-    return action, block_bound_counts(partition, write_equivalent_mask([action]),
-                                      read_equivalent_mask([action]))
+    return action, block_bound_counts(partition, write_equivalent_mask(action),
+                                      read_equivalent_mask(action))
 
 
-def _bounds_trials(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
-                   trial_seeds) -> list:
-    """Both T-block bound values of every (trial, seed): each trial draws one
-    adversary action, in order, from default_rng(seed)'s stream, its PCG64
-    seeded from the trial's row of _seed_states.  The trials go in slices of
-    at most _SLICE_BITS // N, each one _draw_counts pass (a generator per
-    trial), so only one slice's masks are held at a time."""
-    counts = np.empty((3, len(trial_seeds)), dtype=np.intp)
-    states, preset = _seed_states([seed for _, seed in trial_seeds]), _preset_seed_type()
-    step = max(1, _SLICE_BITS // config.N)
-    for lo in range(0, len(trial_seeds), step):
-        counts[:, lo: lo + step] = _draw_counts(
-            config, partition, strategy,
-            [np.random.Generator(np.random.PCG64(preset(words)))
-             for words in states[lo: lo + step]])[1]
+# rows x N bits drawn and counted per stacked pass, where a bounds trial
+# stacks one block and an end-to-end trial T, its whole session.  A group of
+# a chunk's trials holds as many as fit, and at least one, so its working set
+# stays bounded however many trials a chunk has: an end-to-end group's
+# actions, observations, guesses and decoder state peak at 5.6 B per bit
+# under uniform actions (tracemalloc; 10.1 with every block decoded, at
+# n=12, T=50), a bounds group's masks, keys and packed words at 4.4 (n=14).
+# Two n=12, T=50 sessions (409,600 bits) still fit in one group.
+_GROUP_BITS = 1 << 19
+
+
+def _bounds_group(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
+                  trial_seeds) -> list:
+    """Both T-block bound values of every (trial, seed) of one group: each
+    trial draws one adversary action from default_rng(seed)'s stream, its
+    PCG64 seeded from the trial's row of _seed_states, and the group's
+    actions and bound terms are one _draw_counts pass (a generator per
+    trial)."""
+    preset = _preset_seed_type()
+    counts = _draw_counts(config, partition, strategy, [
+        np.random.Generator(np.random.PCG64(preset(words)))
+        for words in _seed_states([seed for _, seed in trial_seeds])])[1]
     T = config.blocks
     cell = Cell.of("bounds", config, strategy)
     return [
@@ -267,45 +266,30 @@ def _bounds_trials(config: CodeConfig, partition: IndexPartition, strategy: Stra
     ]
 
 
-def bounds_trial(
-    config: CodeConfig,
-    partition: IndexPartition,
-    strategy: Strategy,
-    seed: int,
-    trial: int = 0,
-) -> TrialResult:
+def bounds_trial(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
+                 seed: int, trial: int = 0) -> TrialResult:
     """Sample one adversary action and evaluate both T-block bound values on it."""
-    return _bounds_trials(config, partition, strategy, [(trial, seed)])[0]
+    return _run_chunk(("bounds", config, partition, strategy, [(trial, seed)]))[0]
 
 
-# sessions x T x N bits drawn, counted and observed per stacked pass.  A
-# group of an end-to-end chunk's trials holds as many whole sessions as fit,
-# and at least one, so its actions, observations, guesses and decoder state
-# (tracemalloc peaks of 5.6 B per bit under uniform actions, 10.1 with every
-# block decoded, at n=12, T=50) stay bounded however many trials a chunk has.
-# Two n=12, T=50 sessions (409,600 bits) still fit in one group.
-_GROUP_BITS = 1 << 19
-
-
-def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
-                       trial_seeds) -> list:
-    """Encode, attack and decode one chained session per (trial, seed).
+def _end_to_end_group(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
+                      trial_seeds) -> list:
+    """Encode, attack and decode a group's chained sessions, one per (trial, seed).
 
     Each trial draws from five streams spawned from its seed: its messages,
     the encoder's fresh bits, the pre-shared bits, its T adversary actions
     and Eve's coin flips, one row of N per block.  Bob decodes with the
     pre-shared bits; Eve decodes without them, her erased decisions resolving
-    to her coin flips.  The trials go in groups of at most _GROUP_BITS
-    stacked bits (at least one whole session), each in one stacked pass, as
-    a bounds slice goes: one _draw_counts call on every trial's adversary
-    stream listed T times gives the group's actions and bound terms, one
-    polar_transform the codewords of the blocks either side decodes, one
-    apply_write and one apply_read call each side's observations of its
-    blocks, and at most one decode_session call per side decodes them.
-    Every stream is drawn in full and in order, so a trial's row does not
-    depend on its group.  Eve's coin flips are drawn after Bob's decode, to
-    keep the group's working set small.  The recorded bound values are the
-    per-realization sums over the actual per-block draws.
+    to her coin flips.  The group is one stacked pass, as a bounds group is:
+    one _draw_counts call on every trial's adversary stream listed T times
+    gives its actions and bound terms, one polar_transform the codewords of
+    the blocks either side decodes, one apply_write and one apply_read call
+    each side's observations of its blocks, and at most one decode_session
+    call per side decodes them.  Every stream is drawn in full and in order,
+    so a trial's row does not depend on its group.  Eve's coin flips are
+    drawn after Bob's decode, to keep the group's working set small.  The
+    recorded bound values are the per-realization sums over the actual
+    per-block draws.
 
     Each side decodes only the blocks its bound terms leave open, or with a
     live chain only the sessions holding one; both skips are exact.  SC
@@ -323,67 +307,57 @@ def _end_to_end_trials(config: CodeConfig, partition: IndexPartition, strategy: 
     """
     codec = ChainCodec(partition)
     T, N, K = config.blocks, config.N, codec.message_size
-    cell = Cell.of("end_to_end", config, strategy)
-    group = max(1, _GROUP_BITS // (T * N))
     # decode_session's own unit: a whole session with a live chain, else a block
     unit = T if codec.chain_size else 1
-    results = []
-    for lo in range(0, len(trial_seeds), group):
-        batch = trial_seeds[lo: lo + group]
-        units = len(batch) * T // unit
-        msg_rngs, enc_rngs, pre_rngs, adv_rngs, eve_rngs = zip(*(
-            map(np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
-            for _, seed in batch))
-        preshared = np.array([codec.preshared_state(rng) for rng in pre_rngs])
-        sent = np.array([random_bit_rows(rng, T, K) for rng in msg_rngs])
-        action, counts = _draw_counts(config, partition, strategy,
-                                      [rng for rng in adv_rngs for _ in range(T)])
-        # the units Bob decodes (a forced guess) and Eve decodes (a leak)
-        dirty, live = counts[::2].reshape(2, units, unit).any(axis=2)
-        keep = np.repeat([dirty, live], unit, axis=1)  # each side's blocks
-        need = keep[0] | keep[1]
-        codewords = polar_transform(np.concatenate([
-            codec.session_u(msgs, pre, rng)[rows]
-            for msgs, pre, rng, rows in zip(sent, preshared, enc_rngs, need.reshape(-1, T))]))
-        bob_obs = apply_write(codewords[keep[0][need]], action.write[keep[0]])
-        eve_obs = apply_read(codewords[keep[1][need]], action.read[keep[1]])
-        del codewords, action  # observed: not held through the decodes
+    units = len(trial_seeds) * T // unit
+    msg_rngs, enc_rngs, pre_rngs, adv_rngs, eve_rngs = zip(*(
+        map(np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
+        for _, seed in trial_seeds))
+    preshared = np.array([codec.preshared_state(rng) for rng in pre_rngs])
+    sent = np.array([random_bit_rows(rng, T, K) for rng in msg_rngs])
+    action, counts = _draw_counts(config, partition, strategy,
+                                  [rng for rng in adv_rngs for _ in range(T)])
+    # the units Bob decodes (a forced guess) and Eve decodes (a leak)
+    dirty, live = counts[::2].reshape(2, units, unit).any(axis=2)
+    keep = np.repeat([dirty, live], unit, axis=1)  # each side's blocks
+    need = keep[0] | keep[1]
+    codewords = polar_transform(np.concatenate([
+        codec.session_u(msgs, pre, rng)[rows]
+        for msgs, pre, rng, rows in zip(sent, preshared, enc_rngs, need.reshape(-1, T))]))
+    bob_obs = apply_write(codewords[keep[0][need]], action.write[keep[0]])
+    eve_obs = apply_read(codewords[keep[1][need]], action.read[keep[1]])
+    del codewords, action  # observed: not held through the decodes
 
-        bob_msgs = sent.reshape(units, unit, K).copy()
-        if dirty.any():
-            chains = np.repeat(preshared, T // unit, axis=0)
-            bob_msgs[dirty] = codec.decode_session(bob_obs.reshape(-1, unit, N), chains[dirty])
-        del bob_obs
-        guesses = np.array([random_bit_rows(rng, T, N) for rng in eve_rngs]).reshape(
-            units, unit, N)
-        eve_msgs = codec.extract_message(guesses)
-        if live.any():
-            eve_msgs[live] = codec.decode_session(eve_obs.reshape(-1, unit, N), None,
-                                                  guess_bits=guesses[live])
-        ir, e, leak = counts.reshape(3, len(batch), T)
-        errors = [np.count_nonzero(msgs.reshape(sent.shape) != sent, axis=(1, 2)).tolist()
-                  for msgs in (bob_msgs, eve_msgs)]
-        results += [
-            TrialResult(cell=cell, trial=trial, seed=seed, ber_bound=float(w + c),
-                        leak_bound=float(r), bob_bit_errors=bob, eve_bit_errors=eve,
-                        message_bits=T * K, erased_decisions=w)
-            for (trial, seed), w, c, r, bob, eve in zip(
-                batch, ir.sum(axis=1).tolist(), e[:, :-1].sum(axis=1).tolist(),
-                leak.sum(axis=1).tolist(), *errors)
-        ]
-    return results
+    bob_msgs = sent.reshape(units, unit, K).copy()
+    if dirty.any():
+        chains = np.repeat(preshared, T // unit, axis=0)
+        bob_msgs[dirty] = codec.decode_session(bob_obs.reshape(-1, unit, N), chains[dirty])
+    del bob_obs
+    guesses = np.array([random_bit_rows(rng, T, N) for rng in eve_rngs]).reshape(
+        units, unit, N)
+    eve_msgs = codec.extract_message(guesses)
+    if live.any():
+        eve_msgs[live] = codec.decode_session(eve_obs.reshape(-1, unit, N), None,
+                                              guess_bits=guesses[live])
+    ir, e, leak = counts.reshape(3, len(trial_seeds), T)
+    errors = [np.count_nonzero(msgs.reshape(sent.shape) != sent, axis=(1, 2)).tolist()
+              for msgs in (bob_msgs, eve_msgs)]
+    cell = Cell.of("end_to_end", config, strategy)
+    return [
+        TrialResult(cell=cell, trial=trial, seed=seed, ber_bound=float(w + c),
+                    leak_bound=float(r), bob_bit_errors=bob, eve_bit_errors=eve,
+                    message_bits=T * K, erased_decisions=w)
+        for (trial, seed), w, c, r, bob, eve in zip(
+            trial_seeds, ir.sum(axis=1).tolist(), e[:, :-1].sum(axis=1).tolist(),
+            leak.sum(axis=1).tolist(), *errors)
+    ]
 
 
-def end_to_end_trial(
-    config: CodeConfig,
-    partition: IndexPartition,
-    strategy: Strategy,
-    seed: int,
-    trial: int = 0,
-) -> TrialResult:
+def end_to_end_trial(config: CodeConfig, partition: IndexPartition, strategy: Strategy,
+                     seed: int, trial: int = 0) -> TrialResult:
     """Encode T messages as one chained session, attack it, decode both sides
-    (see _end_to_end_trials)."""
-    return _end_to_end_trials(config, partition, strategy, [(trial, seed)])[0]
+    (see _end_to_end_group)."""
+    return _run_chunk(("end_to_end", config, partition, strategy, [(trial, seed)]))[0]
 
 
 # Largest end-to-end session, T x N bits, a sweep accepts.  A decode group
@@ -469,10 +443,13 @@ class SweepResult:
 
 
 def _run_chunk(args) -> list:
-    """Worker entry: run a batch of trials for one cell (picklable payload)."""
+    """Worker entry: run a batch of trials for one cell (picklable payload),
+    in groups of at most _GROUP_BITS stacked bits, each one stacked pass."""
     kind, config, partition, strategy, trial_seeds = args
-    trials = _bounds_trials if kind == "bounds" else _end_to_end_trials
-    return trials(config, partition, strategy, trial_seeds)
+    rows, group = (1, _bounds_group) if kind == "bounds" else (config.blocks, _end_to_end_group)
+    step = max(1, _GROUP_BITS // (rows * config.N))
+    return [row for lo in range(0, len(trial_seeds), step)
+            for row in group(config, partition, strategy, trial_seeds[lo: lo + step])]
 
 
 def _trial_metrics(r: TrialResult) -> dict:

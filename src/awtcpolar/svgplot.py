@@ -4,12 +4,14 @@ Everything is emitted by hand (axes, ticks, polylines, legend) so the output
 is a plain-text artifact that diffs cleanly and needs no plotting stack.
 On a log axis, non-positive values are clamped to one decade below the
 smallest positive value and drawn hollow.  NaN and infinite values are
-rejected: no axis can place them.
+rejected: no axis can place them; so are values whose axis would overflow
+or be too narrow for their magnitude to hold distinct ticks.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 PALETTE = ["#1f6feb", "#d1242f", "#1a7f37", "#9a6700", "#8250df", "#bf3989"]
 
@@ -21,9 +23,18 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}".rstrip("0").rstrip(".")
 
 
+def _check_span(lo: float, hi: float, title: str) -> None:
+    """Refuse an axis whose values pass half the float range, where its span
+    or its ticks (up to a step past the values) overflow, or whose span is
+    below 1e-9 of the values' magnitude or below the smallest normal float,
+    where a tick step cannot advance or is 0."""
+    size = max(abs(lo), abs(hi))
+    if not (size <= sys.float_info.max / 2
+            and max(1e-9 * size, sys.float_info.min) <= hi - lo):
+        raise ValueError(f"{title}: cannot scale an axis over [{lo!r}, {hi!r}]")
+
+
 def _nice_ticks(lo: float, hi: float, count: int = 5):
-    if hi <= lo:
-        hi = lo + 1.0
     raw = (hi - lo) / count
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -55,6 +66,10 @@ def render_line_chart(
 
     series: list of (label, points) with points a list of finite (x, y) pairs.
     """
+    try:
+        series = [(label, [(float(x), float(y)) for x, y in pts]) for label, pts in series]
+    except OverflowError as exc:  # an int past the float range
+        raise ValueError(f"{title}: {exc}") from None
     pts_all = [(x, y) for _, pts in series for x, y in pts]
     if not pts_all:
         raise ValueError("nothing to plot")
@@ -64,6 +79,7 @@ def render_line_chart(
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    _check_span(x_lo, x_hi, title)
 
     positives = [y for _, y in pts_all if y > 0.0]
     if log_y and not positives:
@@ -84,6 +100,7 @@ def render_line_chart(
         y_lo, y_hi = min(raw + [0.0]), max(raw)
         if y_hi == y_lo:
             y_hi = y_lo + 1.0
+        _check_span(y_lo, y_hi, title)
         y_of = lambda y: y
         y_ticks = [(t, _fmt(t)) for t in _nice_ticks(y_lo, y_hi)]
         if y_ticks:

@@ -4,7 +4,10 @@ import csv
 import hashlib
 import importlib.util
 import json
+import math
+import signal
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -25,6 +28,46 @@ BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+class Hung(Exception):
+    """A call outlived its time limit (no OSError, which main maps to exit 1)."""
+
+
+@contextmanager
+def time_limit(seconds: float):
+    """Interrupt the body with Hung after seconds, through SIGALRM."""
+    def expire(signum, frame):
+        raise Hung(f"no result within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+AGG_HEADER = ["kind", "N", "n", "beta", "rho_w", "rho_r", "T", "strategy", "metric", "mean",
+              "stderr", "trials"]
+
+
+# a field written one character past the csv module's field size limit (a
+# marker, so that a failing example's repr stays short)
+PAST_LIMIT = "<past the csv field size limit>"
+
+
+def write_aggregates(path, rows, header=AGG_HEADER) -> None:
+    """An aggregate CSV of header and rows, each row a list of fields."""
+    huge = "u" * (csv.field_size_limit() + 1)
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [header, *([huge if f == PAST_LIMIT else f for f in row] for row in rows)])
+
+
+def aggregate_row(n, metric, mean) -> list:
+    return ["end_to_end", 32, n, 0.3, 0.2, 0.4, 2, "uniform", metric, mean, 0.0, 2]
 
 
 # a value each parameter's flag can produce, none of them its default
@@ -341,6 +384,81 @@ def test_fuzz_parameters(tmp_path, monkeypatch, capsys, data):
     assert sorted(LAUNCH_DIR.iterdir()) == launch_entries
 
 
+# aggregate fields as the fuzz draws them: small, huge or negative n; means
+# that are BERs or any float (NaN and +-inf included); finite extremes, past
+# half the float range, with an ulp of 1 or 2, or subnormal; every metric the
+# charts plot, eve_ber's linear axis most often, one they do not and one no
+# run writes
+FUZZ_N = st.one_of(st.integers(4, 12), st.integers(),
+                   st.sampled_from([2**63, 10**17, 10**400, -(10**400)]))
+FUZZ_MEAN = st.one_of(st.floats(0, 1), st.floats())
+EXTREME_MEANS = st.sampled_from([sys.float_info.max, 1e308, 2.0**53, 1e16, 4e-323, 5e-324])
+FUZZ_METRIC = st.sampled_from(["eve_ber"] * 4 + ["ber_bound", "leak_bound", "bob_ber",
+                                                 "erased_decisions", "bogus"])
+WRONG_HEADERS = [AGG_HEADER[:-1], AGG_HEADER[:-1] + ["count"], AGG_HEADER[1:] + AGG_HEADER[:1]]
+
+
+@st.composite
+def aggregate_files(draw):
+    """A header, right or wrong, and 0..4 rows of one of two kinds.  Rows at
+    an extreme share one metric and one extreme magnitude of mean, each with
+    its own sign and 0..2 ulps toward 0, at small n, so that a chart holds
+    several points at that extreme.  Free rows draw each their own n, metric
+    and mean, and one of them may be short, long or hold a field past the
+    csv module's limit."""
+    header = draw(st.sampled_from([AGG_HEADER] * 6 + WRONG_HEADERS))
+    extreme = draw(st.booleans())
+    metric, magnitude = draw(FUZZ_METRIC), draw(EXTREME_MEANS)
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        if extreme:
+            mean = draw(st.sampled_from([magnitude, -magnitude]))
+            for _ in range(draw(st.integers(0, 2))):
+                mean = math.nextafter(mean, 0.0)
+            rows.append(aggregate_row(draw(st.integers(4, 12)), metric, mean))
+        else:
+            rows.append(aggregate_row(draw(FUZZ_N), draw(FUZZ_METRIC), draw(FUZZ_MEAN)))
+        rows[-1][3] = draw(st.sampled_from([0.2, 0.3]))
+    fault = draw(st.sampled_from([None, "short", "long", "huge field"]))
+    if rows and fault and not extreme:
+        bad = draw(st.sampled_from(rows))
+        if fault == "huge field":
+            bad[7] = PAST_LIMIT
+        else:
+            bad[:] = bad[:-2] if fault == "short" else bad + ["7"]
+    return header, rows
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=500,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=aggregate_files())
+def test_fuzz_plot(tmp_path, monkeypatch, capsys, case):
+    """plot over generated aggregate files: a right or wrong header; valid,
+    short or long rows, or a field past the csv limit; finite extremes, NaN
+    and infinite means; huge or negative n; no rows; only unknown metrics.
+    Every call ends within a second with exit 0 or 1, an exit 1 says why
+    without a traceback and writes nothing, and the SVGs land only in the
+    run's output directory."""
+    header, rows = case
+    work = tmp_path / str(len(list(tmp_path.iterdir())))
+    work.mkdir()
+    monkeypatch.chdir(work)
+    write_aggregates(work / "agg.csv", rows, header)
+    launch_entries = sorted(LAUNCH_DIR.iterdir())
+    with time_limit(1.0):
+        code = main(["plot", "--aggregates", "agg.csv", "--out-dir", "charts"])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    assert "Traceback" not in err
+    if code == 1:
+        assert "error:" in err
+    written = sorted(p.relative_to(work) for p in work.rglob("*") if p.is_file())
+    assert all(p == Path("agg.csv") or (code == 0 and p.parent == Path("charts")
+                                        and p.suffix == ".svg") for p in written)
+    assert len(written) > 1 or code == 1
+    assert sorted(LAUNCH_DIR.iterdir()) == launch_entries
+
+
 class TestGoldenManifest:
     """manifest.json bytes, out_dir masked, frozen for one run of each command."""
 
@@ -614,12 +732,41 @@ class TestPlotCommand:
         assert capsys.readouterr().err.startswith("error: cannot plot ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("rows", [
+        [(10**400, "ber_bound", 0.5)],  # an n past the float range
+        [(10**17, "ber_bound", 0.5)],  # one n, whose unit widening rounds away
+        [(5, "eve_ber", -1e308), (6, "eve_ber", 1e308)],  # a span past the float range
+        [(5, "eve_ber", -1e16 - 4), (6, "eve_ber", -1e16)],  # a tick step below an ulp
+        [(5, "eve_ber", sys.float_info.max)],  # ticks that pass the float range
+        [(5, "eve_ber", 4e-323)],  # a tick step that rounds to 0
+    ])
+    def test_unscalable_axis_exits_one(self, tmp_path, capsys, rows):
+        """Values a chart axis cannot scale (an overflowing n or span, or a
+        span too narrow for its magnitude) are an error: exit 1 within a
+        second, no traceback and no output directory."""
+        write_aggregates(tmp_path / "agg.csv", [aggregate_row(*row) for row in rows])
+        out = tmp_path / "charts"
+        with time_limit(1.0):
+            code = run("plot", "--aggregates", tmp_path / "agg.csv", "--out-dir", out)
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: cannot plot ")
+        assert not out.exists()
+
     def test_short_row_exits_one(self, tmp_path, capsys):
         header = "kind,N,n,beta,rho_w,rho_r,T,strategy,metric,mean,stderr,trials"
         (tmp_path / "short.csv").write_text(header + "\nbounds,32,5,0.3\n")
         assert run("plot", "--aggregates", tmp_path / "short.csv",
                    "--out-dir", tmp_path) == 1
         assert capsys.readouterr().err.startswith("error: cannot read aggregates: ")
+
+    def test_field_past_the_csv_limit_exits_one(self, tmp_path, capsys):
+        """A field longer than the csv module reads (131,072 characters by
+        default) is a read error: exit 1, no traceback."""
+        row = aggregate_row(5, "eve_ber", 0.5)
+        row[7] = PAST_LIMIT
+        write_aggregates(tmp_path / "agg.csv", [row])
+        assert run("plot", "--aggregates", tmp_path / "agg.csv", "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error: cannot read aggregates: field larger")
 
 
 class TestSvg:

@@ -62,9 +62,12 @@ def single_info_partition(N, info_index):
 
 
 def stack_counts(part, actions):
-    """block_bound_counts over the stacked equivalent blocks of the actions."""
-    return block_bound_counts(part, write_equivalent_mask(actions),
-                              read_equivalent_mask(actions))
+    """block_bound_counts over the equivalent blocks of the actions stacked
+    into one action, one row per action."""
+    action = AdversaryAction(write=np.vstack([a.write for a in actions]),
+                             read=np.vstack([a.read for a in actions]))
+    return block_bound_counts(part, write_equivalent_mask(action),
+                              read_equivalent_mask(action))
 
 
 def counts_of(part, action):
@@ -208,13 +211,13 @@ class TestStackedBoundCounts:
         np.testing.assert_array_equal(block_bound_counts(part, write, noise), expected.T)
 
     def test_streams_one_slice_at_a_time(self, monkeypatch):
-        """_bounds_trials draws each slice of _SLICE_BITS // N trials in one
+        """A bounds chunk draws each group of _GROUP_BITS // N trials in one
         sample_action call just before its one realize_packed call, which
         takes both sides' 2 * rows packed words, and every trial's row
-        equals the reference counts of its row of the slice's masks."""
+        equals the reference counts of its row of the group's masks."""
         cfg = CodeConfig(n=5, beta=0.3, rho_w=0.2, rho_r=0.4, blocks=3)
         part = build_partition(cfg)
-        monkeypatch.setattr(experiments, "_SLICE_BITS", 4 * cfg.N)
+        monkeypatch.setattr(experiments, "_GROUP_BITS", 4 * cfg.N)
         drawn, seen = [], []
         sample, realize = experiments.sample_action, experiments.realize_packed
 
@@ -228,9 +231,9 @@ class TestStackedBoundCounts:
 
         monkeypatch.setattr(experiments, "sample_action", sampling)
         monkeypatch.setattr(experiments, "realize_packed", recording_realize)
-        rows = experiments._bounds_trials(cfg, part, Strategy.UNIFORM,
-                                          [(t, 40 + t) for t in range(10)])
-        # one realization of 2 * rows words per slice, each slice drawn just before
+        rows = experiments._run_chunk(("bounds", cfg, part, Strategy.UNIFORM,
+                                       [(t, 40 + t) for t in range(10)]))
+        # one realization of 2 * rows words per group, each group drawn just before
         assert seen == [(8, 1), (8, 2), (4, 3)]
         assert [action.write.shape for action in drawn] == [(4, cfg.N), (4, cfg.N), (2, cfg.N)]
         masks = [pair for action in drawn for pair in zip(action.write, action.read)]
@@ -359,39 +362,46 @@ LIVE_CHAIN_CELLS = (
 
 @st.composite
 def end_to_end_chunks(draw):
-    """A cell with or without a live chain, a strategy, 1..5 (trial, seed)
-    pairs, the cut points of a split of them and a decode group cap: the
-    default, or two sessions, so that a chunk spans several groups and may
-    end in a partial one."""
+    """A trial kind, a cell with or without a live chain, a strategy, 1..5
+    (trial, seed) pairs, the cut points of a split of them and a group cap:
+    the default, or two trials' rows (two blocks, or two sessions), so that
+    a chunk spans several groups and may end in a partial one."""
+    kind = draw(st.sampled_from(experiments.KINDS))
     cfg = draw(st.sampled_from(CHUNK_CELLS + LIVE_CHAIN_CELLS))
     strategy = draw(st.sampled_from(list(Strategy)))
     size = draw(st.integers(1, 5))
     seeds = draw(st.lists(st.integers(0, 2**64 - 1), min_size=size, max_size=size))
     trials = draw(st.lists(st.integers(0, 10**6), min_size=size, max_size=size))
     cuts = sorted(draw(st.sets(st.integers(1, size), max_size=size)) | {0, size})
-    group_bits = draw(st.sampled_from([experiments._GROUP_BITS, 2 * cfg.blocks * cfg.N]))
-    return cfg, strategy, list(zip(trials, seeds)), cuts, group_bits
+    rows = 1 if kind == "bounds" else cfg.blocks
+    group_bits = draw(st.sampled_from([experiments._GROUP_BITS, 2 * rows * cfg.N]))
+    return kind, cfg, strategy, list(zip(trials, seeds)), cuts, group_bits
 
 
 class TestEndToEndChunks:
     PARTITIONS = {cfg: build_partition(cfg) for cfg in CHUNK_CELLS + LIVE_CHAIN_CELLS}
 
-    @settings(derandomize=True, database=None, deadline=None, max_examples=30)
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
     @given(end_to_end_chunks())
-    @example((LIVE_CHAIN_CELLS[1], Strategy.UNIFORM, [(t, 40 + t) for t in range(5)],
-              [0, 1, 5], 2 * LIVE_CHAIN_CELLS[1].blocks * LIVE_CHAIN_CELLS[1].N))
+    @example(("end_to_end", LIVE_CHAIN_CELLS[1], Strategy.UNIFORM,
+              [(t, 40 + t) for t in range(5)], [0, 1, 5],
+              2 * LIVE_CHAIN_CELLS[1].blocks * LIVE_CHAIN_CELLS[1].N))
+    @example(("bounds", CHUNK_CELLS[0], Strategy.UNIFORM, [(t, 40 + t) for t in range(5)],
+              [0, 1, 5], 2 * CHUNK_CELLS[0].N))
     def test_property_chunk_equals_splits_and_one_seed_trials(self, case):
-        """A chunk's rows do not depend on which trials share it or its decode
+        """A chunk's rows do not depend on which trials share it or its
         groups: any split of the chunk, and each trial on its own, give the
-        same rows, at the default group cap and at two sessions a group."""
-        cfg, strategy, trial_seeds, cuts, group_bits = case
+        same rows, for both trial kinds, at the default group cap and at two
+        trials' rows a group."""
+        kind, cfg, strategy, trial_seeds, cuts, group_bits = case
         part = self.PARTITIONS[cfg]
+        one_trial = bounds_trial if kind == "bounds" else end_to_end_trial
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(experiments, "_GROUP_BITS", group_bits)
-            chunk = experiments._run_chunk(("end_to_end", cfg, part, strategy, trial_seeds))
+            chunk = experiments._run_chunk((kind, cfg, part, strategy, trial_seeds))
             split = [row for lo, hi in zip(cuts, cuts[1:]) for row in experiments._run_chunk(
-                ("end_to_end", cfg, part, strategy, trial_seeds[lo:hi]))]
-            singles = [end_to_end_trial(cfg, part, strategy, seed, trial)
+                (kind, cfg, part, strategy, trial_seeds[lo:hi]))]
+            singles = [one_trial(cfg, part, strategy, seed, trial)
                        for trial, seed in trial_seeds]
         assert chunk == split == singles
 
@@ -443,15 +453,15 @@ class TestEndToEndChunks:
                                                     500 + trial, trial)
 
     def test_masks_stacked_once_per_group(self, monkeypatch):
-        """Each decode group stacks its sessions' T actions' write and read
-        masks once, S·T rows each, for the bound terms of all its blocks: a
-        4-trial chunk in one group, and the same chunk capped at 3 sessions a
-        group, so that it spans a full group and a partial one."""
+        """Each decode group takes its one stacked action's write and read
+        equivalent blocks once, S·T rows each, for the bound terms of all its
+        blocks: a 4-trial chunk in one group, and the same chunk capped at 3
+        sessions a group, so that it spans a full group and a partial one."""
         cfg = CHUNK_CELLS[1]
         stacked = {"write_equivalent_mask": [], "read_equivalent_mask": []}
         for name in stacked:
-            def counting(actions, name=name, stack=getattr(experiments, name)):
-                rows = stack(actions)
+            def counting(action, name=name, stack=getattr(experiments, name)):
+                rows = stack(action)
                 stacked[name].append(len(rows))
                 return rows
             monkeypatch.setattr(experiments, name, counting)
@@ -464,6 +474,32 @@ class TestEndToEndChunks:
         monkeypatch.setattr(experiments, "_GROUP_BITS", 3 * cfg.blocks * cfg.N)
         experiments._run_chunk(task)
         assert stacked == {name: [3 * cfg.blocks, cfg.blocks] for name in stacked}
+
+    @pytest.mark.parametrize("kind", experiments.KINDS)
+    def test_bound_counts_read_the_actions_own_write_mask(self, monkeypatch, kind):
+        """Bob's equivalent blocks reach block_bound_counts as the group's
+        action's own write mask, not a copy of it, in every group of a chunk
+        of either kind."""
+        cfg = CHUNK_CELLS[1]
+        drawn, seen = [], []
+        sample, bound_counts = experiments.sample_action, experiments.block_bound_counts
+
+        def sampling(*args):
+            drawn.append(sample(*args))
+            return drawn[-1]
+
+        def recording_counts(partition, write, noise):
+            seen.append(write)
+            return bound_counts(partition, write, noise)
+
+        monkeypatch.setattr(experiments, "sample_action", sampling)
+        monkeypatch.setattr(experiments, "block_bound_counts", recording_counts)
+        rows = 1 if kind == "bounds" else cfg.blocks
+        monkeypatch.setattr(experiments, "_GROUP_BITS", 2 * rows * cfg.N)
+        experiments._run_chunk((kind, cfg, self.PARTITIONS[cfg], Strategy.UNIFORM,
+                                [(t, 70 + t) for t in range(3)]))
+        assert len(seen) == len(drawn) == 2
+        assert all(np.shares_memory(write, action.write) for write, action in zip(seen, drawn))
 
     def test_skipped_blocks_change_no_row(self, monkeypatch):
         """Every trial's erased_decisions is the sum over its blocks of the
@@ -528,8 +564,8 @@ def full_decode_trial(cfg, part, strategy, trial, seed):
     sent = random_bit_rows(msg_rng, T, K)
     codewords = codec.encode_session(sent, preshared, enc_rng)
     action = sample_action(N, cfg.rho_w, cfg.rho_r, strategy, [adv_rng] * T)
-    ir, e, leak = block_bound_counts(part, write_equivalent_mask([action]),
-                                     read_equivalent_mask([action]))
+    ir, e, leak = block_bound_counts(part, write_equivalent_mask(action),
+                                     read_equivalent_mask(action))
     bob = codec.decode_session(apply_write(codewords, action.write), preshared)
     eve = codec.decode_session(apply_read(codewords, action.read), None,
                                guess_bits=random_bit_rows(eve_rng, T, N))
@@ -561,8 +597,8 @@ def eve_leaks_and_coin_errors(cfg, part, strategy, seed):
         np.random.default_rng, np.random.SeedSequence(seed).spawn(5))
     sent = random_bit_rows(msg_rng, cfg.blocks, codec.message_size)
     action = sample_action(cfg.N, cfg.rho_w, cfg.rho_r, strategy, [adv_rng] * cfg.blocks)
-    leak = block_bound_counts(part, write_equivalent_mask([action]),
-                              read_equivalent_mask([action]))[2]
+    leak = block_bound_counts(part, write_equivalent_mask(action),
+                              read_equivalent_mask(action))[2]
     coins = codec.extract_message(random_bit_rows(eve_rng, cfg.blocks, cfg.N))
     return leak.tolist(), np.count_nonzero(coins != sent)
 
@@ -722,15 +758,17 @@ class TestSeeds:
             experiments._seed_states([0, bad])
 
     @pytest.mark.parametrize("count", [1, 2, 300, 700])
-    def test_bounds_trials_equal_default_rng_loop(self, count):
-        """A chunk of 1 to 700 bounds trials, over several slices at n = 8,
+    def test_bounds_trials_equal_default_rng_loop(self, monkeypatch, count):
+        """A chunk of 1 to 700 bounds trials, over groups of 256 at n = 8,
         equals a loop that draws each trial's action from default_rng(seed)."""
         cfg = CodeConfig(n=8, beta=0.26, rho_w=0.2, rho_r=0.4, blocks=7)
         part = build_partition(cfg)
+        monkeypatch.setattr(experiments, "_GROUP_BITS", 256 * cfg.N)
         seeds = np.random.default_rng(count).integers(0, 2**64 - 1, count, dtype=np.uint64,
                                                       endpoint=True).tolist()
         seeds[:len(self.EDGE_SEEDS)] = self.EDGE_SEEDS[:count]
-        rows = experiments._bounds_trials(cfg, part, Strategy.UNIFORM, list(enumerate(seeds)))
+        rows = experiments._run_chunk(("bounds", cfg, part, Strategy.UNIFORM,
+                                       list(enumerate(seeds))))
         assert len(rows) == count
         for row, seed in zip(rows, seeds, strict=True):
             action = sample_action(cfg.N, cfg.rho_w, cfg.rho_r, Strategy.UNIFORM,

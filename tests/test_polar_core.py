@@ -193,7 +193,7 @@ class TestRealizeProfile:
     def test_accepts_mask_type(self):
         action = AdversaryAction(write=np.array([True, False, False, False]),
                                  read=np.array([False, True, False, False]))
-        mask = write_equivalent_mask([action])[0]
+        mask = write_equivalent_mask(action)
         np.testing.assert_array_equal(realize_profile(mask), [True, False, False, False])
         assert mask.tolist() == [True, False, False, False]  # input left untouched
 
