@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .polar_core import check_fractions, checked_bits
+from .polar_core import check_fractions, checked_bits, checked_int
 
 
 class Strategy(Enum):
@@ -126,7 +126,10 @@ def sample_action(
     (len(rng), N) masks: row t is the action of a one-block call on rng[t],
     a generator listed for several rows giving them its successive blocks in
     row order, and every generator ends where those calls leave it.  So
-    [rng] * T draws a session's T actions in one pass."""
+    [rng] * T draws a session's T actions in one pass.  N must be a
+    positive integer, a power of two or not."""
+    if checked_int(N, "N") <= 0:
+        raise ValueError(f"N must be a positive integer, got {N}")
     check_fractions(rho_w, rho_r)
     stacked = isinstance(rng, Sequence)
     write, read = _draw_masks(N, rng if stacked else [rng], (rho_w, rho_r), strategy)

@@ -39,12 +39,7 @@ decisions are in its sc_decode_block result.
 
 Every uniform bit the package draws (messages, E and R bits, Eve's coin
 flips, the pre-shared bits) comes from random_bit_rows, equal bit for bit to
-rng.integers(0, 2, dtype=np.uint8) calls: numpy takes one uint32 per four
-such values, low byte first, and a value is its byte's top bit (Lemire's
-bounded draw never rejects on 0..1).  PCG64 hands out each 64-bit output as
-its low, then its high uint32 and buffers an unused high half, so the
-rows are read from raw 64-bit outputs after any buffered half, and an odd
-trailing half is left buffered.
+rng.integers(0, 2, dtype=np.uint8) calls.
 """
 
 from __future__ import annotations
@@ -65,53 +60,18 @@ class Trit(IntEnum):
     ERASED = 2
 
 
-# the top bit of each byte of a 64-bit word, and the multiplier that moves
-# byte b's top bit to bit 56 + b: no two partial products share a bit, so
-# none carries
-_TOP_BITS = 0x8080808080808080
-_GATHER = 0x0002040810204081
-
-
 def random_bit_rows(rng: np.random.Generator, rows: int, size: int) -> np.ndarray:
     """A (rows, size) uint8 array of uniform bits, equal bit for bit, and in
     the generator state it leaves, to rows calls of
-    rng.integers(0, 2, size=size, dtype=np.uint8) stacked.
-
-    numpy draws bounded uint8 values four to a uint32, low byte first, and
-    starts a fresh uint32 at every call, so a row takes ceil(size / 4)
-    uint32s; for 0..1 Lemire's rule never rejects and a value is its
-    byte's top bit.  PCG64 hands out each 64-bit output as its low, then
-    its high uint32, keeping an unused high half buffered in its state.
-    The rows' uint32s are read here from raw 64-bit outputs, after a
-    buffered half if one waits, and an odd trailing half is left buffered,
-    as the uint32 draws would leave it.  Raises TypeError for any other
-    bit generator.
+    rng.integers(0, 2, size=size, dtype=np.uint8) stacked: numpy draws such
+    values four to a fresh uint32 per call, low byte first, and on 0..1
+    Lemire's bounded draw never rejects and takes a value as its byte's top
+    bit.
     """
-    bitgen = rng.bit_generator
-    if not isinstance(bitgen, np.random.PCG64):
-        raise TypeError(f"random_bit_rows needs a PCG64 generator, got {type(bitgen).__name__}")
-    words = rows * -(-size // 4)
-    if not words:
-        return np.zeros((rows, size), dtype=np.uint8)
-    state = bitgen.state
-    head = state["has_uint32"]
-    # packed[0]'s high nibble holds the buffered half's 4 bits (read only if
-    # head), each packed[1:] byte the 8 bits of one output
-    packed = np.empty((words - head + 1) // 2 + 1, dtype=np.uint8)
-    packed[0] = ((state["uinteger"] << 32) & _TOP_BITS) * _GATHER >> 56 & 0xFF
-    raw = bitgen.random_raw(len(packed) - 1)
-    if len(raw):
-        state = bitgen.state
-        state["uinteger"] = int(raw[-1]) >> 32
-    state["has_uint32"] = (words - head) % 2
-    bitgen.state = state
-    raw &= np.uint64(_TOP_BITS)
-    raw *= np.uint64(_GATHER)
-    np.right_shift(raw, np.uint64(56), out=packed[1:], casting="unsafe")
-    del raw  # 8 bytes an output, as many as its bits: never held beside them
-    start = 8 - 4 * head
-    bits = np.unpackbits(packed, bitorder="little")[start: start + 4 * words]
-    return bits.reshape(rows, -1)[:, :size]
+    words = rng.integers(0, 1 << 32, (rows, -(-size // 4)), dtype=np.uint32)
+    bits = words.astype("<u4", copy=False).view(np.uint8)  # low byte first on any host
+    bits >>= 7  # a value is its byte's top bit
+    return bits[:, :size]
 
 
 def _xor_stages(a: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 Everything is emitted by hand (axes, ticks, polylines, legend) so the output
 is a plain-text artifact that diffs cleanly and needs no plotting stack.
 On a log axis, non-positive values are clamped to one decade below the
-smallest positive value and drawn hollow.  NaN and infinite values are
-rejected: no axis can place them; so are values whose axis would overflow
-or be too narrow for their magnitude to hold distinct ticks.
+smallest positive value and drawn hollow; a clamp that underflows to 0 is
+rejected.  NaN and infinite values are rejected: no axis can place them;
+so are values whose axis would overflow or be too narrow for their
+magnitude to hold distinct ticks.
 """
 
 from __future__ import annotations
@@ -88,6 +89,10 @@ def render_line_chart(
     if log_y:
         floor = min(positives) / 10.0
         y_vals = [max(y, floor) for _, y in pts_all]
+        if min(y_vals) <= 0.0:  # the floor underflowed to 0
+            raise ValueError(f"{title}: the log {y_label} axis cannot place "
+                             f"{min(y for _, y in pts_all)!r} a decade below "
+                             f"{min(positives)!r}")
         lo_exp = math.floor(math.log10(min(y_vals)))
         hi_exp = math.ceil(math.log10(max(max(y_vals), floor * 10)))
         if hi_exp == lo_exp:

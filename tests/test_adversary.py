@@ -96,6 +96,15 @@ class TestSampling:
         with pytest.raises(ValueError):
             sample_action(8, -0.1, 0.2, Strategy.UNIFORM, rng)
 
+    @pytest.mark.parametrize("N", [0, -4, 2.5])
+    @pytest.mark.parametrize("strategy", list(Strategy))
+    def test_rejects_bad_block_lengths(self, strategy, N):
+        """A block length that is not a positive integer is refused with one
+        ValueError under every strategy, not a ZeroDivisionError, a
+        TypeError or empty masks from the draw."""
+        with pytest.raises(ValueError, match="N must be"):
+            sample_action(N, 0.2, 0.4, strategy, np.random.default_rng(5))
+
     @pytest.mark.parametrize("strategy", list(Strategy))
     def test_rejects_nan_fractions(self, strategy):
         """Every range comparison with NaN is False, so a NaN fraction must

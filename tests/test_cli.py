@@ -11,7 +11,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, seed, settings
 from hypothesis import strategies as st
 
 from _serial_pool import SerialPool
@@ -324,6 +324,7 @@ LAUNCH_DIR = Path.cwd()
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=200,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+@seed(0)
 @given(data=st.data())
 def test_fuzz_parameters(tmp_path, monkeypatch, capsys, data):
     """construct, bounds and simulate over draws from the parameter table:
@@ -431,6 +432,7 @@ def aggregate_files(draw):
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=500,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
+@seed(0)
 @given(case=aggregate_files())
 def test_fuzz_plot(tmp_path, monkeypatch, capsys, case):
     """plot over generated aggregate files: a right or wrong header; valid,
@@ -750,6 +752,19 @@ class TestPlotCommand:
             code = run("plot", "--aggregates", tmp_path / "agg.csv", "--out-dir", out)
         assert code == 1
         assert capsys.readouterr().err.startswith("error: cannot plot ")
+        assert not out.exists()
+
+    def test_log_clamp_below_the_float_range_exits_one(self, tmp_path, capsys):
+        """A non-positive mean beside a subnormal one on a log axis: a decade
+        below 5e-324 is 0, so the error names the axis and the mean it
+        cannot place, not a bare math domain error."""
+        write_aggregates(tmp_path / "agg.csv", [aggregate_row(5, "bob_ber", 5e-324),
+                                                aggregate_row(6, "bob_ber", -0.5)])
+        out = tmp_path / "charts"
+        assert run("plot", "--aggregates", tmp_path / "agg.csv", "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot plot ")
+        assert "log Bob message BER axis cannot place -0.5 a decade below 5e-324" in err
         assert not out.exists()
 
     def test_short_row_exits_one(self, tmp_path, capsys):
