@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .polar_core import (
+    MAX_N,
     PolarizationProfile,
     bec_profile,
     bit_reversal_permutation,
@@ -36,13 +37,6 @@ class InfeasibleConstruction(Exception):
             f"cannot pair chain bits: |I|={i_size} < |B|={b_size} at "
             f"n={config.n}, beta={config.beta}, rho_w={config.rho_w}, rho_r={config.rho_r}"
         )
-
-
-# Largest stage count a CodeConfig accepts.  Memory grows as 2^n: at n = 20
-# each profile level and each decoded block holds N = 2^20 entries, while an
-# unchecked n (say 64) would have the profile recursion double its arrays
-# until memory runs out.
-MAX_N = 20
 
 
 @dataclass(frozen=True)

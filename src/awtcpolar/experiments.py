@@ -13,6 +13,8 @@ _draw_counts call.
 Per-trial seeds are derived from (base seed, cell parameters, trial index),
 so serial and parallel sweeps produce bit-identical results.  Trial seeds
 and bounds generators' PCG64 states share one vectorized SeedSequence mix.
+A parallel sweep imports the process pool when it starts one; a serial
+sweep, the default, never loads the pool's modules.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import csv
 import functools
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -522,6 +523,9 @@ def run_sweep(spec: SweepSpec, parallelism: int = 1) -> SweepResult:
     if workers <= 1:
         batches = [_run_chunk(t) for t in tasks]
     else:
+        # imported here: a serial sweep never loads the pool's 32 modules
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_run_chunk, tasks))
 

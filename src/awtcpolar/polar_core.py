@@ -24,6 +24,12 @@ import numpy as np
 NEG_INF = float("-inf")
 _LN2 = math.log(2.0)
 
+# Largest stage count bec_profile and CodeConfig accept.  Memory grows as 2^n:
+# at n = 20 each profile level and each decoded block holds N = 2^20 entries,
+# while an unchecked n (say 64) would have the profile recursion double its
+# arrays until memory runs out.
+MAX_N = 20
+
 
 def _log1m_from_log_arr(x: np.ndarray) -> np.ndarray:
     # both branches are safe for x <= 0 once divide-by-zero warnings are off
@@ -79,7 +85,7 @@ def bec_profile(rho: float, n: int) -> PolarizationProfile:
         Initial erasure probability in [0, 1] (equivalently, the full-noise
         fraction of an adversarial block under independent sampling).
     n : int
-        Number of stages; the result has length N = 2^n.
+        Number of stages, 0 to MAX_N; the result has length N = 2^n.
 
     Returns
     -------
@@ -88,8 +94,9 @@ def bec_profile(rho: float, n: int) -> PolarizationProfile:
     """
     if not 0.0 <= rho <= 1.0:
         raise ValueError(f"rho must be in [0, 1], got {rho}")
-    if n < 0:
-        raise ValueError(f"stage count must be >= 0, got {n}")
+    n = checked_int(n, "stage count")
+    if not 0 <= n <= MAX_N:
+        raise ValueError(f"stage count must lie in [0, {MAX_N}], got {n}")
     # the extremes are exact, and log(1 - 0) is +0.0 where log1p(-0.0) is -0.0
     if rho == 0.0:
         seed = (NEG_INF, 0.0)

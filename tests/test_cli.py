@@ -1,5 +1,6 @@
 """CLI surface tests: files, exit codes, determinism and chart rendering."""
 
+import concurrent.futures
 import csv
 import hashlib
 import importlib.util
@@ -358,7 +359,8 @@ def test_fuzz_parameters(tmp_path, monkeypatch, capsys, data):
 
     monkeypatch.setattr(cli, "build_partition", small_cells_only)
     monkeypatch.setattr(experiments, "build_partition", small_cells_only)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+    # run_sweep imports the pool at call time, so it reads the patched name
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     work = tmp_path / str(len(list(tmp_path.iterdir())))
     work.mkdir()
     monkeypatch.chdir(work)

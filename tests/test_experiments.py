@@ -1,5 +1,6 @@
 """Bound trials, end-to-end trials and sweep determinism tests."""
 
+import concurrent.futures
 import csv
 import io
 import os
@@ -852,6 +853,33 @@ class TestSweep:
             outputs.add((trials.getvalue(), aggregates.getvalue()))
         assert len(outputs) == 1
 
+    def test_serial_cli_run_leaves_process_pool_unloaded(self, tmp_path):
+        """The pool and its 32 modules (multiprocessing, socket, logging, ...)
+        load only when a sweep runs more than one worker; at the default
+        parallelism they would be a seventh of every run's set-up.  The
+        parallel run that does load them writes the serial run's bytes."""
+        code = f"""
+import os, sys
+from pathlib import Path
+from awtcpolar import cli
+runs, loaded = {{}}, {{}}
+for parallelism in (1, 2):
+    out = Path({str(tmp_path)!r}) / str(parallelism)
+    argv = ["simulate", "--n", "6", "--beta", "0.3", "--blocks", "3", "--trials", "2",
+            "--seed", "5", "--parallelism", str(parallelism), "--no-plot",
+            "--out-dir", str(out)]
+    assert cli.main(argv) == 0
+    runs[parallelism] = (out / "trials.csv").read_bytes()
+    loaded[parallelism] = [name in sys.modules
+                           for name in ("concurrent.futures", "multiprocessing")]
+    os.cpu_count = lambda: 2  # two workers on any host
+print(loaded, runs[1] == runs[2])
+"""
+        src = str(Path(experiments.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60, check=True)
+        assert done.stdout.splitlines()[-1] == "{1: [False, False], 2: [True, True]} True"
+
     def test_end_to_end_kind(self):
         spec = self._spec(kind="end_to_end", n_list=(5,), trials=3)
         result = run_sweep(spec)
@@ -883,7 +911,7 @@ class TestSweep:
             pools.append(max_workers)
             return SerialPool(max_workers)
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", serial_pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", serial_pool)
         monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
         spec = self._spec(n_list=(5,), trials=trials)
         result = run_sweep(spec, parallelism=parallelism)

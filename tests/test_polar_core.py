@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from awtcpolar.adversary import AdversaryAction, write_equivalent_mask
 from awtcpolar.polar_core import (
+    MAX_N,
     NEG_INF,
     PolarizationProfile,
     _log1m_from_log_arr,
@@ -151,8 +152,10 @@ class TestBecProfile:
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             bec_profile(-0.1, 3)
-        with pytest.raises(ValueError):
-            bec_profile(0.5, -1)
+        # unchecked, n = 64 would double both arrays until memory runs out
+        for n in (-1, 2.5, MAX_N + 1, 64):
+            with pytest.raises(ValueError):
+                bec_profile(0.5, n)
 
     def test_profile_validates_length(self):
         with pytest.raises(ValueError):
